@@ -12,8 +12,6 @@ from .autodiff import AdamState, Tape, Var, adam_init, adam_step
 from .baselines import (
     SelectorSpec,
     kmeans_fit,
-    rank_candidates,
-    register_selector,
     select_dcs,
     select_kmeans,
     select_random,
@@ -35,6 +33,7 @@ from .evaluate import (
     EvalCell,
     EvalReport,
     Protocol,
+    rank_candidates,
     run_protocol,
     train_linear_svm,
     train_logreg,
@@ -67,13 +66,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "Tape", "Var", "adam_init", "adam_step",
-    "SelectorSpec", "kmeans_fit", "rank_candidates", "register_selector",
-    "select_dcs", "select_kmeans", "select_random",
+    "SelectorSpec", "kmeans_fit", "select_dcs", "select_kmeans", "select_random",
     "Dataset", "SplitSpec", "apply_standardization", "load_csv",
     "load_registry", "make_blobs", "resolve_dataset", "save_csv", "split",
     "standardize",
     "AllgError", "ConfigError", "DataError", "NumericalError",
-    "EvalCell", "EvalReport", "Protocol", "run_protocol",
+    "EvalCell", "EvalReport", "Protocol", "rank_candidates", "run_protocol",
     "train_linear_svm", "train_logreg",
     "PriorGraph", "knn_graph", "normalize_adjacency", "save_edge_list",
     "ForwardCache", "ModelConfig", "ModelParams", "SelectionResult",

@@ -1,9 +1,9 @@
 """Classical reference selectors: random, K-Means nearest-centroid, DCS.
 
 Every selector produces a full deterministic ranking of the candidate
-columns; callers take the top-m prefix for a given query budget.  A small
-registry keys ranking functions by kind so the CLI and the evaluation
-harness treat all selectors uniformly.
+columns; callers take the top-m prefix for a given query budget.  The
+registry that maps a SelectorSpec's kind to one of these rankings, ALLG
+included, is `allg.evaluate.RANKERS`.
 """
 
 from dataclasses import dataclass, field
@@ -20,13 +20,15 @@ class SelectorSpec:
 
     kind: str
     params: dict = field(default_factory=dict)
-    seed: int = 0
 
     def __post_init__(self):
-        if self.params.get("K", 1) < 1:
-            raise ConfigError("kmeans K must be >= 1")
-        if self.params.get("rank", 1) < 1:
-            raise ConfigError("dcs rank must be >= 1")
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"{self.kind} selector params must be an object, "
+                              f"got {self.params!r}")
+        for key in ("K", "rank"):
+            value = self.params.get(key, 1)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ConfigError(f"{self.kind} {key} must be an integer >= 1, got {value!r}")
 
     @property
     def label(self) -> str:
@@ -134,34 +136,3 @@ def select_dcs(x: np.ndarray, m: int, rank: int) -> list:
     scores = np.sum(coords * coords, axis=0)
     order = np.argsort(-scores, kind="stable")  # ties -> lowest index
     return [int(i) for i in order[:m]]
-
-
-# ---------------------------------------------------------------------------
-# Selector registry: kind -> full-ranking function
-# ---------------------------------------------------------------------------
-
-_RANKERS = {}
-
-
-def register_selector(kind: str, fn) -> None:
-    """Register fn(x, spec, seed) -> full ranking under `kind`."""
-    _RANKERS[kind] = fn
-
-
-def rank_candidates(x: np.ndarray, spec: SelectorSpec, seed: int | None = None) -> list:
-    """Full ranking of the columns of x by the selector `spec`."""
-    if spec.kind not in _RANKERS:
-        raise ConfigError(f"unknown selector kind {spec.kind!r}; "
-                          f"known: {sorted(_RANKERS)}")
-    return _RANKERS[spec.kind](x, spec, spec.seed if seed is None else seed)
-
-
-register_selector("random", lambda x, spec, seed: select_random(x.shape[1], x.shape[1], seed))
-register_selector(
-    "kmeans",
-    lambda x, spec, seed: select_kmeans(x, x.shape[1], k=spec.params.get("K", 5), seed=seed),
-)
-register_selector(
-    "dcs",
-    lambda x, spec, seed: select_dcs(x, x.shape[1], rank=spec.params.get("rank", 5)),
-)

@@ -2,7 +2,7 @@
 
 Every command reads an optional JSON config file (schema_version 1) whose
 values individual flags override, and writes timestamp-free artifacts so
-identical configs reproduce identical files.
+identical configs reproduce identical files at a fixed BLAS thread count.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.
@@ -22,13 +22,7 @@ from .data import Dataset, load_registry, resolve_dataset, standardize
 from .errors import AllgError, ConfigError, DataError, NumericalError
 from .evaluate import Protocol, run_protocol
 from .gradcheck import run_all
-from .model import (
-    ablation_variant,
-    config_from_dict,
-    config_to_dict,
-    default_encoder_dims,
-    save_checkpoint,
-)
+from .model import config_from_options, config_to_dict, save_checkpoint
 from .rng import substream
 from .training import run_selection
 
@@ -121,31 +115,27 @@ def _maybe_subsample(ds, cfg: dict):
     )
 
 
-def _model_config(cfg: dict, d: int, seed: int):
-    opts = dict(cfg.get("model", {}))
-    if "encoder_dims" not in opts:
-        opts["encoder_dims"] = default_encoder_dims(d)
-    opts.setdefault("seed", seed)
-    return config_from_dict(opts)
-
-
 def _protocol(cfg: dict, seed: int) -> Protocol:
     opts = dict(cfg.get("protocol", {}))
-    runs = opts.get("runs", 5)
-    opts.setdefault("seeds", [seed + i for i in range(runs)])
+    if "seeds" in opts:
+        opts.setdefault("runs", len(opts["seeds"]))
+    else:
+        opts["seeds"] = [seed + i for i in range(opts.get("runs", Protocol.runs))]
     return Protocol(**opts)
 
 
-def _selector_specs(cfg: dict, seed: int) -> list:
-    entries = cfg.get("selectors", [{"kind": k} for k in ("random", "kmeans", "dcs", "allg")])
+def _selector_specs(cfg: dict) -> list:
+    entries = cfg.get("selectors", ["random", "kmeans", "dcs", "allg"])
     specs = []
     for entry in entries:
         if isinstance(entry, str):
             entry = {"kind": entry}
-        params = dict(entry.get("params", {}))
-        if entry.get("kind") == "allg" and "model" in cfg and "config" not in params:
-            params = {**cfg["model"], **params}
-        specs.append(SelectorSpec(kind=entry["kind"], params=params, seed=seed))
+        if not isinstance(entry, dict) or "kind" not in entry:
+            raise ConfigError(f"selectors entry {entry!r} has no 'kind'")
+        spec = SelectorSpec(entry["kind"], entry.get("params", {}))
+        if spec.kind == "allg":
+            spec.params = {**cfg.get("model", {}), **spec.params}
+        specs.append(spec)
     return specs
 
 
@@ -175,7 +165,8 @@ def cmd_select(args) -> int:
     if args.m is not None and not 1 <= args.m <= ds.n_samples:
         raise ConfigError(f"--m {args.m} must lie in 1..{ds.n_samples} for this pool")
     std, _, _ = standardize(ds)
-    mcfg = _model_config(cfg, ds.dim, cfg["seed"])
+    # A seed in the config file's model block wins over --seed.
+    mcfg = config_from_options({"seed": cfg["seed"], **cfg.get("model", {})}, ds.dim)
     result, params, history, _ = run_selection(std.features, mcfg)
     out = _out_dir(cfg)
     _write_ranking(os.path.join(out, "ranking.csv"), result, limit=args.m)
@@ -201,7 +192,7 @@ def cmd_evaluate(args) -> int:
     cfg = _gather(args)
     ds = _load_dataset(cfg)
     protocol = _protocol(cfg, cfg["seed"])
-    specs = _selector_specs(cfg, cfg["seed"])
+    specs = _selector_specs(cfg)
     report = run_protocol(ds, specs, protocol)
     out = _out_dir(cfg)
     report.to_csv(os.path.join(out, "report.csv"))
@@ -229,7 +220,7 @@ def cmd_grid(args) -> int:
     rows = []
     for alpha, beta, lam in itertools.product(sorted(alphas), sorted(betas), sorted(lams)):
         model_opts = {**cfg.get("model", {}), "alpha": alpha, "beta": beta, "lam": lam}
-        spec = SelectorSpec(kind="allg", params=model_opts, seed=cfg["seed"])
+        spec = SelectorSpec("allg", model_opts)
         report = run_protocol(ds, [spec], protocol)
         mean = float(
             sum(report.grand_mean("allg", clf) for clf in report.classifiers())
@@ -255,12 +246,8 @@ def cmd_ablate(args) -> int:
     cfg = _gather(args)
     ds = _load_dataset(cfg)
     protocol = _protocol(cfg, cfg["seed"])
-    base = _model_config(cfg, ds.dim, cfg["seed"])
-    specs = []
-    for variant in ABLATION_ORDER:
-        vcfg = ablation_variant(base, variant)
-        specs.append(SelectorSpec(kind="allg", params={"config": vcfg, "name": variant},
-                                  seed=cfg["seed"]))
+    model = cfg.get("model", {})
+    specs = [SelectorSpec("allg", {**model, "variant": v, "name": v}) for v in ABLATION_ORDER]
     report = run_protocol(ds, specs, protocol)
     out = _out_dir(cfg)
     report.to_csv(os.path.join(out, "ablation_report.csv"))

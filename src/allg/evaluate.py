@@ -7,16 +7,15 @@ train the classifiers.  Accuracy on the untouched test set measures how
 representative the selection was.
 """
 
-import dataclasses
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import SelectorSpec, rank_candidates, register_selector
+from .baselines import SelectorSpec, select_dcs, select_kmeans, select_random
 from .data import Dataset, SplitSpec, apply_standardization, split, standardize
 from .errors import ConfigError, DataError
-from .model import config_from_dict, default_encoder_dims, encode_features
+from .model import config_from_options
 from .rng import derive_seed
 from .training import run_selection
 
@@ -235,30 +234,34 @@ class EvalReport:
             fh.write("\n")
 
 
-def _allg_ranker_context(x: np.ndarray, spec: SelectorSpec, seed: int):
-    """Train the ALLG pipeline on the candidate matrix and rank it.
+# ---------------------------------------------------------------------------
+# Selectors: kind -> fn(x, params, seed) -> full ranking of the columns of x
+# ---------------------------------------------------------------------------
 
-    spec.params may carry model-config fields directly, or a prebuilt
-    ModelConfig under "config"; either way the run seed is overridden by
-    the derived per-(run, selector) seed.
+def _rank_allg(x: np.ndarray, params: dict, seed: int) -> list:
+    """Train ALLG on x and rank it; params are ModelConfig fields plus "name".
+
+    The `seed` argument replaces any seed field in params.
     """
-    opts = dict(spec.params)
-    opts.pop("name", None)
-    opts.pop("representation", None)
-    cfg = opts.pop("config", None)
-    if cfg is None:
-        if "encoder_dims" not in opts:
-            opts["encoder_dims"] = default_encoder_dims(x.shape[0])
-        opts["seed"] = seed
-        cfg = config_from_dict(opts)
-    else:
-        cfg = dataclasses.replace(cfg, seed=seed)
-    result, params, _, _ = run_selection(x, cfg)
-    return result.ranked_indices, params, cfg
+    opts = {k: v for k, v in params.items() if k != "name"}
+    result, *_ = run_selection(x, config_from_options({**opts, "seed": seed}, x.shape[0]))
+    return result.ranked_indices
 
 
-register_selector("allg",
-                  lambda x, spec, seed: _allg_ranker_context(x, spec, seed)[0])
+RANKERS = {
+    "random": lambda x, params, seed: select_random(x.shape[1], x.shape[1], seed),
+    "kmeans": lambda x, params, seed: select_kmeans(x, x.shape[1], k=params.get("K", 5),
+                                                    seed=seed),
+    "dcs": lambda x, params, seed: select_dcs(x, x.shape[1], rank=params.get("rank", 5)),
+    "allg": _rank_allg,
+}
+
+
+def rank_candidates(x: np.ndarray, spec: SelectorSpec, seed: int) -> list:
+    """Full ranking of the columns of x by the selector `spec`."""
+    if spec.kind not in RANKERS:
+        raise ConfigError(f"unknown selector kind {spec.kind!r}; known: {sorted(RANKERS)}")
+    return RANKERS[spec.kind](x, spec.params, seed)
 
 
 def run_protocol(ds: Dataset, selectors: list, protocol: Protocol) -> EvalReport:
@@ -272,6 +275,9 @@ def run_protocol(ds: Dataset, selectors: list, protocol: Protocol) -> EvalReport
     labels = {s.label for s in selectors}
     if len(labels) != len(selectors):
         raise ConfigError("selector labels must be unique; use params['name'] to disambiguate")
+    # Rankers never see labels, so the one dataset-derived default lives here.
+    selectors = [SelectorSpec(s.kind, {"rank": ds.n_classes, **s.params}) if s.kind == "dcs"
+                 else s for s in selectors]
     cells = []
     for seed in protocol.seeds:
         cand, test, _ = split(ds, SplitSpec(protocol.candidate_fraction, seed))
@@ -282,27 +288,12 @@ def run_protocol(ds: Dataset, selectors: list, protocol: Protocol) -> EvalReport
         cand_std, mu, sd = standardize(cand)
         test_std = apply_standardization(test, mu, sd)
         for spec in selectors:
-            sel_seed = derive_seed(seed, f"selector:{spec.label}")
-            latent_train = latent_test = None
-            if spec.kind == "allg":
-                ranking, params, cfg = _allg_ranker_context(cand_std.features, spec, sel_seed)
-                if spec.params.get("representation", False):
-                    latent_train = encode_features(params, cand_std.features, cfg)
-                    latent_test = encode_features(params, test_std.features, cfg)
-            else:
-                spec_eff = spec
-                if spec.kind == "dcs" and "rank" not in spec.params:
-                    spec_eff = SelectorSpec(spec.kind, {**spec.params, "rank": ds.n_classes},
-                                            seed=spec.seed)
-                ranking = rank_candidates(cand_std.features, spec_eff, seed=sel_seed)
+            ranking = rank_candidates(cand_std.features, spec,
+                                      derive_seed(seed, f"selector:{spec.label}"))
             for budget in protocol.budgets:
                 chosen = sorted(ranking[:budget])
-                y_train = cand.labels[chosen]
-                if latent_train is not None:
-                    x_train, x_test = latent_train[:, chosen], latent_test
-                else:
-                    x_train, x_test = cand_std.features[:, chosen], test_std.features
+                x_train, y_train = cand_std.features[:, chosen], cand.labels[chosen]
                 for clf in protocol.classifiers:
-                    acc = protocol.classify(clf, x_train, y_train, x_test, test.labels)
+                    acc = protocol.classify(clf, x_train, y_train, test_std.features, test.labels)
                     cells.append(EvalCell(spec.label, clf, budget, seed, acc))
     return EvalReport(cells)

@@ -164,6 +164,11 @@ def config_from_dict(d: dict) -> ModelConfig:
     return ModelConfig(**d)
 
 
+def config_from_options(opts: dict, d: int) -> ModelConfig:
+    """ModelConfig from option fields; encoder_dims defaults to default_encoder_dims(d)."""
+    return config_from_dict({"encoder_dims": default_encoder_dims(d), **opts})
+
+
 # ---------------------------------------------------------------------------
 # Parameters
 # ---------------------------------------------------------------------------

@@ -203,10 +203,7 @@ def test_criterion_7_splice_reproduction():
     # ablation ordering on grand means: full >= distinct_two >= one_matrix
     # >= knn_only >= no_graph in at least 3 of the 4 adjacent pairs
     order = ("no_graph", "knn_only", "one_matrix", "distinct_two", "full")
-    base_cfg = allg.ModelConfig(seed=0, **_splice_model(*best))
-    specs = [allg.SelectorSpec("allg",
-                               params={"config": allg.ablation_variant(base_cfg, v),
-                                       "name": v})
+    specs = [allg.SelectorSpec("allg", params={**_splice_model(*best), "variant": v, "name": v})
              for v in order]
     ab_report = run_protocol(ds, specs, proto)
     means = {v: ab_report.grand_mean(v, "logistic_regression") for v in order}

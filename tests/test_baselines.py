@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import allg
-from allg.baselines import kmeans_fit, rank_candidates
+from allg.baselines import kmeans_fit
 from allg.errors import ConfigError
+from allg.evaluate import rank_candidates
 from oracles import gram_leverage_scores
 
 
@@ -92,25 +93,19 @@ class TestSelectDcs:
 class TestRegistry:
     def test_all_kinds_give_full_rankings(self, rng):
         x = rng.normal(size=(4, 12))
-        for kind in ("random", "kmeans", "dcs"):
-            spec = allg.SelectorSpec(kind, params={"K": 3, "rank": 2}, seed=5)
-            ranking = rank_candidates(x, spec)
+        params = {"random": {}, "kmeans": {"K": 3}, "dcs": {"rank": 2},
+                  "allg": {"encoder_dims": (4, 4, 3), "pretrain_epochs": 10,
+                           "train_epochs": 10, "knn_k": 3}}
+        for kind, p in params.items():
+            ranking = rank_candidates(x, allg.SelectorSpec(kind, params=p), seed=5)
             assert sorted(ranking) == list(range(12)), kind
 
     def test_unknown_kind(self, rng):
         with pytest.raises(ConfigError, match="unknown selector"):
-            rank_candidates(rng.normal(size=(2, 4)), allg.SelectorSpec("mystery"))
+            rank_candidates(rng.normal(size=(2, 4)), allg.SelectorSpec("mystery"), seed=0)
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
             allg.SelectorSpec("kmeans", params={"K": 0})
         with pytest.raises(ConfigError):
             allg.SelectorSpec("dcs", params={"rank": 0})
-
-    def test_allg_kind_registered_via_evaluate(self, blobs_std):
-        import allg.evaluate  # noqa: F401  (registers the "allg" ranker)
-        spec = allg.SelectorSpec("allg", params={
-            "encoder_dims": (4, 4, 3), "pretrain_epochs": 10, "train_epochs": 10,
-            "knn_k": 3})
-        ranking = rank_candidates(blobs_std.features, spec, seed=1)
-        assert sorted(ranking) == list(range(blobs_std.n_samples))

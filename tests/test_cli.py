@@ -101,18 +101,23 @@ class TestEvaluate:
         assert snapshot["config"]["seed"] == 0
 
     def test_accuracy_cells_in_unit_interval(self, tmp_path, blobs_csv):
-        out = tmp_path / "eval2"
-        cfg = _write_config(tmp_path, {
-            "protocol": {"budgets": [6], "runs": 1, "seeds": [4],
-                         "classifiers": ["linear_svm"], "svm_sweeps": 100},
-        })
-        assert main(["evaluate", "--config", cfg, "--dataset", blobs_csv,
-                     "--label-column", "label", "--out", str(out),
-                     "--selector", "random"]) == 0
-        rows = (out / "report.csv").read_text().splitlines()[1:]
-        for row in rows:
-            acc = float(row.split(",")[-1])
-            assert 0.0 <= acc <= 1.0
+        protocols = [
+            {"budgets": [6], "runs": 1, "seeds": [4],
+             "classifiers": ["linear_svm"], "svm_sweeps": 100},
+            # seeds alone set the run count
+            {"budgets": [6], "seeds": [4, 5],
+             "classifiers": ["linear_svm"], "svm_sweeps": 100},
+        ]
+        for i, protocol in enumerate(protocols):
+            out = tmp_path / f"eval{i}"
+            cfg = _write_config(tmp_path, {"protocol": protocol}, name=f"cfg{i}.json")
+            assert main(["evaluate", "--config", cfg, "--dataset", blobs_csv,
+                         "--label-column", "label", "--out", str(out),
+                         "--selector", "random"]) == 0
+            rows = (out / "report.csv").read_text().splitlines()[1:]
+            for row in rows:
+                acc = float(row.split(",")[-1])
+                assert 0.0 <= acc <= 1.0
 
 
 class TestGrid:
@@ -175,15 +180,13 @@ class TestAblate:
         # noisy enough that graph smoothing matters
         from allg.evaluate import Protocol, run_protocol
         ds = allg.make_blobs(100, 3, d=8, spread=4.5, seed=11)
-        base = allg.ModelConfig(encoder_dims=(8, 16, 8), pretrain_epochs=1000,
-                                train_epochs=1000, knn_k=5, alpha=10.0, beta=10.0,
-                                lam=10.0, encoder_final_activation="linear",
-                                prior_normalize="col")
+        model = {"encoder_dims": (8, 16, 8), "pretrain_epochs": 1000,
+                 "train_epochs": 1000, "knn_k": 5, "alpha": 10.0, "beta": 10.0,
+                 "lam": 10.0, "encoder_final_activation": "linear",
+                 "prior_normalize": "col"}
         proto = Protocol(budgets=(15,), runs=5, classifiers=("logistic_regression",),
                          seeds=(0, 1, 2, 3, 4))
-        specs = [allg.SelectorSpec("allg",
-                                   params={"config": allg.ablation_variant(base, v),
-                                           "name": v})
+        specs = [allg.SelectorSpec("allg", params={**model, "variant": v, "name": v})
                  for v in ("no_graph", "full")]
         rep = run_protocol(ds, specs, proto)
         assert (rep.grand_mean("full", "logistic_regression")
@@ -241,6 +244,18 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["evaluate", "--dataset", blobs_csv, "--label-column", "label",
                      "--out", str(out), "--selector", "mystery",
+                     "--budgets", "4"]) == 2
+
+    @pytest.mark.parametrize("entry", [
+        {"params": {}},
+        {"kind": "kmeans", "params": {"K": "3"}},
+        {"kind": "dcs", "params": {"rank": 2.5}},
+        {"kind": "random", "params": ["K", 3]},
+    ], ids=["no_kind", "string_K", "float_rank", "list_params"])
+    def test_bad_selector_entry(self, tmp_path, blobs_csv, entry):
+        cfg = _write_config(tmp_path, {"selectors": [entry]})
+        assert main(["evaluate", "--config", cfg, "--dataset", blobs_csv,
+                     "--label-column", "label", "--out", str(tmp_path / "o"),
                      "--budgets", "4"]) == 2
 
     def test_budget_larger_than_pool(self, tmp_path, blobs_csv):

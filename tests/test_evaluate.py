@@ -202,8 +202,7 @@ class TestRunProtocol:
                          logreg_max_iter=300, seeds=(0,))
         specs = [
             allg.SelectorSpec("allg", params=dict(model)),
-            allg.SelectorSpec("allg", params={**model, "representation": True,
-                                              "name": "allg_latent"}),
+            allg.SelectorSpec("allg", params={**model, "name": "allg_latent"}),
         ]
         rep = run_protocol(labeled, specs, proto)
         assert set(rep.selectors()) == {"allg", "allg_latent"}
