@@ -44,9 +44,7 @@ from .model import (
     ModelConfig,
     ModelParams,
     SelectionResult,
-    ablation_variant,
     default_encoder_dims,
-    encode_features,
     forward,
     init_encoder_decoder,
     load_checkpoint,
@@ -75,10 +73,10 @@ __all__ = [
     "train_linear_svm", "train_logreg",
     "PriorGraph", "knn_graph", "normalize_adjacency", "save_edge_list",
     "ForwardCache", "ModelConfig", "ModelParams", "SelectionResult",
-    "ablation_variant", "default_encoder_dims", "encode_features", "forward",
-    "init_encoder_decoder", "load_checkpoint", "loss_adjacency",
-    "loss_propagation", "loss_reconstruction", "loss_selection", "loss_total",
-    "rank", "save_checkpoint", "sup_norm_rows_value",
+    "default_encoder_dims", "forward", "init_encoder_decoder",
+    "load_checkpoint", "loss_adjacency", "loss_propagation",
+    "loss_reconstruction", "loss_selection", "loss_total", "rank",
+    "save_checkpoint", "sup_norm_rows_value",
     "derive_seed", "substream",
     "LossHistory", "pretrain", "reconstruction_loss", "run_selection", "train",
     "__version__",

@@ -1,9 +1,14 @@
 """Reverse-mode automatic differentiation over dense float64 matrices.
 
-The engine is a flat tape.  Every operation appends one node recording its
-parents and a backward rule; insertion order is a topological order, so
-backward() is a single reverse sweep in which the gradient of each node is
-the sum of the contributions of all its consumers.
+The engine is a flat tape.  Every operation appends one node recording the
+indices of its parents and their backward rules; insertion order is a
+topological order, so backward() is a single reverse sweep in which the
+gradient of each node is the sum of the contributions of all its consumers.
+
+A node keeps a parent's backward rule only when a requires_grad leaf feeds
+that parent, so a graph on constant leaves records no backward rules: that
+is the no-grad path.  The tape holds no Var, so reference counting frees it
+and its arrays when the last Var on it is dropped.
 
 All values are 2-D float64 arrays; scalars are 1x1 matrices.  Reductions
 use numpy's fixed summation order, so identical inputs give bitwise
@@ -44,23 +49,16 @@ class Var:
         return f"Var(shape={self.value.shape}, node={self.index})"
 
 
-class _Node:
-    __slots__ = ("var", "parents")
-
-    def __init__(self, var, parents):
-        self.var = var
-        self.parents = parents  # tuple of (parent Var, vjp callable)
-
-
 class Tape:
     """Records a computation graph; owns gradients after backward()."""
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._parents: list[tuple] = []  # per node: ((parent index, vjp), ...)
+        self._needs_grad: list[bool] = []  # per node: a requires_grad leaf feeds it
         self._grads: list | None = None
 
     def __len__(self):
-        return len(self._nodes)
+        return len(self._parents)
 
     def var(self, value, requires_grad: bool = False) -> Var:
         """Create a leaf holding `value` (coerced to 2-D float64)."""
@@ -69,12 +67,16 @@ class Tape:
             arr = arr.reshape(1, 1)
         if arr.ndim != 2:
             raise ValueError(f"tape values must be matrices, got ndim={arr.ndim}")
-        return self._record(arr, (), requires_grad)
+        self._parents.append(())
+        self._needs_grad.append(requires_grad)
+        return Var(arr, self, len(self._parents) - 1, requires_grad)
 
-    def _record(self, value, parents, requires_grad=False) -> Var:
-        v = Var(value, self, len(self._nodes), requires_grad)
-        self._nodes.append(_Node(v, parents))
-        return v
+    def _record(self, value, parents) -> Var:
+        """Append an op node; `parents` is a tuple of (parent Var, vjp callable)."""
+        kept = tuple((p.index, vjp) for p, vjp in parents if self._needs_grad[p.index])
+        self._parents.append(kept)
+        self._needs_grad.append(bool(kept))
+        return Var(value, self, len(self._parents) - 1, False)
 
     def backward(self, loss: Var) -> None:
         """Accumulate d(loss)/d(leaf) for every requires_grad leaf.
@@ -87,20 +89,18 @@ class Tape:
             raise ValueError(f"loss must be a 1x1 scalar, got shape {loss.value.shape}")
         if self._grads is not None:
             raise RuntimeError("backward() already ran on this tape; call reset() first")
-        grads = [None] * len(self._nodes)
+        grads = [None] * len(self._parents)
         grads[loss.index] = np.ones((1, 1), dtype=np.float64)
         for i in range(loss.index, -1, -1):
             g = grads[i]
             if g is None:
                 continue
-            for parent, vjp in self._nodes[i].parents:
-                if not self._nodes[parent.index].parents and not parent.requires_grad:
-                    continue  # constant leaf: skip allocating a gradient
+            for parent, vjp in self._parents[i]:
                 contrib = vjp(g)
-                if grads[parent.index] is None:
-                    grads[parent.index] = contrib
+                if grads[parent] is None:
+                    grads[parent] = contrib
                 else:
-                    grads[parent.index] = grads[parent.index] + contrib
+                    grads[parent] = grads[parent] + contrib
         self._grads = grads
 
     def grad(self, var: Var):
@@ -112,7 +112,8 @@ class Tape:
 
     def reset(self) -> None:
         """Drop all nodes and gradients; existing Vars become invalid."""
-        self._nodes = []
+        self._parents = []
+        self._needs_grad = []
         self._grads = None
 
 

@@ -28,6 +28,7 @@ from .training import run_selection
 
 SCHEMA_VERSION = 1
 ABLATION_ORDER = ("no_graph", "knn_only", "one_matrix", "tied_two", "distinct_two", "full")
+GRID_AXES = ("alpha", "beta", "lambda")
 
 
 def _load_config_file(path) -> dict:
@@ -43,6 +44,11 @@ def _load_config_file(path) -> dict:
     version = cfg.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema_version {version!r}")
+    for key in ("model", "protocol", "grid"):
+        if not isinstance(cfg.get(key, {}), dict):
+            raise ConfigError(f"config {key!r} must be a JSON object")
+    if not isinstance(cfg.get("selectors", []), list):
+        raise ConfigError("config 'selectors' must be a list")
     return cfg
 
 
@@ -117,6 +123,9 @@ def _maybe_subsample(ds, cfg: dict):
 
 def _protocol(cfg: dict, seed: int) -> Protocol:
     opts = dict(cfg.get("protocol", {}))
+    unknown = set(opts) - {f.name for f in dataclasses.fields(Protocol)}
+    if unknown:
+        raise ConfigError(f"unknown protocol config keys: {sorted(unknown)}")
     if "seeds" in opts:
         opts.setdefault("runs", len(opts["seeds"]))
     else:
@@ -209,16 +218,19 @@ def cmd_grid(args) -> int:
     cfg = _gather(args)
     ds = _load_dataset(cfg)
     grid = cfg.get("grid", {})
-    alphas = grid.get("alpha", [0.1, 1.0, 10.0])
-    betas = grid.get("beta", [0.1, 1.0, 10.0])
-    lams = grid.get("lambda", [0.1, 1.0, 10.0])
-    if not (alphas and betas and lams):
-        raise ConfigError("grid lists must be non-empty")
+    unknown = set(grid) - set(GRID_AXES)
+    if unknown:
+        raise ConfigError(f"unknown grid config keys: {sorted(unknown)}")
+    axes = [grid.get(name, [0.1, 1.0, 10.0]) for name in GRID_AXES]
+    for name, values in zip(GRID_AXES, axes):
+        if (not isinstance(values, list) or not values
+                or not all(isinstance(v, (int, float)) for v in values)):
+            raise ConfigError(f"grid {name!r} must be a non-empty list of numbers, got {values!r}")
     base_protocol = _protocol(cfg, cfg["seed"])
     # One fixed validation seed for the whole sweep.
     protocol = dataclasses.replace(base_protocol, runs=1, seeds=(cfg["seed"],))
     rows = []
-    for alpha, beta, lam in itertools.product(sorted(alphas), sorted(betas), sorted(lams)):
+    for alpha, beta, lam in itertools.product(*(sorted(v) for v in axes)):
         model_opts = {**cfg.get("model", {}), "alpha": alpha, "beta": beta, "lam": lam}
         spec = SelectorSpec("allg", model_opts)
         report = run_protocol(ds, [spec], protocol)

@@ -84,10 +84,10 @@ def check_matmul(rng, eps=1e-5, corrupt=False):
         # Deliberately mis-scaled rule, used to prove the harness reports
         # failures.
         def bad_matmul(x, y):
-            out = x.value @ y.value
+            xv, yv = x.value, y.value
             return x.tape._record(
-                out, ((x, lambda g: 1.01 * (g @ y.value.T)),
-                      (y, lambda g: 0.99 * (x.value.T @ g))))
+                xv @ yv, ((x, lambda g: 1.01 * (g @ yv.T)),
+                          (y, lambda g: 0.99 * (xv.T @ g))))
 
         build = lambda tape, lv: _scalarize(tape, bad_matmul(lv["a"], lv["b"]), shift)
     else:

@@ -136,20 +136,6 @@ class ModelConfig:
         return self.beta if self.beta_prop is None else self.beta_prop
 
 
-def ablation_variant(cfg: ModelConfig, variant: str) -> ModelConfig:
-    """Config for one ablation: same hyperparameters, different wiring.
-
-    no_graph drops the adjacency chain entirely (S_out = Z); knn_only keeps
-    a single frozen prior matrix; one_matrix trains a single matrix;
-    tied_two shares one matrix across two layers; distinct_two trains two
-    matrices without the shortcut; full is the complete model.
-    """
-    variant = _VARIANT_ALIASES.get(variant, variant)
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown ablation variant {variant!r}; expected one of {VARIANTS}")
-    return dataclasses.replace(cfg, variant=variant)
-
-
 def config_to_dict(cfg: ModelConfig) -> dict:
     out = dataclasses.asdict(cfg)
     out["encoder_dims"] = list(cfg.encoder_dims)
@@ -239,20 +225,20 @@ def adjacency_key(cfg: ModelConfig, layer: int) -> str:
     return "adj0" if cfg.variant == "tied_two" else f"adj{layer}"
 
 
+def is_frozen(cfg: ModelConfig, name: str) -> bool:
+    """Whether parameter `name` stays fixed in training (knn_only keeps its prior)."""
+    return cfg.variant == "knn_only" and name.startswith("adj")
+
+
 # ---------------------------------------------------------------------------
 # Forward graph (tape), shared by training, evaluation, and gradcheck
 # ---------------------------------------------------------------------------
 
 def wrap_params(tape: ad.Tape, params: ModelParams, cfg: ModelConfig,
                 trainable: bool = True) -> dict:
-    """Leaf Vars for every parameter array; frozen variants stay constant."""
-    pv = {}
-    for name, arr in params.to_dict().items():
-        req = trainable
-        if cfg.variant == "knn_only" and name.startswith("adj"):
-            req = False
-        pv[name] = tape.var(arr, requires_grad=req)
-    return pv
+    """Leaf Vars for every parameter array; frozen parameters stay constant."""
+    return {name: tape.var(arr, requires_grad=trainable and not is_frozen(cfg, name))
+            for name, arr in params.to_dict().items()}
 
 
 def encode_vars(pv: dict, x: ad.Var, cfg: ModelConfig) -> ad.Var:
@@ -377,13 +363,6 @@ def forward(params: ModelParams, x: np.ndarray, cfg: ModelConfig,
         x_hat=cache["x_hat"].value,
     )
     return out, values
-
-
-def encode_features(params: ModelParams, x: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    """Apply the trained encoder to (possibly out-of-sample) columns of x."""
-    tape = ad.Tape()
-    pv = wrap_params(tape, params, cfg, trainable=False)
-    return encode_vars(pv, tape.var(np.asarray(x, dtype=np.float64)), cfg).value
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .model import (
     encode_vars,
     forward,
     init_encoder_decoder,
+    is_frozen,
     rank,
     wrap_params,
 )
@@ -77,26 +78,27 @@ def pretrain(x: np.ndarray, cfg: ModelConfig, params: ModelParams | None = None)
               if k.startswith("enc_") or k.startswith("dec_")}
     state = ad.adam_init(arrays)
     for epoch in range(1, cfg.pretrain_epochs + 1):
-        tape = ad.Tape()
-        xv = tape.var(x)
-        pv = wrap_params(tape, params, cfg, trainable=True)
-        z = encode_vars(pv, xv, cfg)
-        x_hat = decode_vars(pv, z, cfg)
-        loss = ad.frob_sq(ad.sub(xv, x_hat))
+        loss, pv = _reconstruction_graph(params, x, cfg, trainable=True)
         _check_finite(loss.item(), epoch, "pretrain")
-        tape.backward(loss)
+        loss.tape.backward(loss)
         grads = {k: pv[k].grad for k in arrays}
         ad.adam_step(arrays, grads, state, lr=cfg.lr, t=epoch)
     return params
 
 
+def _reconstruction_graph(params: ModelParams, x: np.ndarray, cfg: ModelConfig,
+                          trainable: bool):
+    """Stage-1 loss ||X - decode(encode(X))||_F^2 on a new tape: (loss, leaf Vars)."""
+    tape = ad.Tape()
+    xv = tape.var(x)
+    pv = wrap_params(tape, params, cfg, trainable=trainable)
+    x_hat = decode_vars(pv, encode_vars(pv, xv, cfg), cfg)
+    return ad.frob_sq(ad.sub(xv, x_hat)), pv
+
+
 def reconstruction_loss(params: ModelParams, x: np.ndarray, cfg: ModelConfig) -> float:
     """Plain autoencoder loss of the current encoder/decoder (no Q, no A)."""
-    tape = ad.Tape()
-    xv = tape.var(np.asarray(x, dtype=np.float64))
-    pv = wrap_params(tape, params, cfg, trainable=False)
-    x_hat = decode_vars(pv, encode_vars(pv, xv, cfg), cfg)
-    return ad.frob_sq(ad.sub(xv, x_hat)).item()
+    return _reconstruction_graph(params, x, cfg, trainable=False)[0].item()
 
 
 def _as_prior_array(a0, n: int) -> np.ndarray | None:
@@ -131,8 +133,7 @@ def train(x: np.ndarray, a0, cfg: ModelConfig, params: ModelParams):
         params.q = np.zeros((n, n))
 
     arrays = params.to_dict()
-    frozen = {k for k in arrays if cfg.variant == "knn_only" and k.startswith("adj")}
-    trainable = {k: v for k, v in arrays.items() if k not in frozen}
+    trainable = {k: v for k, v in arrays.items() if not is_frozen(cfg, k)}
     state = ad.adam_init(trainable)
     history = LossHistory()
     for epoch in range(1, cfg.train_epochs + 1):

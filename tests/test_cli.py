@@ -258,6 +258,27 @@ class TestExitCodes:
                      "--label-column", "label", "--out", str(tmp_path / "o"),
                      "--budgets", "4"]) == 2
 
+    @pytest.mark.parametrize("command, payload, culprit", [
+        ("evaluate", {"protocol": {"bogus": 1}}, "bogus"),
+        ("grid", {"protocol": {"bogus": 1}}, "bogus"),
+        ("evaluate", {"protocol": [1]}, "protocol"),
+        ("grid", {"protocol": [1]}, "protocol"),
+        ("evaluate", {"model": [1, 2]}, "model"),
+        ("select", {"model": [1, 2]}, "model"),
+        ("grid", {"model": [1, 2]}, "model"),
+        ("evaluate", {"selectors": "random"}, "selectors"),
+        ("grid", {"grid": [1]}, "grid"),
+        ("grid", {"grid": {"alpha": 5}}, "alpha"),
+    ], ids=["protocol_key_evaluate", "protocol_key_grid", "protocol_list_evaluate",
+            "protocol_list_grid", "model_list_evaluate", "model_list_select",
+            "model_list_grid", "selectors_string", "grid_list", "grid_scalar_axis"])
+    def test_malformed_config_block(self, tmp_path, blobs_csv, capsys, command, payload,
+                                    culprit):
+        cfg = _write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--dataset", blobs_csv,
+                     "--label-column", "label", "--out", str(tmp_path / "o")]) == 2
+        assert f"'{culprit}'" in capsys.readouterr().err
+
     def test_budget_larger_than_pool(self, tmp_path, blobs_csv):
         assert main(["select", "--dataset", blobs_csv, "--label-column", "label",
                      "--out", str(tmp_path / "o"), "--m", "99"]) == 2

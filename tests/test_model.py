@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -69,22 +71,22 @@ class TestAblationVariants:
         lengths = {"no_graph": 0, "knn_only": 1, "one_matrix": 1,
                    "tied_two": 2, "distinct_two": 2, "full": 2}
         for name, n in lengths.items():
-            assert allg.ablation_variant(base, name).n_matrices == n
+            assert dataclasses.replace(base, variant=name).n_matrices == n
 
     def test_tied_shares_one_array(self):
         base = allg.ModelConfig(encoder_dims=(5, 4, 3))
-        cfg = allg.ablation_variant(base, "tied_two")
+        cfg = dataclasses.replace(base, variant="tied_two")
         assert cfg.n_stored_matrices == 1
         assert adjacency_key(cfg, 0) == adjacency_key(cfg, 1) == "adj0"
 
     def test_no_shortcut_alias(self):
         base = allg.ModelConfig(encoder_dims=(5, 4, 3))
-        assert allg.ablation_variant(base, "no_shortcut").variant == "distinct_two"
+        assert dataclasses.replace(base, variant="no_shortcut").variant == "distinct_two"
 
     def test_unknown_variant(self):
         base = allg.ModelConfig(encoder_dims=(5, 4, 3))
         with pytest.raises(ConfigError):
-            allg.ablation_variant(base, "nope")
+            dataclasses.replace(base, variant="nope")
 
 
 class TestForward:

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -22,11 +24,6 @@ class TestPretrain:
         p2 = allg.pretrain(x, tiny_cfg)
         for key, arr in p1.to_dict().items():
             assert np.array_equal(arr, p2.to_dict()[key]), key
-
-    def test_latent_shape(self, blobs_std, tiny_cfg):
-        params = allg.pretrain(blobs_std.features, tiny_cfg)
-        z = allg.encode_features(params, blobs_std.features, tiny_cfg)
-        assert z.shape == (tiny_cfg.latent_dim, blobs_std.n_samples)
 
     def test_leaves_stage2_params_untouched(self, blobs_std, tiny_cfg):
         params = allg.pretrain(blobs_std.features, tiny_cfg)
@@ -121,6 +118,26 @@ class TestTrain:
         params = allg.pretrain(blobs_std.features, tiny_cfg)
         with pytest.raises(ValueError, match="candidate"):
             allg.train(blobs_std.features, np.eye(7), tiny_cfg, params)
+
+    def test_tapes_freed_without_cyclic_gc(self, blobs_std, tiny_cfg):
+        # Each epoch's tape and its n x n arrays must go by reference
+        # counting alone, not wait for the cyclic garbage collector.
+        x = blobs_std.features
+        prior = allg.knn_graph(x, tiny_cfg.knn_k)
+        params = allg.pretrain(x, tiny_cfg)
+
+        def live_tapes():
+            return sum(isinstance(o, allg.Tape) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = live_tapes()
+            allg.train(x, prior, tiny_cfg, params)
+            after = live_tapes()
+        finally:
+            gc.enable()
+        assert after == before
 
     def test_incoming_params_not_mutated(self, blobs_std, tiny_cfg):
         x = blobs_std.features
