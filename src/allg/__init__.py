@@ -58,7 +58,7 @@ from .model import (
     sup_norm_rows_value,
 )
 from .rng import derive_seed, substream
-from .training import LossHistory, pretrain, reconstruction_loss, run_selection, train
+from .training import pretrain, reconstruction_loss, run_selection, train
 
 __version__ = "0.1.0"
 
@@ -78,6 +78,6 @@ __all__ = [
     "loss_reconstruction", "loss_selection", "loss_total", "rank",
     "save_checkpoint", "sup_norm_rows_value",
     "derive_seed", "substream",
-    "LossHistory", "pretrain", "reconstruction_loss", "run_selection", "train",
+    "pretrain", "reconstruction_loss", "run_selection", "train",
     "__version__",
 ]

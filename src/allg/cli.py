@@ -22,13 +22,14 @@ from .data import Dataset, load_registry, resolve_dataset, standardize
 from .errors import AllgError, ConfigError, DataError, NumericalError
 from .evaluate import Protocol, run_protocol
 from .gradcheck import run_all
-from .model import config_from_options, config_to_dict, save_checkpoint
+from .model import check_options, config_from_options, config_to_dict, save_checkpoint
 from .rng import substream
 from .training import run_selection
 
 SCHEMA_VERSION = 1
 ABLATION_ORDER = ("no_graph", "knn_only", "one_matrix", "tied_two", "distinct_two", "full")
 GRID_AXES = ("alpha", "beta", "lambda")
+LOSS_COLUMNS = ("epoch", "recon", "adjacency", "propagation", "selection", "total")
 
 
 def _load_config_file(path) -> dict:
@@ -47,6 +48,8 @@ def _load_config_file(path) -> dict:
     for key in ("model", "protocol", "grid"):
         if not isinstance(cfg.get(key, {}), dict):
             raise ConfigError(f"config {key!r} must be a JSON object")
+    if not isinstance(cfg.get("dataset", {}), (str, dict)):
+        raise ConfigError("config 'dataset' must be a path string or a JSON object")
     if not isinstance(cfg.get("selectors", []), list):
         raise ConfigError("config 'selectors' must be a list")
     return cfg
@@ -89,8 +92,6 @@ def _load_dataset(cfg: dict):
     entry = cfg.get("dataset")
     if not entry:
         raise ConfigError("no dataset given; use --dataset PATH|NAME or the config file")
-    if isinstance(entry, str):
-        entry = {"path": entry}
     registry = load_registry(cfg["registry"]) if cfg.get("registry") else None
     label_column = entry.get("label_column")
     if isinstance(label_column, str) and label_column.isdigit():
@@ -121,15 +122,13 @@ def _maybe_subsample(ds, cfg: dict):
     )
 
 
-def _protocol(cfg: dict, seed: int) -> Protocol:
+def _protocol(cfg: dict) -> Protocol:
     opts = dict(cfg.get("protocol", {}))
-    unknown = set(opts) - {f.name for f in dataclasses.fields(Protocol)}
-    if unknown:
-        raise ConfigError(f"unknown protocol config keys: {sorted(unknown)}")
-    if "seeds" in opts:
+    check_options(Protocol, opts, "protocol")
+    if opts.get("seeds") is not None:
         opts.setdefault("runs", len(opts["seeds"]))
     else:
-        opts["seeds"] = [seed + i for i in range(opts.get("runs", Protocol.runs))]
+        opts["seeds"] = [cfg["seed"] + i for i in range(opts.get("runs", Protocol.runs))]
     return Protocol(**opts)
 
 
@@ -160,12 +159,16 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _write_ranking(path, result, limit=None) -> None:
-    indices = result.ranked_indices if limit is None else result.ranked_indices[:limit]
+def _write_csv(path, header, rows) -> None:
+    """A header line, then one line per row; str() keeps every digit of a float."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("index,score\n")
-        for idx, score in zip(indices, result.scores):
-            fh.write(f"{idx},{repr(score)}\n")
+        for row in [header, *rows]:
+            fh.write(",".join(str(v) for v in row) + "\n")
+
+
+def _write_report(path, report) -> None:
+    _write_csv(path, ("selector", "classifier", "budget", "seed", "accuracy"),
+               [(c.selector, c.classifier, c.budget, c.seed, c.accuracy) for c in report.cells])
 
 
 def cmd_select(args) -> int:
@@ -178,8 +181,10 @@ def cmd_select(args) -> int:
     mcfg = config_from_options({"seed": cfg["seed"], **cfg.get("model", {})}, ds.dim)
     result, params, history, _ = run_selection(std.features, mcfg)
     out = _out_dir(cfg)
-    _write_ranking(os.path.join(out, "ranking.csv"), result, limit=args.m)
-    history.save_csv(os.path.join(out, "losses.csv"))
+    _write_csv(os.path.join(out, "ranking.csv"), ("index", "score"),
+               zip(result.ranked_indices[:args.m], result.scores))
+    _write_csv(os.path.join(out, "losses.csv"), LOSS_COLUMNS,
+               [[epoch[k] for k in LOSS_COLUMNS] for epoch in history])
     save_checkpoint(os.path.join(out, "checkpoint.npz"), params, mcfg)
     _write_json(os.path.join(out, "run.json"), {
         "command": "select",
@@ -200,17 +205,19 @@ def _snapshot(out: str, command: str, cfg: dict, dataset_name: str) -> None:
 def cmd_evaluate(args) -> int:
     cfg = _gather(args)
     ds = _load_dataset(cfg)
-    protocol = _protocol(cfg, cfg["seed"])
-    specs = _selector_specs(cfg)
-    report = run_protocol(ds, specs, protocol)
+    report = run_protocol(ds, _selector_specs(cfg), _protocol(cfg))
+    summary = report.summary()
     out = _out_dir(cfg)
-    report.to_csv(os.path.join(out, "report.csv"))
-    report.save_means_csv(os.path.join(out, "means.csv"))
-    report.save_summary(os.path.join(out, "summary.json"))
+    _write_report(os.path.join(out, "report.csv"), report)
+    _write_csv(os.path.join(out, "means.csv"),
+               ("selector", "classifier", "budget", "mean_accuracy"),
+               [(sel, clf, b, mean) for sel, by_clf in summary.items()
+                for clf, means in by_clf.items() for b, mean in means["budgets"].items()])
+    _write_json(os.path.join(out, "summary.json"), summary)
     _snapshot(out, "evaluate", cfg, ds.name)
-    for sel in report.selectors():
-        for clf in report.classifiers():
-            print(f"{sel} + {clf}: average accuracy {report.grand_mean(sel, clf):.4f}")
+    for sel, by_clf in summary.items():
+        for clf, means in by_clf.items():
+            print(f"{sel} + {clf}: average accuracy {means['average']:.4f}")
     return 0
 
 
@@ -226,7 +233,7 @@ def cmd_grid(args) -> int:
         if (not isinstance(values, list) or not values
                 or not all(isinstance(v, (int, float)) for v in values)):
             raise ConfigError(f"grid {name!r} must be a non-empty list of numbers, got {values!r}")
-    base_protocol = _protocol(cfg, cfg["seed"])
+    base_protocol = _protocol(cfg)
     # One fixed validation seed for the whole sweep.
     protocol = dataclasses.replace(base_protocol, runs=1, seeds=(cfg["seed"],))
     rows = []
@@ -242,10 +249,7 @@ def cmd_grid(args) -> int:
         print(f"alpha={alpha} beta={beta} lambda={lam}: mean accuracy {mean:.4f}")
     best = max(rows, key=lambda r: (r[3], (-r[0], -r[1], -r[2])))
     out = _out_dir(cfg)
-    with open(os.path.join(out, "grid.csv"), "w", encoding="utf-8") as fh:
-        fh.write("alpha,beta,lambda,mean_accuracy\n")
-        for alpha, beta, lam, mean in rows:
-            fh.write(f"{alpha},{beta},{lam},{repr(mean)}\n")
+    _write_csv(os.path.join(out, "grid.csv"), ("alpha", "beta", "lambda", "mean_accuracy"), rows)
     _write_json(os.path.join(out, "best.json"), {
         "alpha": best[0], "beta": best[1], "lambda": best[2], "mean_accuracy": best[3],
     })
@@ -257,25 +261,20 @@ def cmd_grid(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _gather(args)
     ds = _load_dataset(cfg)
-    protocol = _protocol(cfg, cfg["seed"])
     model = cfg.get("model", {})
     specs = [SelectorSpec("allg", {**model, "variant": v, "name": v}) for v in ABLATION_ORDER]
-    report = run_protocol(ds, specs, protocol)
+    report = run_protocol(ds, specs, _protocol(cfg))
+    summary = report.summary()
     out = _out_dir(cfg)
-    report.to_csv(os.path.join(out, "ablation_report.csv"))
-    with open(os.path.join(out, "ablation.csv"), "w", encoding="utf-8") as fh:
-        budgets = report.budgets()
-        fh.write("variant,classifier," + ",".join(str(b) for b in budgets) + ",average\n")
-        for variant in ABLATION_ORDER:
-            for clf in report.classifiers():
-                means = [report.mean_accuracy(variant, clf, b) for b in budgets]
-                avg = report.grand_mean(variant, clf)
-                fh.write(f"{variant},{clf},"
-                         + ",".join(f"{v:.6f}" for v in means)
-                         + f",{avg:.6f}\n")
+    _write_report(os.path.join(out, "ablation_report.csv"), report)
+    _write_csv(os.path.join(out, "ablation.csv"),
+               ("variant", "classifier", *report.budgets(), "average"),
+               [(variant, clf, *(f"{m:.6f}" for m in means["budgets"].values()),
+                 f"{means['average']:.6f}")
+                for variant, by_clf in summary.items() for clf, means in by_clf.items()])
     _snapshot(out, "ablate", cfg, ds.name)
-    for variant in ABLATION_ORDER:
-        avgs = [report.grand_mean(variant, clf) for clf in report.classifiers()]
+    for variant, by_clf in summary.items():
+        avgs = [means["average"] for means in by_clf.values()]
         print(f"{variant}: average accuracy {sum(avgs) / len(avgs):.4f}")
     return 0
 
@@ -306,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset=True):
+    def common(p, dataset=True, budgets=False):
         p.add_argument("--config", help="JSON config file (schema_version 1)")
         p.add_argument("--seed", type=int, default=None, help="root random seed")
         p.add_argument("--out", default=None, help="output directory")
@@ -317,6 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--registry", default=None, help="dataset manifest JSON")
             p.add_argument("--subsample", type=int, default=None,
                            help="uniformly subsample the dataset to N rows (smoke tests)")
+        if budgets:
+            p.add_argument("--budgets", default=None, help="comma-separated query budgets")
 
     p = sub.add_parser("select", help="rank a candidate pool with ALLG")
     common(p)
@@ -324,19 +325,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("evaluate", help="benchmark selectors with classifiers")
-    common(p)
-    p.add_argument("--budgets", default=None, help="comma-separated query budgets")
+    common(p, budgets=True)
     p.add_argument("--selector", default=None, help="comma-separated selector kinds")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("grid", help="hyperparameter grid search for ALLG")
-    common(p)
-    p.add_argument("--budgets", default=None, help="comma-separated query budgets")
+    common(p, budgets=True)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("ablate", help="run all ablation variants")
-    common(p)
-    p.add_argument("--budgets", default=None, help="comma-separated query budgets")
+    common(p, budgets=True)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")

@@ -7,7 +7,6 @@ train the classifiers.  Accuracy on the untouched test set measures how
 representative the selection was.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,20 +201,6 @@ class EvalReport:
         means = [self.mean_accuracy(selector, classifier, b) for b in self.budgets()]
         return float(np.mean(means))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("selector,classifier,budget,seed,accuracy\n")
-            for c in self.cells:
-                fh.write(f"{c.selector},{c.classifier},{c.budget},{c.seed},{repr(c.accuracy)}\n")
-
-    def save_means_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("selector,classifier,budget,mean_accuracy\n")
-            for sel in self.selectors():
-                for clf in self.classifiers():
-                    for b in self.budgets():
-                        fh.write(f"{sel},{clf},{b},{repr(self.mean_accuracy(sel, clf, b))}\n")
-
     def summary(self) -> dict:
         out = {}
         for sel in self.selectors():
@@ -227,11 +212,6 @@ class EvalReport:
                     "average": self.grand_mean(sel, clf),
                 }
         return out
-
-    def save_summary(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

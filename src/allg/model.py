@@ -17,6 +17,7 @@ contribute to reconstructing the others.
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,11 +143,31 @@ def config_to_dict(cfg: ModelConfig) -> dict:
     return out
 
 
-def config_from_dict(d: dict) -> ModelConfig:
-    known = {f.name for f in dataclasses.fields(ModelConfig)}
-    unknown = set(d) - known
+# Annotated field type -> (accepted config values, wording for the error message).
+_FIELD_KINDS = {
+    int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string"),
+    bool: (bool, "true or false"), tuple: ((list, tuple), "a list"),
+    type(None): (type(None), "null"),
+}
+
+
+def check_options(cls, opts: dict, block: str) -> None:
+    """Raise ConfigError naming the keys of `opts` that are no field of the dataclass
+    `cls`, or the first value that does not fit its field's type (a bool is no number)."""
+    unknown = set(opts) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {block} config keys: {sorted(unknown)}")
+    for f in dataclasses.fields(cls):
+        kinds = typing.get_args(f.type) or (f.type,)
+        value = opts.get(f.name)
+        if f.name in opts and not any(isinstance(value, _FIELD_KINDS[k][0])
+                                      and (k is bool) == isinstance(value, bool) for k in kinds):
+            wanted = " or ".join(_FIELD_KINDS[k][1] for k in kinds)
+            raise ConfigError(f"{block} key {f.name!r} must be {wanted}, got {value!r}")
+
+
+def config_from_dict(d: dict) -> ModelConfig:
+    check_options(ModelConfig, d, "model")
     return ModelConfig(**d)
 
 
@@ -429,7 +450,6 @@ class SelectionResult:
 
     ranked_indices: list
     scores: list  # aligned with ranked_indices
-    config: dict | None = None
     final_losses: dict | None = None
 
     def top(self, m: int) -> list:
@@ -438,8 +458,7 @@ class SelectionResult:
         return self.ranked_indices[:m]
 
 
-def rank(params: ModelParams, cfg: ModelConfig | None = None,
-         final_losses: dict | None = None) -> SelectionResult:
+def rank(params: ModelParams, final_losses: dict | None = None) -> SelectionResult:
     """Rank candidates by the L2 norms of Q's rows, ties by lowest index."""
     if params.q is None:
         raise ValueError("selection matrix Q has not been trained")
@@ -448,7 +467,6 @@ def rank(params: ModelParams, cfg: ModelConfig | None = None,
     return SelectionResult(
         ranked_indices=[int(i) for i in order],
         scores=[float(scores[i]) for i in order],
-        config=None if cfg is None else config_to_dict(cfg),
         final_losses=final_losses,
     )
 

@@ -6,7 +6,6 @@ forward pass must see all n candidates in a fixed order.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,36 +24,6 @@ from .model import (
     rank,
     wrap_params,
 )
-
-LOSS_TERMS = ("recon", "adjacency", "propagation", "selection", "total")
-
-
-@dataclass
-class LossHistory:
-    """Per-epoch loss terms, recorded before each parameter update."""
-
-    epochs: list = field(default_factory=list)
-    recon: list = field(default_factory=list)
-    adjacency: list = field(default_factory=list)
-    propagation: list = field(default_factory=list)
-    selection: list = field(default_factory=list)
-    total: list = field(default_factory=list)
-
-    def append(self, epoch: int, terms: dict) -> None:
-        self.epochs.append(epoch)
-        for name in LOSS_TERMS:
-            getattr(self, name).append(terms[name])
-
-    def __len__(self):
-        return len(self.epochs)
-
-    def save_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,recon,adjacency,propagation,selection,total\n")
-            for i, epoch in enumerate(self.epochs):
-                row = [str(epoch)] + [repr(getattr(self, name)[i]) for name in LOSS_TERMS]
-                fh.write(",".join(row) + "\n")
-
 
 def _check_finite(value: float, epoch: int, stage: str) -> None:
     if not math.isfinite(value):
@@ -116,7 +85,9 @@ def train(x: np.ndarray, a0, cfg: ModelConfig, params: ModelParams):
     `params` carries the pretrained encoder/decoder.  A_0 is degree
     normalized per cfg.prior_normalize; adjacency matrices are initialized
     to (normalized) A_0 and Q to zero unless the incoming params already
-    provide them (useful for warm starts).  Returns (params, LossHistory).
+    provide them (useful for warm starts).  Returns (params, history), where
+    history holds one {"epoch", "recon", "adjacency", "propagation",
+    "selection", "total"} dict per epoch, recorded before that epoch's update.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[1]
@@ -135,7 +106,7 @@ def train(x: np.ndarray, a0, cfg: ModelConfig, params: ModelParams):
     arrays = params.to_dict()
     trainable = {k: v for k, v in arrays.items() if not is_frozen(cfg, k)}
     state = ad.adam_init(trainable)
-    history = LossHistory()
+    history = []
     for epoch in range(1, cfg.train_epochs + 1):
         tape = ad.Tape()
         xv = tape.var(x)
@@ -144,13 +115,13 @@ def train(x: np.ndarray, a0, cfg: ModelConfig, params: ModelParams):
         losses, _ = build_loss_graph(tape, pv, xv, a0v, cfg)
         terms = {k: v.item() for k, v in losses.items()}
         _check_finite(terms["total"], epoch, "train")
-        history.append(epoch, terms)
+        history.append({"epoch": epoch, **terms})
         tape.backward(losses["total"])
         grads = {k: pv[k].grad for k in trainable}
         ad.adam_step(trainable, grads, state, lr=cfg.lr, t=epoch)
         if cfg.early_stop and epoch > cfg.early_stop_patience:
-            ref = history.total[-1 - cfg.early_stop_patience]
-            cur = history.total[-1]
+            ref = history[-1 - cfg.early_stop_patience]["total"]
+            cur = terms["total"]
             if abs(ref - cur) / max(abs(ref), 1e-12) < cfg.early_stop_tol:
                 break
     return params, history
@@ -171,5 +142,5 @@ def run_selection(x: np.ndarray, cfg: ModelConfig):
     params = pretrain(x, cfg)
     params, history = train(x, prior, cfg, params)
     _, final_losses = forward(params, x, cfg, a0=a0_arr)
-    result = rank(params, cfg=cfg, final_losses=final_losses)
+    result = rank(params, final_losses=final_losses)
     return result, params, history, prior

@@ -222,7 +222,7 @@ def test_criterion_8_convergence_shape_on_splice():
     std, _, _ = allg.standardize(cand)
     cfg = allg.ModelConfig(seed=0, **_splice_model(train_epochs=2000))
     _, _, history, _ = allg.run_selection(std.features, cfg)
-    total = np.array(history.total)
+    total = np.array([epoch["total"] for epoch in history])
     decreased = total[-1] < total[0]
     window = total[-100:]
     rel_change = abs(window[0] - window[-1]) / max(abs(window[0]), 1e-12)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -69,6 +70,25 @@ class TestSelect:
             outs.append(out)
         for fname in ("ranking.csv", "losses.csv", "run.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
+        # Every file that evaluate, grid and ablate write repeats byte for byte too.
+        # run.json records the output directory, so both runs write to the same one.
+        cfg = _write_config(tmp_path, {
+            "model": _model_json(pretrain_epochs=10, train_epochs=10),
+            "protocol": {"budgets": [4, 8], "runs": 2, "logreg_max_iter": 50,
+                         "svm_sweeps": 20},
+            "grid": {"alpha": [0.1, 1.0], "beta": [1.0], "lambda": [1.0]},
+        }, name="all.json")
+        for command in ("evaluate", "grid", "ablate"):
+            out = tmp_path / command
+            runs = []
+            for _ in range(2):
+                assert main([command, "--config", cfg, "--dataset", blobs_csv,
+                             "--label-column", "label", "--out", str(out),
+                             "--seed", "3"]) == 0
+                runs.append({f: (out / f).read_bytes() for f in sorted(os.listdir(out))})
+                for f in runs[-1]:
+                    (out / f).unlink()
+            assert len(runs[0]) >= 3 and runs[0] == runs[1], command
 
 
 class TestEvaluate:
@@ -269,9 +289,16 @@ class TestExitCodes:
         ("evaluate", {"selectors": "random"}, "selectors"),
         ("grid", {"grid": [1]}, "grid"),
         ("grid", {"grid": {"alpha": 5}}, "alpha"),
+        ("evaluate", {"dataset": [1]}, "dataset"),
+        ("evaluate", {"protocol": {"budgets": 5}}, "budgets"),
+        ("evaluate", {"protocol": {"runs": "2"}}, "runs"),
+        ("evaluate", {"protocol": {"classifiers": "linear_svm"}}, "classifiers"),
+        ("select", {"model": {"alpha": "x"}}, "alpha"),
     ], ids=["protocol_key_evaluate", "protocol_key_grid", "protocol_list_evaluate",
             "protocol_list_grid", "model_list_evaluate", "model_list_select",
-            "model_list_grid", "selectors_string", "grid_list", "grid_scalar_axis"])
+            "model_list_grid", "selectors_string", "grid_list", "grid_scalar_axis",
+            "dataset_list", "budgets_scalar", "runs_string", "classifiers_string",
+            "model_alpha_string"])
     def test_malformed_config_block(self, tmp_path, blobs_csv, capsys, command, payload,
                                     culprit):
         cfg = _write_config(tmp_path, payload)

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import allg
+from allg.cli import main
 from allg.errors import ConfigError, DataError
 from allg.evaluate import EvalCell, EvalReport, Protocol, run_protocol
 
@@ -124,17 +127,19 @@ class TestEvalReport:
         assert rep.mean_accuracy("s", "c", 10) == pytest.approx(0.9)
         assert rep.grand_mean("s", "c") == pytest.approx(0.75)
 
-    def test_csv_and_summary_files(self, tmp_path):
+    def test_csv_and_summary_files(self, tmp_path, monkeypatch):
+        """`allg evaluate` writes its report's cells, means and summary."""
         cells = [EvalCell("s", "c", 5, 0, 0.5)]
         rep = EvalReport(cells)
-        rep.to_csv(tmp_path / "r.csv")
-        rep.save_means_csv(tmp_path / "m.csv")
-        rep.save_summary(tmp_path / "s.json")
-        assert (tmp_path / "r.csv").read_text().splitlines()[0] == \
+        monkeypatch.setattr(allg.cli, "run_protocol", lambda ds, specs, protocol: rep)
+        data, out = tmp_path / "pool.csv", tmp_path / "out"
+        allg.save_csv(allg.make_blobs(5, 2, d=2, seed=0), data)
+        assert main(["evaluate", "--dataset", str(data), "--label-column", "label",
+                     "--out", str(out)]) == 0
+        assert (out / "report.csv").read_text().splitlines()[0] == \
             "selector,classifier,budget,seed,accuracy"
-        assert (tmp_path / "m.csv").read_text().splitlines()[1] == "s,c,5,0.5"
-        import json
-        summary = json.loads((tmp_path / "s.json").read_text())
+        assert (out / "means.csv").read_text().splitlines()[1] == "s,c,5,0.5"
+        summary = json.loads((out / "summary.json").read_text())
         assert summary["s"]["c"]["average"] == 0.5
 
 

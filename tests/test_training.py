@@ -1,10 +1,13 @@
 import gc
+import json
 
 import numpy as np
 import pytest
 
 import allg
+from allg.cli import main
 from allg.errors import NumericalError
+from allg.model import config_to_dict
 from allg.training import reconstruction_loss
 from oracles import finite_diff, rel_err
 
@@ -45,16 +48,18 @@ class TestTrain:
         cfg = allg.ModelConfig(encoder_dims=(4, 6, 3), pretrain_epochs=80,
                                train_epochs=300, knn_k=4, seed=3)
         _, hist = self._pipeline(blobs_std.features, cfg)
-        lead = np.mean(hist.total[:100])
-        trail = np.mean(hist.total[-100:])
+        total = [epoch["total"] for epoch in hist]
+        lead = np.mean(total[:100])
+        trail = np.mean(total[-100:])
         assert trail < lead
 
     def test_history_has_all_terms(self, blobs_std, tiny_cfg):
         _, hist = self._pipeline(blobs_std.features, tiny_cfg)
         assert len(hist) == tiny_cfg.train_epochs
-        total = np.array(hist.total)
-        parts = (np.array(hist.recon) + np.array(hist.adjacency)
-                 + np.array(hist.propagation) + np.array(hist.selection))
+        terms = {k: np.array([epoch[k] for epoch in hist]) for k in hist[0]}
+        total = terms["total"]
+        parts = (terms["recon"] + terms["adjacency"]
+                 + terms["propagation"] + terms["selection"])
         np.testing.assert_allclose(total, parts, rtol=1e-12)
 
     def test_deterministic_selection(self, blobs_std, tiny_cfg):
@@ -209,15 +214,25 @@ class TestCompositeGradient:
 
 
 class TestLossHistoryCsv:
-    def test_csv_schema_and_roundtrip(self, tmp_path, blobs_std, tiny_cfg):
-        prior = allg.knn_graph(blobs_std.features, tiny_cfg.knn_k)
-        params = allg.pretrain(blobs_std.features, tiny_cfg)
-        _, hist = allg.train(blobs_std.features, prior, tiny_cfg, params)
-        path = tmp_path / "losses.csv"
-        hist.save_csv(path)
-        lines = path.read_text().splitlines()
+    def test_csv_schema_and_roundtrip(self, tmp_path, monkeypatch, blobs_small, tiny_cfg):
+        """`allg select` writes the history that `train` returned, one row per epoch."""
+        histories = []
+
+        def spy(x, cfg):
+            out = allg.run_selection(x, cfg)
+            histories.append(out[2])
+            return out
+
+        monkeypatch.setattr(allg.cli, "run_selection", spy)
+        data, cfg = tmp_path / "pool.csv", tmp_path / "cfg.json"
+        allg.save_csv(blobs_small, data)
+        cfg.write_text(json.dumps({"model": config_to_dict(tiny_cfg)}), encoding="utf-8")
+        assert main(["select", "--config", str(cfg), "--dataset", str(data),
+                     "--label-column", "label", "--out", str(tmp_path / "out")]) == 0
+        (hist,) = histories
+        lines = (tmp_path / "out" / "losses.csv").read_text().splitlines()
         assert lines[0] == "epoch,recon,adjacency,propagation,selection,total"
         assert len(lines) == len(hist) + 1
         first = lines[1].split(",")
         assert int(first[0]) == 1
-        assert float(first[5]) == hist.total[0]
+        assert float(first[5]) == hist[0]["total"]
