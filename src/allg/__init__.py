@@ -38,7 +38,7 @@ from .evaluate import (
     train_linear_svm,
     train_logreg,
 )
-from .graph import PriorGraph, knn_graph, normalize_adjacency, save_edge_list
+from .graph import PriorGraph, knn_graph, normalize_adjacency
 from .model import (
     ForwardCache,
     ModelConfig,
@@ -52,7 +52,6 @@ from .model import (
     loss_propagation,
     loss_reconstruction,
     loss_selection,
-    loss_total,
     rank,
     save_checkpoint,
     sup_norm_rows_value,
@@ -71,11 +70,11 @@ __all__ = [
     "AllgError", "ConfigError", "DataError", "NumericalError",
     "EvalCell", "EvalReport", "Protocol", "rank_candidates", "run_protocol",
     "train_linear_svm", "train_logreg",
-    "PriorGraph", "knn_graph", "normalize_adjacency", "save_edge_list",
+    "PriorGraph", "knn_graph", "normalize_adjacency",
     "ForwardCache", "ModelConfig", "ModelParams", "SelectionResult",
     "default_encoder_dims", "forward", "init_encoder_decoder",
     "load_checkpoint", "loss_adjacency", "loss_propagation",
-    "loss_reconstruction", "loss_selection", "loss_total", "rank",
+    "loss_reconstruction", "loss_selection", "rank",
     "save_checkpoint", "sup_norm_rows_value",
     "derive_seed", "substream",
     "pretrain", "reconstruction_loss", "run_selection", "train",

@@ -81,26 +81,35 @@ class Tape:
     def backward(self, loss: Var) -> None:
         """Accumulate d(loss)/d(leaf) for every requires_grad leaf.
 
-        May be called once per tape; reset() clears the recording.
+        May be called once per tape; build a new tape for another pass.
+        A node's second gradient contribution allocates its sum and later
+        ones add into it in place; an array a VJP returned is never written,
+        because add and sub hand g itself to their parents.  An interior
+        node's gradient is dropped once its parents have been served.
         """
         if loss.tape is not self:
             raise ValueError("loss belongs to a different tape")
         if loss.value.shape != (1, 1):
             raise ValueError(f"loss must be a 1x1 scalar, got shape {loss.value.shape}")
         if self._grads is not None:
-            raise RuntimeError("backward() already ran on this tape; call reset() first")
+            raise RuntimeError("backward() already ran on this tape; build a new tape")
         grads = [None] * len(self._parents)
+        owned = [False] * len(self._parents)  # grads[i] is a sum this sweep allocated
         grads[loss.index] = np.ones((1, 1), dtype=np.float64)
         for i in range(loss.index, -1, -1):
             g = grads[i]
-            if g is None:
+            if g is None or not self._parents[i]:
                 continue
             for parent, vjp in self._parents[i]:
                 contrib = vjp(g)
                 if grads[parent] is None:
                     grads[parent] = contrib
+                elif owned[parent]:
+                    grads[parent] += contrib
                 else:
                     grads[parent] = grads[parent] + contrib
+                    owned[parent] = True
+            grads[i] = None
         self._grads = grads
 
     def grad(self, var: Var):
@@ -109,12 +118,6 @@ class Tape:
         if not var.requires_grad:
             return None
         return self._grads[var.index]
-
-    def reset(self) -> None:
-        """Drop all nodes and gradients; existing Vars become invalid."""
-        self._parents = []
-        self._needs_grad = []
-        self._grads = None
 
 
 def _check_same_tape(*vars_):
@@ -184,6 +187,28 @@ def sup_norm_rows(q: Var) -> Var:
     return q.tape._record(out, ((q, vjp),))
 
 
+def graph_penalty(a: Var, b: Var, alpha: float, beta: float) -> Var:
+    """alpha ||a||_F^2 + beta ||a - b||_F^2 as a 1x1 Var, in one node.
+
+    Each squared norm is a single-pass dot product; the VJPs are
+    2 alpha a + 2 beta (a - b) for a and -2 beta (a - b) for b.
+    """
+    tape = _check_same_tape(a, b)
+    if a.shape != b.shape:
+        raise ValueError(f"graph_penalty shape mismatch: {a.shape} vs {b.shape}")
+    alpha, beta = float(alpha), float(beta)
+    av = a.value
+    diff = av - b.value
+    out = np.array([[alpha * np.vdot(av, av) + beta * np.vdot(diff, diff)]])
+
+    def vjp_a(g):
+        grad = (2.0 * alpha * g[0, 0]) * av
+        grad += (2.0 * beta * g[0, 0]) * diff
+        return grad
+
+    return tape._record(out, ((a, vjp_a), (b, lambda g: (-2.0 * beta * g[0, 0]) * diff)))
+
+
 def add(a: Var, b: Var) -> Var:
     tape = _check_same_tape(a, b)
     if a.shape != b.shape:
@@ -207,6 +232,10 @@ def scale(x: Var, c: float) -> Var:
 # Adam optimizer over dicts of named parameter arrays.
 # ---------------------------------------------------------------------------
 
+# Row-block size of the in-place Adam update, in bytes of parameter data.
+_ADAM_BLOCK_BYTES = 256 * 1024
+
+
 @dataclass
 class AdamState:
     """First / second moment accumulators, one pair per parameter name."""
@@ -228,10 +257,14 @@ def adam_step(params: dict, grads: dict, state: AdamState, *, lr: float,
               t: int):
     """One bias-corrected Adam update, in place on the parameter arrays.
 
+    Each parameter is updated one row block at a time through two
+    block-sized scratch arrays, so no temporary of the parameter's size is
+    allocated; every element sees the same operations in the same order.
     Parameters without an entry in `grads` (frozen) are left untouched.
     """
     if t < 1:
         raise ValueError(f"Adam step count must be >= 1, got {t}")
+    c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
     for key, arr in params.items():
         g = grads.get(key)
         if g is None:
@@ -240,11 +273,25 @@ def adam_step(params: dict, grads: dict, state: AdamState, *, lr: float,
             raise ValueError(f"gradient shape {g.shape} != parameter shape {arr.shape} for {key!r}")
         m = state.m[key]
         v = state.v[key]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        arr -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        block = max(1, _ADAM_BLOCK_BYTES * arr.shape[0] // max(arr.nbytes, 1))  # rows
+        s1 = np.empty((block,) + arr.shape[1:])
+        s2 = np.empty_like(s1)
+        for r in range(0, arr.shape[0], block):
+            rs = slice(r, r + block)
+            gb, mb, vb, pb = g[rs], m[rs], v[rs], arr[rs]
+            a, b = s1[:len(pb)], s2[:len(pb)]
+            mb *= beta1
+            np.multiply(gb, 1.0 - beta1, out=a)
+            mb += a
+            vb *= beta2
+            np.multiply(gb, gb, out=a)
+            a *= 1.0 - beta2
+            vb += a
+            np.divide(mb, c1, out=a)  # m_hat
+            a *= lr
+            np.divide(vb, c2, out=b)  # v_hat
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            pb -= a
     return params, state

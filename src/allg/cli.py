@@ -85,6 +85,8 @@ def _gather(args) -> dict:
         cfg["subsample"] = args.subsample
     cfg.setdefault("seed", 0)
     cfg.setdefault("out", "allg_out")
+    if isinstance(cfg["seed"], bool) or not isinstance(cfg["seed"], int):
+        raise ConfigError(f"config key 'seed' must be an integer, got {cfg['seed']!r}")
     return cfg
 
 

@@ -117,11 +117,11 @@ def train_linear_svm(x_train, y_train, x_test, y_test, C: float = 100.0,
 class Protocol:
     """Evaluation protocol: budgets, repeated runs, classifiers."""
 
-    budgets: tuple = tuple(range(25, 226, 25))
+    budgets: tuple[int, ...] = tuple(range(25, 226, 25))
     runs: int = 5
     candidate_fraction: float = 0.5
     classifiers: tuple = CLASSIFIERS
-    seeds: tuple | None = None
+    seeds: tuple[int, ...] | None = None
     svm_c: float = 100.0
     logreg_reg: float = 1e-4
     logreg_max_iter: int = 5000
@@ -218,13 +218,18 @@ class EvalReport:
 # Selectors: kind -> fn(x, params, seed) -> full ranking of the columns of x
 # ---------------------------------------------------------------------------
 
-def _rank_allg(x: np.ndarray, params: dict, seed: int) -> list:
-    """Train ALLG on x and rank it; params are ModelConfig fields plus "name".
+def _allg_config(params: dict, d: int, seed: int):
+    """ModelConfig of an ALLG selector; params are ModelConfig fields plus "name".
 
     The `seed` argument replaces any seed field in params.
     """
     opts = {k: v for k, v in params.items() if k != "name"}
-    result, *_ = run_selection(x, config_from_options({**opts, "seed": seed}, x.shape[0]))
+    return config_from_options({**opts, "seed": seed}, d)
+
+
+def _rank_allg(x: np.ndarray, params: dict, seed: int) -> list:
+    """Train ALLG on x and rank it."""
+    result, *_ = run_selection(x, _allg_config(params, x.shape[0], seed))
     return result.ranked_indices
 
 
@@ -258,6 +263,10 @@ def run_protocol(ds: Dataset, selectors: list, protocol: Protocol) -> EvalReport
     # Rankers never see labels, so the one dataset-derived default lives here.
     selectors = [SelectorSpec(s.kind, {"rank": ds.n_classes, **s.params}) if s.kind == "dcs"
                  else s for s in selectors]
+    # A bad ALLG model value fails here, before any selector or classifier runs.
+    for s in selectors:
+        if s.kind == "allg":
+            _allg_config(s.params, ds.dim, seed=0)
     cells = []
     for seed in protocol.seeds:
         cand, test, _ = split(ds, SplitSpec(protocol.candidate_fraction, seed))

@@ -148,6 +148,12 @@ def check_scale(rng, eps=1e-5):
     return _check("scale", build, {"x": x}, eps, OP_TOLERANCE)
 
 
+def check_graph_penalty(rng, eps=1e-5):
+    arrays = {"a": rng.normal(size=(4, 4)), "b": rng.normal(size=(4, 4))}
+    build = lambda tape, lv: ad.graph_penalty(lv["a"], lv["b"], 0.3, 0.7)
+    return _check("graph_penalty", build, arrays, eps, OP_TOLERANCE)
+
+
 def composite_setup(n: int = 12, d: int = 8, latent: int = 4, seed: int = 0):
     """A small full model at a random smooth point (Q off zero)."""
     cfg = ModelConfig(encoder_dims=(d, 6, latent), n_adjacency=2, lam=0.5,
@@ -192,5 +198,6 @@ def run_all(eps: float = 1e-5, seed: int = 7, corrupt_matmul: bool = False) -> l
         check_add(rng, eps),
         check_sub(rng, eps),
         check_scale(rng, eps),
+        check_graph_penalty(rng, eps),
         check_composite(eps, seed=seed),
     ]

@@ -13,7 +13,6 @@ class PriorGraph:
 
     adjacency: np.ndarray
     k: int
-    metric: str = "euclidean"
 
 
 def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
@@ -65,10 +64,3 @@ def normalize_adjacency(a: np.ndarray, mode: str) -> np.ndarray:
     raise ConfigError(f"unknown adjacency normalization {mode!r}; "
                       "expected 'none', 'col', or 'sym'")
 
-
-def save_edge_list(graph: PriorGraph, path) -> None:
-    """Write undirected edges one per line as 'i j' (i < j)."""
-    a = graph.adjacency
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, j in zip(*np.nonzero(np.triu(a, k=1))):
-            fh.write(f"{i} {j}\n")

@@ -17,6 +17,7 @@ contribute to reconstructing the others.
 
 import dataclasses
 import json
+import types
 import typing
 from dataclasses import dataclass, field
 
@@ -41,7 +42,7 @@ def default_encoder_dims(d: int) -> tuple:
 class ModelConfig:
     """Architecture sizes and training hyperparameters."""
 
-    encoder_dims: tuple
+    encoder_dims: tuple[int, ...]
     n_adjacency: int = 2
     shortcut_layer: int = 1
     shortcut_weight: float = 0.3
@@ -144,11 +145,25 @@ def config_to_dict(cfg: ModelConfig) -> dict:
 
 
 # Annotated field type -> (accepted config values, wording for the error message).
+# A tuple[X, ...] field takes a list whose entries each fit X.
 _FIELD_KINDS = {
     int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string"),
     bool: (bool, "true or false"), tuple: ((list, tuple), "a list"),
     type(None): (type(None), "null"),
 }
+
+
+def _fits(value, kind) -> bool:
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
+    return isinstance(value, _FIELD_KINDS[kind][0]) and (kind is bool) == isinstance(value, bool)
+
+
+def _wording(kind) -> str:
+    if typing.get_origin(kind) is tuple:
+        return f"a list with each entry {_wording(typing.get_args(kind)[0])}"
+    return _FIELD_KINDS[kind][1]
 
 
 def check_options(cls, opts: dict, block: str) -> None:
@@ -158,11 +173,11 @@ def check_options(cls, opts: dict, block: str) -> None:
     if unknown:
         raise ConfigError(f"unknown {block} config keys: {sorted(unknown)}")
     for f in dataclasses.fields(cls):
-        kinds = typing.get_args(f.type) or (f.type,)
+        union = isinstance(f.type, types.UnionType)
+        kinds = typing.get_args(f.type) if union else (f.type,)
         value = opts.get(f.name)
-        if f.name in opts and not any(isinstance(value, _FIELD_KINDS[k][0])
-                                      and (k is bool) == isinstance(value, bool) for k in kinds):
-            wanted = " or ".join(_FIELD_KINDS[k][1] for k in kinds)
+        if f.name in opts and not any(_fits(value, k) for k in kinds):
+            wanted = " or ".join(_wording(k) for k in kinds)
             raise ConfigError(f"{block} key {f.name!r} must be {wanted}, got {value!r}")
 
 
@@ -322,17 +337,13 @@ def build_loss_graph(tape: ad.Tape, pv: dict, x: ad.Var, a0: ad.Var | None,
     if s_layers:
         if a0 is None:
             raise ValueError("prior graph A_0 required when adjacency layers exist")
-        a1 = pv[adjacency_key(cfg, 0)]
-        l_a = ad.add(ad.scale(ad.frob_sq(a1), cfg.alpha),
-                     ad.scale(ad.frob_sq(ad.sub(a1, a0)), cfg.beta))
+        l_a = ad.graph_penalty(pv[adjacency_key(cfg, 0)], a0, cfg.alpha, cfg.beta)
     else:
         l_a = zero
     l_p = zero
     for l in range(1, cfg.n_matrices):
-        cur = pv[adjacency_key(cfg, l)]
-        prev = pv[adjacency_key(cfg, l - 1)]
-        term = ad.add(ad.scale(ad.frob_sq(cur), cfg.alpha_p),
-                      ad.scale(ad.frob_sq(ad.sub(cur, prev)), cfg.beta_p))
+        term = ad.graph_penalty(pv[adjacency_key(cfg, l)], pv[adjacency_key(cfg, l - 1)],
+                                cfg.alpha_p, cfg.beta_p)
         l_p = term if l_p is zero else ad.add(l_p, term)
     l_s = ad.add(ad.frob_sq(ad.sub(s_out, decoder_in)),
                  ad.scale(ad.sup_norm_rows(q), cfg.lam))
@@ -434,10 +445,6 @@ def loss_selection(s_out: np.ndarray, q: np.ndarray, lam: float) -> float:
         raise ValueError(f"Q must be square with side = columns of S_out, got {q.shape}")
     diff = s_out - s_out @ q
     return float(np.sum(diff * diff) + lam * sup_norm_rows_value(q))
-
-
-def loss_total(recon: float, adjacency: float, propagation: float, selection: float) -> float:
-    return float(recon + adjacency + propagation + selection)
 
 
 # ---------------------------------------------------------------------------

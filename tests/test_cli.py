@@ -218,7 +218,7 @@ class TestGradcheckCommand:
         assert main(["gradcheck"]) == 0
         text = capsys.readouterr().out
         for op in ("matmul", "affine", "relu", "frob_sq", "sup_norm_rows",
-                   "add", "sub", "scale", "composite_total_loss"):
+                   "add", "sub", "scale", "graph_penalty", "composite_total_loss"):
             assert op in text
         assert "FAIL" not in text
 
@@ -226,7 +226,7 @@ class TestGradcheckCommand:
         out = tmp_path / "gc"
         assert main(["gradcheck", "--out", str(out)]) == 0
         report = (out / "gradcheck.txt").read_text()
-        assert report.count("PASS") == 9
+        assert report.count("PASS") == 10
 
 
 class TestSubsample:
@@ -294,17 +294,39 @@ class TestExitCodes:
         ("evaluate", {"protocol": {"runs": "2"}}, "runs"),
         ("evaluate", {"protocol": {"classifiers": "linear_svm"}}, "classifiers"),
         ("select", {"model": {"alpha": "x"}}, "alpha"),
+        ("evaluate", {"protocol": {"budgets": ["x"]}}, "budgets"),
+        ("select", {"model": {"encoder_dims": ["a", 2]}}, "encoder_dims"),
+        ("evaluate", {"seed": "3"}, "seed"),
     ], ids=["protocol_key_evaluate", "protocol_key_grid", "protocol_list_evaluate",
             "protocol_list_grid", "model_list_evaluate", "model_list_select",
             "model_list_grid", "selectors_string", "grid_list", "grid_scalar_axis",
             "dataset_list", "budgets_scalar", "runs_string", "classifiers_string",
-            "model_alpha_string"])
+            "model_alpha_string", "budgets_string_entry", "encoder_dims_string_entry",
+            "seed_string"])
     def test_malformed_config_block(self, tmp_path, blobs_csv, capsys, command, payload,
                                     culprit):
         cfg = _write_config(tmp_path, payload)
         assert main([command, "--config", cfg, "--dataset", blobs_csv,
                      "--label-column", "label", "--out", str(tmp_path / "o")]) == 2
         assert f"'{culprit}'" in capsys.readouterr().err
+
+    def test_bad_allg_model_fails_before_any_fit(self, tmp_path, blobs_csv, capsys,
+                                                 monkeypatch):
+        fits = []
+
+        def counting_fit(*args, **kwargs):
+            fits.append(1)
+            return 0.5
+
+        monkeypatch.setattr(allg.evaluate, "train_logreg", counting_fit)
+        monkeypatch.setattr(allg.evaluate, "train_linear_svm", counting_fit)
+        cfg = _write_config(tmp_path, {"model": {"alpha": "x"},
+                                       "protocol": {"budgets": [3], "runs": 1}})
+        assert main(["evaluate", "--config", cfg, "--dataset", blobs_csv,
+                     "--label-column", "label", "--out", str(tmp_path / "o"),
+                     "--selector", "random,kmeans,dcs,allg"]) == 2
+        assert "'alpha'" in capsys.readouterr().err
+        assert fits == []
 
     def test_budget_larger_than_pool(self, tmp_path, blobs_csv):
         assert main(["select", "--dataset", blobs_csv, "--label-column", "label",

@@ -5,7 +5,7 @@ def test_all_ops_pass_at_tolerance():
     reports = gc.run_all()
     names = [r.name for r in reports]
     assert names == ["matmul", "affine", "relu", "frob_sq", "sup_norm_rows",
-                     "add", "sub", "scale", "composite_total_loss"]
+                     "add", "sub", "scale", "graph_penalty", "composite_total_loss"]
     for r in reports:
         assert r.passed, f"{r.name}: {r.max_rel_err}"
 

@@ -82,16 +82,3 @@ class TestNormalize:
         with pytest.raises(ConfigError):
             allg.normalize_adjacency(np.eye(3), "rowcol")
 
-
-class TestEdgeList:
-    def test_export_roundtrip(self, tmp_path, rng):
-        g = allg.knn_graph(rng.normal(size=(3, 8)), 2)
-        path = tmp_path / "edges.txt"
-        allg.save_edge_list(g, path)
-        pairs = set()
-        for line in path.read_text().splitlines():
-            i, j = map(int, line.split())
-            assert i < j
-            pairs.add((i, j))
-        expect = {(i, j) for i, j in zip(*np.nonzero(np.triu(g.adjacency, 1)))}
-        assert pairs == expect

@@ -185,7 +185,6 @@ class TestLossTerms:
         parts = (losses["recon"] + losses["adjacency"]
                  + losses["propagation"] + losses["selection"])
         assert losses["total"] == pytest.approx(parts, rel=1e-12)
-        assert allg.loss_total(1.0, 2.0, 3.0, 4.0) == 10.0
 
     def test_shape_mismatch_errors(self, rng):
         with pytest.raises(ValueError):
