@@ -6,12 +6,17 @@ registry that maps a SelectorSpec's kind to one of these rankings, ALLG
 included, is `allg.evaluate.RANKERS`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
+from .model import ModelConfig, check_options
 from .rng import substream
+
+# Each selector kind's params table for check_options; every kind also takes "name".
+SELECTOR_PARAMS = {"random": {}, "kmeans": {"K": int}, "dcs": {"rank": int},
+                   "allg": {f.name: f.type for f in fields(ModelConfig)}}
 
 
 @dataclass
@@ -22,13 +27,13 @@ class SelectorSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.params, dict):
-            raise ConfigError(f"{self.kind} selector params must be an object, "
-                              f"got {self.params!r}")
+        if self.kind not in SELECTOR_PARAMS:
+            raise ConfigError(f"unknown selector {self.kind!r}; known: {sorted(SELECTOR_PARAMS)}")
+        table = {"name": str, **SELECTOR_PARAMS[self.kind]}
+        check_options(table, self.params, f"{self.kind} params")
         for key in ("K", "rank"):
-            value = self.params.get(key, 1)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ConfigError(f"{self.kind} {key} must be an integer >= 1, got {value!r}")
+            if self.params.get(key, 1) < 1:
+                raise ConfigError(f"{self.kind} {key} must be >= 1, got {self.params[key]}")
 
     @property
     def label(self) -> str:

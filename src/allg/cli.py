@@ -22,7 +22,7 @@ from .data import Dataset, load_registry, resolve_dataset, standardize
 from .errors import AllgError, ConfigError, DataError, NumericalError
 from .evaluate import Protocol, run_protocol
 from .gradcheck import run_all
-from .model import check_options, config_from_options, config_to_dict, save_checkpoint
+from .model import ModelConfig, check_options, config_from_options, config_to_dict, save_checkpoint
 from .rng import substream
 from .training import run_selection
 
@@ -30,6 +30,14 @@ SCHEMA_VERSION = 1
 ABLATION_ORDER = ("no_graph", "knn_only", "one_matrix", "tied_two", "distinct_two", "full")
 GRID_AXES = ("alpha", "beta", "lambda")
 LOSS_COLUMNS = ("epoch", "recon", "adjacency", "propagation", "selection", "total")
+
+# Key -> annotation tables of the config file's blocks, checked by check_options.
+CONFIG_KEYS = {"schema_version": int, "dataset": str | dict, "seed": int, "out": str,
+               "registry": str, "subsample": int, "model": dict, "protocol": dict,
+               "grid": dict, "selectors": list}
+DATASET_KEYS = {"path": str, "label_column": str | int, "delimiter": str, "header": bool | str}
+SELECTOR_KEYS = {"kind": str, "params": dict}
+GRID_KEYS = dict.fromkeys(GRID_AXES, tuple[float, ...])
 
 
 def _load_config_file(path) -> dict:
@@ -40,18 +48,10 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config file must contain a JSON object")
+    check_options(CONFIG_KEYS, cfg, "config")
     version = cfg.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema_version {version!r}")
-    for key in ("model", "protocol", "grid"):
-        if not isinstance(cfg.get(key, {}), dict):
-            raise ConfigError(f"config {key!r} must be a JSON object")
-    if not isinstance(cfg.get("dataset", {}), (str, dict)):
-        raise ConfigError("config 'dataset' must be a path string or a JSON object")
-    if not isinstance(cfg.get("selectors", []), list):
-        raise ConfigError("config 'selectors' must be a list")
     return cfg
 
 
@@ -63,36 +63,31 @@ def _parse_int_list(text: str) -> list:
 
 
 def _gather(args) -> dict:
-    """Merge config file values with CLI overrides (flags win)."""
+    """Merge config file values with CLI overrides (flags win) and check each block."""
     cfg = _load_config_file(args.config) if args.config else {}
     if isinstance(cfg.get("dataset"), str):
         cfg["dataset"] = {"path": cfg["dataset"]}
-    if getattr(args, "dataset", None) is not None:
-        cfg.setdefault("dataset", {})["path"] = args.dataset
-    if getattr(args, "label_column", None) is not None:
-        cfg.setdefault("dataset", {})["label_column"] = args.label_column
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.out is not None:
-        cfg["out"] = args.out
+    for flag, key in (("dataset", "path"), ("label_column", "label_column")):
+        if getattr(args, flag, None) is not None:
+            cfg.setdefault("dataset", {})[key] = getattr(args, flag)
+    for key in ("seed", "out", "registry", "subsample"):
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
     if getattr(args, "budgets", None):
         cfg.setdefault("protocol", {})["budgets"] = _parse_int_list(args.budgets)
     if getattr(args, "selector", None):
         cfg["selectors"] = [{"kind": k.strip()} for k in args.selector.split(",") if k.strip()]
-    if getattr(args, "registry", None):
-        cfg["registry"] = args.registry
-    if getattr(args, "subsample", None):
-        cfg["subsample"] = args.subsample
     cfg.setdefault("seed", 0)
     cfg.setdefault("out", "allg_out")
-    if isinstance(cfg["seed"], bool) or not isinstance(cfg["seed"], int):
-        raise ConfigError(f"config key 'seed' must be an integer, got {cfg['seed']!r}")
+    for block, table in (("dataset", DATASET_KEYS), ("model", ModelConfig),
+                         ("protocol", Protocol), ("grid", GRID_KEYS)):
+        check_options(table, cfg.get(block, {}), block)
     return cfg
 
 
 def _load_dataset(cfg: dict):
-    entry = cfg.get("dataset")
-    if not entry:
+    entry = cfg.get("dataset", {})
+    if "path" not in entry:
         raise ConfigError("no dataset given; use --dataset PATH|NAME or the config file")
     registry = load_registry(cfg["registry"]) if cfg.get("registry") else None
     label_column = entry.get("label_column")
@@ -126,7 +121,6 @@ def _maybe_subsample(ds, cfg: dict):
 
 def _protocol(cfg: dict) -> Protocol:
     opts = dict(cfg.get("protocol", {}))
-    check_options(Protocol, opts, "protocol")
     if opts.get("seeds") is not None:
         opts.setdefault("runs", len(opts["seeds"]))
     else:
@@ -135,23 +129,23 @@ def _protocol(cfg: dict) -> Protocol:
 
 
 def _selector_specs(cfg: dict) -> list:
-    entries = cfg.get("selectors", ["random", "kmeans", "dcs", "allg"])
     specs = []
-    for entry in entries:
-        if isinstance(entry, str):
-            entry = {"kind": entry}
-        if not isinstance(entry, dict) or "kind" not in entry:
+    for entry in cfg.get("selectors", ["random", "kmeans", "dcs", "allg"]):
+        entry = {"kind": entry} if isinstance(entry, str) else entry
+        check_options(SELECTOR_KEYS, entry, "selectors entry")
+        if "kind" not in entry:
             raise ConfigError(f"selectors entry {entry!r} has no 'kind'")
-        spec = SelectorSpec(entry["kind"], entry.get("params", {}))
-        if spec.kind == "allg":
-            spec.params = {**cfg.get("model", {}), **spec.params}
-        specs.append(spec)
+        model = cfg.get("model", {}) if entry["kind"] == "allg" else {}
+        specs.append(SelectorSpec(entry["kind"], {**model, **entry.get("params", {})}))
     return specs
 
 
 def _out_dir(cfg: dict) -> str:
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"config key 'out' names no usable directory: {exc}") from exc
     return out
 
 
@@ -181,8 +175,8 @@ def cmd_select(args) -> int:
     std, _, _ = standardize(ds)
     # A seed in the config file's model block wins over --seed.
     mcfg = config_from_options({"seed": cfg["seed"], **cfg.get("model", {})}, ds.dim)
-    result, params, history, _ = run_selection(std.features, mcfg)
     out = _out_dir(cfg)
+    result, params, history, _ = run_selection(std.features, mcfg)
     _write_csv(os.path.join(out, "ranking.csv"), ("index", "score"),
                zip(result.ranked_indices[:args.m], result.scores))
     _write_csv(os.path.join(out, "losses.csv"), LOSS_COLUMNS,
@@ -206,10 +200,11 @@ def _snapshot(out: str, command: str, cfg: dict, dataset_name: str) -> None:
 
 def cmd_evaluate(args) -> int:
     cfg = _gather(args)
+    specs, protocol = _selector_specs(cfg), _protocol(cfg)
     ds = _load_dataset(cfg)
-    report = run_protocol(ds, _selector_specs(cfg), _protocol(cfg))
-    summary = report.summary()
     out = _out_dir(cfg)
+    report = run_protocol(ds, specs, protocol)
+    summary = report.summary()
     _write_report(os.path.join(out, "report.csv"), report)
     _write_csv(os.path.join(out, "means.csv"),
                ("selector", "classifier", "budget", "mean_accuracy"),
@@ -225,19 +220,15 @@ def cmd_evaluate(args) -> int:
 
 def cmd_grid(args) -> int:
     cfg = _gather(args)
-    ds = _load_dataset(cfg)
     grid = cfg.get("grid", {})
-    unknown = set(grid) - set(GRID_AXES)
-    if unknown:
-        raise ConfigError(f"unknown grid config keys: {sorted(unknown)}")
     axes = [grid.get(name, [0.1, 1.0, 10.0]) for name in GRID_AXES]
     for name, values in zip(GRID_AXES, axes):
-        if (not isinstance(values, list) or not values
-                or not all(isinstance(v, (int, float)) for v in values)):
-            raise ConfigError(f"grid {name!r} must be a non-empty list of numbers, got {values!r}")
-    base_protocol = _protocol(cfg)
+        if not values:
+            raise ConfigError(f"grid {name!r} must not be empty")
     # One fixed validation seed for the whole sweep.
-    protocol = dataclasses.replace(base_protocol, runs=1, seeds=(cfg["seed"],))
+    protocol = dataclasses.replace(_protocol(cfg), runs=1, seeds=(cfg["seed"],))
+    ds = _load_dataset(cfg)
+    out = _out_dir(cfg)
     rows = []
     for alpha, beta, lam in itertools.product(*(sorted(v) for v in axes)):
         model_opts = {**cfg.get("model", {}), "alpha": alpha, "beta": beta, "lam": lam}
@@ -250,7 +241,6 @@ def cmd_grid(args) -> int:
         rows.append((alpha, beta, lam, mean))
         print(f"alpha={alpha} beta={beta} lambda={lam}: mean accuracy {mean:.4f}")
     best = max(rows, key=lambda r: (r[3], (-r[0], -r[1], -r[2])))
-    out = _out_dir(cfg)
     _write_csv(os.path.join(out, "grid.csv"), ("alpha", "beta", "lambda", "mean_accuracy"), rows)
     _write_json(os.path.join(out, "best.json"), {
         "alpha": best[0], "beta": best[1], "lambda": best[2], "mean_accuracy": best[3],
@@ -262,12 +252,13 @@ def cmd_grid(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _gather(args)
-    ds = _load_dataset(cfg)
     model = cfg.get("model", {})
     specs = [SelectorSpec("allg", {**model, "variant": v, "name": v}) for v in ABLATION_ORDER]
-    report = run_protocol(ds, specs, _protocol(cfg))
-    summary = report.summary()
+    protocol = _protocol(cfg)
+    ds = _load_dataset(cfg)
     out = _out_dir(cfg)
+    report = run_protocol(ds, specs, protocol)
+    summary = report.summary()
     _write_report(os.path.join(out, "ablation_report.csv"), report)
     _write_csv(os.path.join(out, "ablation.csv"),
                ("variant", "classifier", *report.budgets(), "average"),
@@ -282,6 +273,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    out = None if args.out is None else _out_dir({"out": args.out})
     reports = run_all()
     lines = []
     failed = False
@@ -291,9 +283,8 @@ def cmd_gradcheck(args) -> int:
                      f"(tolerance {rep.tolerance:.0e})")
         failed = failed or not rep.passed
     print("\n".join(lines))
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "gradcheck.txt"), "w", encoding="utf-8") as fh:
+    if out is not None:
+        with open(os.path.join(out, "gradcheck.txt"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
     if failed:
         raise NumericalError("gradient check failed")

@@ -98,6 +98,8 @@ def load_csv(path, label_column=None, delimiter: str = ",", header="auto",
     row as a header when any of its cells fails to parse as a float.  Label
     values are mapped to dense class ids in order of first occurrence.
     """
+    if header is not True and header is not False and header != "auto":
+        raise ConfigError(f"header must be true, false or 'auto', got {header!r}")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
@@ -120,10 +122,7 @@ def load_csv(path, label_column=None, delimiter: str = ",", header="auto",
         except ValueError:
             return False
 
-    if header == "auto":
-        has_header = not all(_is_float(c) for c in rows[0])
-    else:
-        has_header = bool(header)
+    has_header = not all(_is_float(c) for c in rows[0]) if header == "auto" else header
 
     column_names = [c.strip() for c in rows[0]] if has_header else None
     data_rows = rows[1:] if has_header else rows

@@ -244,8 +244,6 @@ RANKERS = {
 
 def rank_candidates(x: np.ndarray, spec: SelectorSpec, seed: int) -> list:
     """Full ranking of the columns of x by the selector `spec`."""
-    if spec.kind not in RANKERS:
-        raise ConfigError(f"unknown selector kind {spec.kind!r}; known: {sorted(RANKERS)}")
     return RANKERS[spec.kind](x, spec.params, seed)
 
 
@@ -263,7 +261,7 @@ def run_protocol(ds: Dataset, selectors: list, protocol: Protocol) -> EvalReport
     # Rankers never see labels, so the one dataset-derived default lives here.
     selectors = [SelectorSpec(s.kind, {"rank": ds.n_classes, **s.params}) if s.kind == "dcs"
                  else s for s in selectors]
-    # A bad ALLG model value fails here, before any selector or classifier runs.
+    # An ALLG model depends on the data's width, so it is built here, before any selector runs.
     for s in selectors:
         if s.kind == "allg":
             _allg_config(s.params, ds.dim, seed=0)

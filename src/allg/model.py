@@ -144,16 +144,18 @@ def config_to_dict(cfg: ModelConfig) -> dict:
     return out
 
 
-# Annotated field type -> (accepted config values, wording for the error message).
-# A tuple[X, ...] field takes a list whose entries each fit X.
+# Annotation -> (accepted config values, wording for the error message).
+# A tuple[X, ...] annotation takes a list whose entries each fit X; X | Y takes either.
 _FIELD_KINDS = {
     int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string"),
-    bool: (bool, "true or false"), tuple: ((list, tuple), "a list"),
-    type(None): (type(None), "null"),
+    bool: (bool, "true or false"), tuple: ((list, tuple), "a list"), list: (list, "a list"),
+    dict: (dict, "an object"), type(None): (type(None), "null"),
 }
 
 
 def _fits(value, kind) -> bool:
+    if isinstance(kind, types.UnionType):
+        return any(_fits(value, k) for k in typing.get_args(kind))
     if typing.get_origin(kind) is tuple:
         item = typing.get_args(kind)[0]
         return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
@@ -161,24 +163,26 @@ def _fits(value, kind) -> bool:
 
 
 def _wording(kind) -> str:
+    if isinstance(kind, types.UnionType):
+        return " or ".join(_wording(k) for k in typing.get_args(kind))
     if typing.get_origin(kind) is tuple:
         return f"a list with each entry {_wording(typing.get_args(kind)[0])}"
     return _FIELD_KINDS[kind][1]
 
 
-def check_options(cls, opts: dict, block: str) -> None:
-    """Raise ConfigError naming the keys of `opts` that are no field of the dataclass
-    `cls`, or the first value that does not fit its field's type (a bool is no number)."""
-    unknown = set(opts) - {f.name for f in dataclasses.fields(cls)}
+def check_options(table, opts, block: str) -> None:
+    """Raise ConfigError unless `opts` is an object with keys from `table` (key -> annotation;
+    a dataclass stands for its fields) and values that fit them (a bool is no number)."""
+    if dataclasses.is_dataclass(table):
+        table = {f.name: f.type for f in dataclasses.fields(table)}
+    if not isinstance(opts, dict):
+        raise ConfigError(f"{block} must be an object, got {opts!r}")
+    unknown = set(opts) - set(table)
     if unknown:
-        raise ConfigError(f"unknown {block} config keys: {sorted(unknown)}")
-    for f in dataclasses.fields(cls):
-        union = isinstance(f.type, types.UnionType)
-        kinds = typing.get_args(f.type) if union else (f.type,)
-        value = opts.get(f.name)
-        if f.name in opts and not any(_fits(value, k) for k in kinds):
-            wanted = " or ".join(_wording(k) for k in kinds)
-            raise ConfigError(f"{block} key {f.name!r} must be {wanted}, got {value!r}")
+        raise ConfigError(f"unknown {block} keys: {sorted(unknown)}")
+    for key, value in opts.items():
+        if not _fits(value, table[key]):
+            raise ConfigError(f"{block} key {key!r} must be {_wording(table[key])}, got {value!r}")
 
 
 def config_from_dict(d: dict) -> ModelConfig:
@@ -187,8 +191,11 @@ def config_from_dict(d: dict) -> ModelConfig:
 
 
 def config_from_options(opts: dict, d: int) -> ModelConfig:
-    """ModelConfig from option fields; encoder_dims defaults to default_encoder_dims(d)."""
-    return config_from_dict({"encoder_dims": default_encoder_dims(d), **opts})
+    """ModelConfig for d-feature data; encoder_dims defaults to default_encoder_dims(d)."""
+    cfg = config_from_dict({"encoder_dims": default_encoder_dims(d), **opts})
+    if cfg.input_dim != d:
+        raise ConfigError(f"model key 'encoder_dims' must start at the data's {d} features")
+    return cfg
 
 
 # ---------------------------------------------------------------------------

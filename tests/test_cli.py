@@ -228,6 +228,13 @@ class TestGradcheckCommand:
         report = (out / "gradcheck.txt").read_text()
         assert report.count("PASS") == 10
 
+    def test_out_naming_a_file_fails_before_any_check(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(allg.cli, "run_all", lambda: pytest.fail("checks ran"))
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        assert main(["gradcheck", "--out", str(out)]) == 2
+        assert "'out'" in capsys.readouterr().err
+
 
 class TestSubsample:
     def test_select_on_subsampled_pool(self, tmp_path, blobs_csv):
@@ -297,12 +304,24 @@ class TestExitCodes:
         ("evaluate", {"protocol": {"budgets": ["x"]}}, "budgets"),
         ("select", {"model": {"encoder_dims": ["a", 2]}}, "encoder_dims"),
         ("evaluate", {"seed": "3"}, "seed"),
+        ("select", {"subsample": 5.5}, "subsample"),
+        ("evaluate", {"out": 5}, "out"),
+        ("evaluate", {"registry": 3}, "registry"),
+        ("evaluate", {"bogus": 1}, "bogus"),
+        ("evaluate", {"dataset": {"label_colum": "label"}}, "label_colum"),
+        ("evaluate", {"selectors": [{"kind": "random", "param": {}}]}, "param"),
+        ("evaluate", {"selectors": [{"kind": "kmeans", "params": {"k": 3}}]}, "k"),
+        ("select", {"model": {"encoder_dims": [3, 2]}}, "encoder_dims"),
+        ("evaluate", {"model": {"encoder_dims": [3, 2]}}, "encoder_dims"),
+        ("grid", {"grid": {"beta": []}}, "beta"),
     ], ids=["protocol_key_evaluate", "protocol_key_grid", "protocol_list_evaluate",
             "protocol_list_grid", "model_list_evaluate", "model_list_select",
             "model_list_grid", "selectors_string", "grid_list", "grid_scalar_axis",
             "dataset_list", "budgets_scalar", "runs_string", "classifiers_string",
             "model_alpha_string", "budgets_string_entry", "encoder_dims_string_entry",
-            "seed_string"])
+            "seed_string", "subsample_float", "out_integer", "registry_integer",
+            "top_level_key", "dataset_key", "selector_entry_key", "kmeans_params_key",
+            "encoder_dims_width_select", "encoder_dims_width_evaluate", "grid_empty_axis"])
     def test_malformed_config_block(self, tmp_path, blobs_csv, capsys, command, payload,
                                     culprit):
         cfg = _write_config(tmp_path, payload)
@@ -310,8 +329,14 @@ class TestExitCodes:
                      "--label-column", "label", "--out", str(tmp_path / "o")]) == 2
         assert f"'{culprit}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model, selector, out_is_file, culprit", [
+        ({"alpha": "x"}, "random,kmeans,dcs,allg", False, "alpha"),
+        (_model_json(), "random,kmeans,dcs,allg", True, "out"),
+        (_model_json(), "random,mystery", False, "mystery"),
+    ], ids=["model_value", "out_is_file", "unknown_kind"])
     def test_bad_allg_model_fails_before_any_fit(self, tmp_path, blobs_csv, capsys,
-                                                 monkeypatch):
+                                                 monkeypatch, model, selector, out_is_file,
+                                                 culprit):
         fits = []
 
         def counting_fit(*args, **kwargs):
@@ -320,12 +345,15 @@ class TestExitCodes:
 
         monkeypatch.setattr(allg.evaluate, "train_logreg", counting_fit)
         monkeypatch.setattr(allg.evaluate, "train_linear_svm", counting_fit)
-        cfg = _write_config(tmp_path, {"model": {"alpha": "x"},
+        cfg = _write_config(tmp_path, {"model": model,
                                        "protocol": {"budgets": [3], "runs": 1}})
+        out = tmp_path / "o"
+        if out_is_file:
+            out.write_text("", encoding="utf-8")
         assert main(["evaluate", "--config", cfg, "--dataset", blobs_csv,
-                     "--label-column", "label", "--out", str(tmp_path / "o"),
-                     "--selector", "random,kmeans,dcs,allg"]) == 2
-        assert "'alpha'" in capsys.readouterr().err
+                     "--label-column", "label", "--out", str(out),
+                     "--selector", selector]) == 2
+        assert f"'{culprit}'" in capsys.readouterr().err
         assert fits == []
 
     def test_budget_larger_than_pool(self, tmp_path, blobs_csv):

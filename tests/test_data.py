@@ -33,6 +33,12 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.labels, [0, 1, 0])
         np.testing.assert_array_equal(ds.features, [[1, 3, 5], [2, 4, 6]])
 
+    def test_header_takes_only_true_false_or_auto(self, tmp_path):
+        p = _write(tmp_path / "t.csv", "1,2\n3,4\n5,6\n")
+        for header in ("no", 0, None):
+            with pytest.raises(ConfigError, match="header"):
+                allg.load_csv(p, header=header)
+
     def test_splice_shaped_file(self, tmp_path):
         # Same shape as the Splice-junction benchmark: 1000 samples, 60
         # features, 2 classes.
