@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .baselines import SelectorSpec
-from .data import Dataset, load_registry, resolve_dataset, standardize
+from .data import DATASET_KEYS, Dataset, load_registry, resolve_dataset, standardize
 from .errors import AllgError, ConfigError, DataError, NumericalError
 from .evaluate import Protocol, run_protocol
 from .gradcheck import run_all
@@ -35,7 +35,6 @@ LOSS_COLUMNS = ("epoch", "recon", "adjacency", "propagation", "selection", "tota
 CONFIG_KEYS = {"schema_version": int, "dataset": str | dict, "seed": int, "out": str,
                "registry": str, "subsample": int, "model": dict, "protocol": dict,
                "grid": dict, "selectors": list}
-DATASET_KEYS = {"path": str, "label_column": str | int, "delimiter": str, "header": bool | str}
 SELECTOR_KEYS = {"kind": str, "params": dict}
 GRID_KEYS = dict.fromkeys(GRID_AXES, tuple[float, ...])
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .model import check_options
 from .rng import substream
 
 
@@ -281,6 +282,10 @@ def make_blobs(n_per_class: int, classes: int, d: int, spread: float = 1.0,
     )
 
 
+# Key -> annotation table of a dataset entry, in the config file or a registry.
+DATASET_KEYS = {"path": str, "label_column": str | int, "delimiter": str, "header": bool | str}
+
+
 def load_registry(path) -> dict:
     """Read a dataset manifest: {name: {path, label_column, delimiter, header}}."""
     try:
@@ -293,8 +298,9 @@ def load_registry(path) -> dict:
     if not isinstance(manifest, dict):
         raise ConfigError(f"dataset registry {path!r} must be a JSON object")
     for key, entry in manifest.items():
-        if not isinstance(entry, dict) or "path" not in entry:
-            raise ConfigError(f"registry entry {key!r} must be an object with a 'path' field")
+        check_options(DATASET_KEYS, entry, f"registry entry {key!r}")
+        if "path" not in entry:
+            raise ConfigError(f"registry entry {key!r} must have a 'path' field")
     return manifest
 
 

@@ -64,6 +64,43 @@ def train_logreg(x_train, y_train, x_test, y_test, reg: float = 1e-4,
     return float(np.mean(pred == np.asarray(y_test)))
 
 
+def _svm_weights(xa, y_train, classes, C: float, max_sweeps: int, tol: float) -> np.ndarray:
+    """One weight row per class: the dual coordinate ascent of `train_linear_svm`.
+
+    The scalars live in Python floats and each column is one strided view of
+    `xa`, so the loop runs the same float64 operations in the same order as
+    numpy scalars would, at a fraction of the interpreter cost.
+    """
+    m = xa.shape[1]
+    cols = [xa[:, i] for i in range(m)]
+    qii = np.sum(xa * xa, axis=0).tolist()  # >= 1 thanks to the bias feature
+    weights = np.zeros((classes.size, xa.shape[0]))
+    for ci, c in enumerate(classes):
+        sign = np.where(y_train == c, 1.0, -1.0).tolist()
+        alpha = [0.0] * m
+        w = np.zeros(xa.shape[0])
+        for _ in range(max_sweeps):
+            worst = 0.0
+            for i in range(m):
+                a_i = alpha[i]
+                g = sign[i] * float(w.dot(cols[i])) - 1.0
+                pg = g
+                if a_i <= 0.0:
+                    pg = min(g, 0.0)
+                elif a_i >= C:
+                    pg = max(g, 0.0)
+                if pg != 0.0:
+                    worst = max(worst, abs(pg))
+                    new = min(max(a_i - g / qii[i], 0.0), C)
+                    if new != a_i:
+                        w += ((new - a_i) * sign[i]) * cols[i]
+                        alpha[i] = new
+            if worst < tol:
+                break
+        weights[ci] = w
+    return weights
+
+
 def train_linear_svm(x_train, y_train, x_test, y_test, C: float = 100.0,
                      max_sweeps: int = 1000, tol: float = 1e-8) -> float:
     """One-vs-rest L1-hinge linear SVM by deterministic dual coordinate ascent.
@@ -78,32 +115,7 @@ def train_linear_svm(x_train, y_train, x_test, y_test, C: float = 100.0,
     classes = np.unique(y_train)
     if classes.size == 1:
         return float(np.mean(np.asarray(y_test) == classes[0]))
-    xa = _augment(x_train)
-    m = xa.shape[1]
-    qii = np.sum(xa * xa, axis=0)  # >= 1 thanks to the bias feature
-    weights = np.zeros((classes.size, xa.shape[0]))
-    for ci, c in enumerate(classes):
-        sign = np.where(y_train == c, 1.0, -1.0)
-        alpha = np.zeros(m)
-        w = np.zeros(xa.shape[0])
-        for _ in range(max_sweeps):
-            worst = 0.0
-            for i in range(m):
-                g = sign[i] * (w @ xa[:, i]) - 1.0
-                pg = g
-                if alpha[i] <= 0.0:
-                    pg = min(g, 0.0)
-                elif alpha[i] >= C:
-                    pg = max(g, 0.0)
-                if pg != 0.0:
-                    worst = max(worst, abs(pg))
-                    new = min(max(alpha[i] - g / qii[i], 0.0), C)
-                    if new != alpha[i]:
-                        w += (new - alpha[i]) * sign[i] * xa[:, i]
-                        alpha[i] = new
-            if worst < tol:
-                break
-        weights[ci] = w
+    weights = _svm_weights(_augment(x_train), y_train, classes, float(C), max_sweeps, tol)
     scores = weights @ _augment(np.asarray(x_test, dtype=np.float64))
     pred = classes[np.argmax(scores, axis=0)]
     return float(np.mean(pred == np.asarray(y_test)))
@@ -134,6 +146,13 @@ class Protocol:
             raise ConfigError(f"budgets must be non-empty and ascending, got {self.budgets}")
         if self.budgets[0] < 1:
             raise ConfigError("budgets must be positive")
+        for key, ok, rule in (("svm_c", self.svm_c > 0, "> 0"),
+                              ("logreg_reg", self.logreg_reg >= 0, ">= 0"),
+                              ("svm_sweeps", self.svm_sweeps >= 1, ">= 1"),
+                              ("logreg_max_iter", self.logreg_max_iter >= 1, ">= 1"),
+                              ("runs", self.runs >= 1, ">= 1")):
+            if not ok:
+                raise ConfigError(f"protocol key {key!r} must be {rule}, got {getattr(self, key)!r}")
         for c in self.classifiers:
             if c not in CLASSIFIERS:
                 raise ConfigError(f"unknown classifier {c!r}; expected subset of {CLASSIFIERS}")

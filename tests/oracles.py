@@ -184,3 +184,37 @@ def adam_reference(x0, grad_fn, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
         x = x - lr * mhat / (vhat**0.5 + eps)
         trace.append(x)
     return trace
+
+
+def svm_weights_reference(xa, y_train, classes, C, max_sweeps, tol):
+    """The one-vs-rest dual coordinate ascent as first written, on numpy scalars.
+
+    Pins the bits of `allg.evaluate._svm_weights`: same arguments, same
+    weight matrix, element for element.
+    """
+    m = xa.shape[1]
+    qii = np.sum(xa * xa, axis=0)  # >= 1 thanks to the bias feature
+    weights = np.zeros((classes.size, xa.shape[0]))
+    for ci, c in enumerate(classes):
+        sign = np.where(y_train == c, 1.0, -1.0)
+        alpha = np.zeros(m)
+        w = np.zeros(xa.shape[0])
+        for _ in range(max_sweeps):
+            worst = 0.0
+            for i in range(m):
+                g = sign[i] * (w @ xa[:, i]) - 1.0
+                pg = g
+                if alpha[i] <= 0.0:
+                    pg = min(g, 0.0)
+                elif alpha[i] >= C:
+                    pg = max(g, 0.0)
+                if pg != 0.0:
+                    worst = max(worst, abs(pg))
+                    new = min(max(alpha[i] - g / qii[i], 0.0), C)
+                    if new != alpha[i]:
+                        w += (new - alpha[i]) * sign[i] * xa[:, i]
+                        alpha[i] = new
+            if worst < tol:
+                break
+        weights[ci] = w
+    return weights

@@ -314,6 +314,13 @@ class TestExitCodes:
         ("select", {"model": {"encoder_dims": [3, 2]}}, "encoder_dims"),
         ("evaluate", {"model": {"encoder_dims": [3, 2]}}, "encoder_dims"),
         ("grid", {"grid": {"beta": []}}, "beta"),
+        ("evaluate", {"protocol": {"svm_c": -1}}, "svm_c"),
+        ("grid", {"protocol": {"svm_c": 0.0}}, "svm_c"),
+        ("evaluate", {"protocol": {"logreg_reg": -5}}, "logreg_reg"),
+        ("evaluate", {"protocol": {"svm_sweeps": 0}}, "svm_sweeps"),
+        ("evaluate", {"protocol": {"logreg_max_iter": 0}}, "logreg_max_iter"),
+        ("evaluate", {"protocol": {"runs": 0}}, "runs"),
+        ("ablate", {"protocol": {"runs": 0}}, "runs"),
     ], ids=["protocol_key_evaluate", "protocol_key_grid", "protocol_list_evaluate",
             "protocol_list_grid", "model_list_evaluate", "model_list_select",
             "model_list_grid", "selectors_string", "grid_list", "grid_scalar_axis",
@@ -321,13 +328,23 @@ class TestExitCodes:
             "model_alpha_string", "budgets_string_entry", "encoder_dims_string_entry",
             "seed_string", "subsample_float", "out_integer", "registry_integer",
             "top_level_key", "dataset_key", "selector_entry_key", "kmeans_params_key",
-            "encoder_dims_width_select", "encoder_dims_width_evaluate", "grid_empty_axis"])
+            "encoder_dims_width_select", "encoder_dims_width_evaluate", "grid_empty_axis",
+            "svm_c_negative", "svm_c_zero_grid", "logreg_reg_negative", "svm_sweeps_zero",
+            "logreg_max_iter_zero", "runs_zero", "runs_zero_ablate"])
     def test_malformed_config_block(self, tmp_path, blobs_csv, capsys, command, payload,
                                     culprit):
         cfg = _write_config(tmp_path, payload)
         assert main([command, "--config", cfg, "--dataset", blobs_csv,
                      "--label-column", "label", "--out", str(tmp_path / "o")]) == 2
         assert f"'{culprit}'" in capsys.readouterr().err
+
+    def test_bad_registry_entry(self, tmp_path, blobs_csv, capsys):
+        registry = tmp_path / "reg.json"
+        registry.write_text(json.dumps({"x": {"path": blobs_csv, "delimiter": 5}}),
+                            encoding="utf-8")
+        assert main(["select", "--registry", str(registry), "--dataset", "x",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "'delimiter'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model, selector, out_is_file, culprit", [
         ({"alpha": "x"}, "random,kmeans,dcs,allg", False, "alpha"),

@@ -6,7 +6,9 @@ import pytest
 import allg
 from allg.cli import main
 from allg.errors import ConfigError, DataError
-from allg.evaluate import EvalCell, EvalReport, Protocol, run_protocol
+from allg.evaluate import EvalCell, EvalReport, Protocol, _augment, _svm_weights, run_protocol
+
+from oracles import svm_weights_reference
 
 
 def _separable_blobs(seed=0, spread=0.3):
@@ -96,6 +98,43 @@ class TestLinearSvm:
         oracle_pred = (np.array([w1, w2]) @ x + b > 0).astype(int)
         acc = allg.train_linear_svm(x, y, x, oracle_pred, C=C)
         assert acc == 1.0  # same sign pattern as the brute-force optimum
+
+
+def _svm_problem(seed):
+    """Seeded one-vs-rest problem: 2-5 classes, every 7th with a one-sample class,
+    every 5th with duplicated columns; C and the sweep cap cycle through
+    (1e-3, 1, 100) and (1, 5, 300), so alphas reach both box bounds and both the
+    tol break and the cap end a fit."""
+    rng = np.random.default_rng(seed)
+    n_classes = 2 + seed % 4
+    d, m = int(rng.integers(1, 9)), int(rng.integers(n_classes + 2, 41))
+    y = np.concatenate([np.arange(n_classes), rng.integers(0, n_classes, m - n_classes)])
+    if seed % 7 == 0:
+        y = np.where(y == 0, 1, y)
+        y[int(rng.integers(m))] = 0
+    means = rng.normal(scale=2.0, size=(d, n_classes))
+    x = means[:, y] + rng.normal(size=(d, m))
+    if seed % 5 == 0:
+        x[:, 1::3] = x[:, 0:1]
+    xa = _augment(x)
+    return xa, y, np.unique(y), (1e-3, 1.0, 100.0)[seed % 3], (1, 5, 300)[seed // 3 % 3]
+
+
+class TestSvmWeightsBitwise:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_numpy_scalar_loop(self, seed):
+        xa, y, classes, C, cap = _svm_problem(seed)
+        ours = _svm_weights(xa, y, classes, C, cap, 1e-8)
+        assert np.array_equal(ours, svm_weights_reference(xa, y, classes, C, cap, 1e-8))
+
+    def test_problem_set_ends_fits_both_ways(self):
+        # A fit that its cap ended moves on with one sweep more; one that tol ended does not.
+        stops = set()
+        for seed in range(60):
+            xa, y, classes, C, cap = _svm_problem(seed)
+            stops.add(np.array_equal(svm_weights_reference(xa, y, classes, C, cap, 1e-8),
+                                     svm_weights_reference(xa, y, classes, C, cap + 1, 1e-8)))
+        assert stops == {True, False}
 
 
 class TestProtocolConfig:
