@@ -9,13 +9,7 @@ accuracy-based evaluation protocol are included for benchmarking.
 """
 
 from .autodiff import AdamState, Tape, Var, adam_init, adam_step
-from .baselines import (
-    SelectorSpec,
-    kmeans_fit,
-    select_dcs,
-    select_kmeans,
-    select_random,
-)
+from .baselines import kmeans_fit, select_dcs, select_kmeans, select_random
 from .data import (
     Dataset,
     SplitSpec,
@@ -31,10 +25,11 @@ from .data import (
 from .errors import AllgError, ConfigError, DataError, NumericalError
 from .evaluate import (
     EvalCell,
-    EvalReport,
     Protocol,
+    SelectorSpec,
     rank_candidates,
     run_protocol,
+    summarize,
     train_linear_svm,
     train_logreg,
 )
@@ -63,13 +58,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "Tape", "Var", "adam_init", "adam_step",
-    "SelectorSpec", "kmeans_fit", "select_dcs", "select_kmeans", "select_random",
+    "kmeans_fit", "select_dcs", "select_kmeans", "select_random",
     "Dataset", "SplitSpec", "apply_standardization", "load_csv",
     "load_registry", "make_blobs", "resolve_dataset", "save_csv", "split",
     "standardize",
     "AllgError", "ConfigError", "DataError", "NumericalError",
-    "EvalCell", "EvalReport", "Protocol", "rank_candidates", "run_protocol",
-    "train_linear_svm", "train_logreg",
+    "EvalCell", "Protocol", "SelectorSpec", "rank_candidates", "run_protocol",
+    "summarize", "train_linear_svm", "train_logreg",
     "PriorGraph", "knn_graph", "normalize_adjacency",
     "ForwardCache", "ModelConfig", "ModelParams", "SelectionResult",
     "default_encoder_dims", "forward", "init_encoder_decoder",

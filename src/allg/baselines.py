@@ -2,42 +2,14 @@
 
 Every selector produces a full deterministic ranking of the candidate
 columns; callers take the top-m prefix for a given query budget.  The
-registry that maps a SelectorSpec's kind to one of these rankings, ALLG
-included, is `allg.evaluate.RANKERS`.
+table that maps a SelectorSpec's kind to one of these rankings, ALLG
+included, is `allg.evaluate.SELECTORS`.
 """
-
-from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import ModelConfig, check_options
 from .rng import substream
-
-# Each selector kind's params table for check_options; every kind also takes "name".
-SELECTOR_PARAMS = {"random": {}, "kmeans": {"K": int}, "dcs": {"rank": int},
-                   "allg": {f.name: f.type for f in fields(ModelConfig)}}
-
-
-@dataclass
-class SelectorSpec:
-    """A selector kind plus its per-kind parameters."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in SELECTOR_PARAMS:
-            raise ConfigError(f"unknown selector {self.kind!r}; known: {sorted(SELECTOR_PARAMS)}")
-        table = {"name": str, **SELECTOR_PARAMS[self.kind]}
-        check_options(table, self.params, f"{self.kind} params")
-        for key in ("K", "rank"):
-            if self.params.get(key, 1) < 1:
-                raise ConfigError(f"{self.kind} {key} must be >= 1, got {self.params[key]}")
-
-    @property
-    def label(self) -> str:
-        return self.params.get("name", self.kind)
 
 
 def select_random(n: int, m: int, seed: int) -> list:

@@ -17,10 +17,9 @@ import sys
 
 import numpy as np
 
-from .baselines import SelectorSpec
 from .data import DATASET_KEYS, Dataset, load_registry, resolve_dataset, standardize
 from .errors import AllgError, ConfigError, DataError, NumericalError
-from .evaluate import Protocol, run_protocol
+from .evaluate import Protocol, SelectorSpec, run_protocol, summarize
 from .gradcheck import run_all
 from .model import ModelConfig, check_options, config_from_options, config_to_dict, save_checkpoint
 from .rng import substream
@@ -89,13 +88,10 @@ def _load_dataset(cfg: dict):
     if "path" not in entry:
         raise ConfigError("no dataset given; use --dataset PATH|NAME or the config file")
     registry = load_registry(cfg["registry"]) if cfg.get("registry") else None
-    label_column = entry.get("label_column")
-    if isinstance(label_column, str) and label_column.isdigit():
-        label_column = int(label_column)
     ds = resolve_dataset(
         entry["path"],
         registry=registry,
-        label_column=label_column,
+        label_column=entry.get("label_column"),
         delimiter=entry.get("delimiter", ","),
         header=entry.get("header", "auto"),
     )
@@ -161,9 +157,9 @@ def _write_csv(path, header, rows) -> None:
             fh.write(",".join(str(v) for v in row) + "\n")
 
 
-def _write_report(path, report) -> None:
+def _write_report(path, cells) -> None:
     _write_csv(path, ("selector", "classifier", "budget", "seed", "accuracy"),
-               [(c.selector, c.classifier, c.budget, c.seed, c.accuracy) for c in report.cells])
+               [(c.selector, c.classifier, c.budget, c.seed, c.accuracy) for c in cells])
 
 
 def cmd_select(args) -> int:
@@ -202,9 +198,9 @@ def cmd_evaluate(args) -> int:
     specs, protocol = _selector_specs(cfg), _protocol(cfg)
     ds = _load_dataset(cfg)
     out = _out_dir(cfg)
-    report = run_protocol(ds, specs, protocol)
-    summary = report.summary()
-    _write_report(os.path.join(out, "report.csv"), report)
+    cells = run_protocol(ds, specs, protocol)
+    summary = summarize(cells)
+    _write_report(os.path.join(out, "report.csv"), cells)
     _write_csv(os.path.join(out, "means.csv"),
                ("selector", "classifier", "budget", "mean_accuracy"),
                [(sel, clf, b, mean) for sel, by_clf in summary.items()
@@ -232,11 +228,9 @@ def cmd_grid(args) -> int:
     for alpha, beta, lam in itertools.product(*(sorted(v) for v in axes)):
         model_opts = {**cfg.get("model", {}), "alpha": alpha, "beta": beta, "lam": lam}
         spec = SelectorSpec("allg", model_opts)
-        report = run_protocol(ds, [spec], protocol)
-        mean = float(
-            sum(report.grand_mean("allg", clf) for clf in report.classifiers())
-            / len(report.classifiers())
-        )
+        averages = [means["average"]
+                    for means in summarize(run_protocol(ds, [spec], protocol))["allg"].values()]
+        mean = float(sum(averages) / len(averages))
         rows.append((alpha, beta, lam, mean))
         print(f"alpha={alpha} beta={beta} lambda={lam}: mean accuracy {mean:.4f}")
     best = max(rows, key=lambda r: (r[3], (-r[0], -r[1], -r[2])))
@@ -256,11 +250,11 @@ def cmd_ablate(args) -> int:
     protocol = _protocol(cfg)
     ds = _load_dataset(cfg)
     out = _out_dir(cfg)
-    report = run_protocol(ds, specs, protocol)
-    summary = report.summary()
-    _write_report(os.path.join(out, "ablation_report.csv"), report)
+    cells = run_protocol(ds, specs, protocol)
+    summary = summarize(cells)
+    _write_report(os.path.join(out, "ablation_report.csv"), cells)
     _write_csv(os.path.join(out, "ablation.csv"),
-               ("variant", "classifier", *report.budgets(), "average"),
+               ("variant", "classifier", *protocol.budgets, "average"),
                [(variant, clf, *(f"{m:.6f}" for m in means["budgets"].values()),
                  f"{means['average']:.6f}")
                 for variant, by_clf in summary.items() for clf, means in by_clf.items()])

@@ -306,16 +306,21 @@ def load_registry(path) -> dict:
 
 def resolve_dataset(ref: str, registry: dict | None = None, label_column=None,
                     delimiter: str = ",", header="auto") -> Dataset:
-    """Load a dataset given a CSV path or a registry name."""
+    """Load a dataset given a CSV path or a registry name.
+
+    A registry entry's own keys win over the arguments.  A digit-string
+    label column, from either, is a column index.
+    """
+    name = None
     if registry is not None and ref in registry:
-        entry = registry[ref]
-        return load_csv(
-            entry["path"],
-            label_column=entry.get("label_column", label_column),
-            delimiter=entry.get("delimiter", delimiter),
-            header=entry.get("header", header),
-            name=ref,
-        )
-    if os.path.exists(ref):
-        return load_csv(ref, label_column=label_column, delimiter=delimiter, header=header)
-    raise DataError(f"dataset {ref!r} is neither a file nor a registry entry")
+        entry, name = registry[ref], ref
+        ref = entry["path"]
+        label_column = entry.get("label_column", label_column)
+        delimiter = entry.get("delimiter", delimiter)
+        header = entry.get("header", header)
+    elif not os.path.exists(ref):
+        raise DataError(f"dataset {ref!r} is neither a file nor a registry entry")
+    if isinstance(label_column, str) and label_column.isdigit():
+        label_column = int(label_column)
+    return load_csv(ref, label_column=label_column, delimiter=delimiter, header=header,
+                    name=name)

@@ -7,14 +7,14 @@ train the classifiers.  Accuracy on the untouched test set measures how
 representative the selection was.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .baselines import SelectorSpec, select_dcs, select_kmeans, select_random
+from .baselines import select_dcs, select_kmeans, select_random
 from .data import Dataset, SplitSpec, apply_standardization, split, standardize
 from .errors import ConfigError, DataError
-from .model import config_from_options
+from .model import ModelConfig, check_options, config_from_options
 from .rng import derive_seed
 from .training import run_selection
 
@@ -142,24 +142,26 @@ class Protocol:
     def __post_init__(self):
         object.__setattr__(self, "budgets", tuple(int(b) for b in self.budgets))
         object.__setattr__(self, "classifiers", tuple(self.classifiers))
-        if not self.budgets or list(self.budgets) != sorted(self.budgets):
-            raise ConfigError(f"budgets must be non-empty and ascending, got {self.budgets}")
+        seeds = range(self.runs) if self.seeds is None else self.seeds
+        object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
+        if not self.budgets or list(self.budgets) != sorted(set(self.budgets)):
+            raise ConfigError(f"budgets must be non-empty and strictly ascending, "
+                              f"got {self.budgets}")
         if self.budgets[0] < 1:
             raise ConfigError("budgets must be positive")
         for key, ok, rule in (("svm_c", self.svm_c > 0, "> 0"),
                               ("logreg_reg", self.logreg_reg >= 0, ">= 0"),
                               ("svm_sweeps", self.svm_sweeps >= 1, ">= 1"),
                               ("logreg_max_iter", self.logreg_max_iter >= 1, ">= 1"),
-                              ("runs", self.runs >= 1, ">= 1")):
+                              ("runs", self.runs >= 1, ">= 1"),
+                              ("candidate_fraction", 0 < self.candidate_fraction <= 1,
+                               "in (0, 1]"),
+                              ("seeds", min(self.seeds, default=0) >= 0, ">= 0 throughout")):
             if not ok:
                 raise ConfigError(f"protocol key {key!r} must be {rule}, got {getattr(self, key)!r}")
         for c in self.classifiers:
             if c not in CLASSIFIERS:
                 raise ConfigError(f"unknown classifier {c!r}; expected subset of {CLASSIFIERS}")
-        if self.seeds is None:
-            object.__setattr__(self, "seeds", tuple(range(self.runs)))
-        else:
-            object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if len(self.seeds) != self.runs:
             raise ConfigError(f"runs={self.runs} but {len(self.seeds)} seeds given")
 
@@ -180,61 +182,29 @@ class EvalCell:
     accuracy: float
 
 
-class EvalReport:
-    """Accuracy cells plus their per-budget means and grand means."""
+def summarize(cells: list) -> dict:
+    """{selector: {classifier: {"budgets": {"<b>": mean}, "average": mean}}} of `cells`.
 
-    def __init__(self, cells: list):
-        self.cells = list(cells)
-
-    def __len__(self):
-        return len(self.cells)
-
-    def selectors(self) -> list:
-        seen = {}
-        for c in self.cells:
-            seen.setdefault(c.selector, None)
-        return list(seen)
-
-    def classifiers(self) -> list:
-        seen = {}
-        for c in self.cells:
-            seen.setdefault(c.classifier, None)
-        return list(seen)
-
-    def budgets(self) -> list:
-        return sorted({c.budget for c in self.cells})
-
-    def accuracies(self, selector: str, classifier: str, budget: int) -> list:
-        return [c.accuracy for c in self.cells
-                if c.selector == selector and c.classifier == classifier
-                and c.budget == budget]
-
-    def mean_accuracy(self, selector: str, classifier: str, budget: int) -> float:
-        accs = self.accuracies(selector, classifier, budget)
-        if not accs:
-            raise KeyError(f"no cells for ({selector}, {classifier}, {budget})")
-        return float(np.mean(accs))
-
-    def grand_mean(self, selector: str, classifier: str) -> float:
-        """Mean over budgets of per-budget means (the 'Average' column)."""
-        means = [self.mean_accuracy(selector, classifier, b) for b in self.budgets()]
-        return float(np.mean(means))
-
-    def summary(self) -> dict:
-        out = {}
-        for sel in self.selectors():
-            out[sel] = {}
-            for clf in self.classifiers():
-                out[sel][clf] = {
-                    "budgets": {str(b): self.mean_accuracy(sel, clf, b)
-                                for b in self.budgets()},
-                    "average": self.grand_mean(sel, clf),
-                }
-        return out
+    Selectors and classifiers keep the order in which the cells first name
+    them and budgets ascend.  Each budget mean is np.mean of that budget's
+    accuracies in cell order; "average" is the mean of the budget means.
+    """
+    groups = {}
+    for c in cells:
+        by_budget = groups.setdefault(c.selector, {}).setdefault(c.classifier, {})
+        by_budget.setdefault(c.budget, []).append(c.accuracy)
+    out = {}
+    for sel, by_clf in groups.items():
+        out[sel] = {}
+        for clf, by_budget in by_clf.items():
+            means = {str(b): float(np.mean(by_budget[b])) for b in sorted(by_budget)}
+            out[sel][clf] = {"budgets": means, "average": float(np.mean(list(means.values())))}
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Selectors: kind -> fn(x, params, seed) -> full ranking of the columns of x
+# Selectors: kind -> (fn(x, params, seed) -> full ranking of the columns of x,
+#                     params table for check_options; every kind also takes "name")
 # ---------------------------------------------------------------------------
 
 def _allg_config(params: dict, d: int, seed: int):
@@ -252,22 +222,44 @@ def _rank_allg(x: np.ndarray, params: dict, seed: int) -> list:
     return result.ranked_indices
 
 
-RANKERS = {
-    "random": lambda x, params, seed: select_random(x.shape[1], x.shape[1], seed),
-    "kmeans": lambda x, params, seed: select_kmeans(x, x.shape[1], k=params.get("K", 5),
-                                                    seed=seed),
-    "dcs": lambda x, params, seed: select_dcs(x, x.shape[1], rank=params.get("rank", 5)),
-    "allg": _rank_allg,
+SELECTORS = {
+    "random": (lambda x, params, seed: select_random(x.shape[1], x.shape[1], seed), {}),
+    "kmeans": (lambda x, params, seed: select_kmeans(x, x.shape[1], k=params.get("K", 5),
+                                                     seed=seed), {"K": int}),
+    "dcs": (lambda x, params, seed: select_dcs(x, x.shape[1], rank=params.get("rank", 5)),
+            {"rank": int}),
+    "allg": (_rank_allg, {f.name: f.type for f in fields(ModelConfig)}),
 }
+
+
+@dataclass
+class SelectorSpec:
+    """A selector kind of `SELECTORS` plus its per-kind parameters."""
+
+    kind: str
+    params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind not in SELECTORS:
+            raise ConfigError(f"unknown selector {self.kind!r}; known: {sorted(SELECTORS)}")
+        check_options({"name": str, **SELECTORS[self.kind][1]}, self.params,
+                      f"{self.kind} params")
+        for key in ("K", "rank"):
+            if self.params.get(key, 1) < 1:
+                raise ConfigError(f"{self.kind} {key} must be >= 1, got {self.params[key]}")
+
+    @property
+    def label(self) -> str:
+        return self.params.get("name", self.kind)
 
 
 def rank_candidates(x: np.ndarray, spec: SelectorSpec, seed: int) -> list:
     """Full ranking of the columns of x by the selector `spec`."""
-    return RANKERS[spec.kind](x, spec.params, seed)
+    return SELECTORS[spec.kind][0](x, spec.params, seed)
 
 
-def run_protocol(ds: Dataset, selectors: list, protocol: Protocol) -> EvalReport:
-    """Run the full benchmark; returns one EvalReport over all cells.
+def run_protocol(ds: Dataset, selectors: list, protocol: Protocol) -> list:
+    """Run the full benchmark; returns its EvalCells (see `summarize`).
 
     Selector randomness is derived per (run seed, selector label), so the
     cells of one selector are unaffected by adding another.
@@ -302,4 +294,4 @@ def run_protocol(ds: Dataset, selectors: list, protocol: Protocol) -> EvalReport
                 for clf in protocol.classifiers:
                     acc = protocol.classify(clf, x_train, y_train, test_std.features, test.labels)
                     cells.append(EvalCell(spec.label, clf, budget, seed, acc))
-    return EvalReport(cells)
+    return cells

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .graph import knn_graph
-from .model import ModelConfig, build_loss_graph, init_encoder_decoder, wrap_params
+from .model import ModelConfig, build_loss_graph, init_encoder_decoder
 from .rng import substream
 
 OP_TOLERANCE = 1e-6
@@ -169,21 +169,8 @@ def composite_setup(n: int = 12, d: int = 8, latent: int = 4, seed: int = 0):
 
 def check_composite(eps=1e-5, seed: int = 0):
     cfg, params, x, a0 = composite_setup(seed=seed)
-    arrays = params.to_dict()
-
-    def total_of(arrs):
-        tape = ad.Tape()
-        pv = {k: tape.var(v, requires_grad=True) for k, v in arrs.items()}
-        losses, _ = build_loss_graph(tape, pv, tape.var(x), tape.var(a0), cfg)
-        return losses["total"]
-
-    tape = ad.Tape()
-    pv = wrap_params(tape, params, cfg, trainable=True)
-    losses, _ = build_loss_graph(tape, pv, tape.var(x), tape.var(a0), cfg)
-    tape.backward(losses["total"])
-    fd = finite_diff_grads(lambda arrs: total_of(arrs).item(), arrays, eps)
-    err = max(relative_error(pv[k].grad, fd[k]) for k in arrays)
-    return OpReport("composite_total_loss", err, COMPOSITE_TOLERANCE)
+    build = lambda tape, lv: build_loss_graph(tape, lv, tape.var(x), tape.var(a0), cfg)[0]["total"]
+    return _check("composite_total_loss", build, params.to_dict(), eps, COMPOSITE_TOLERANCE)
 
 
 def run_all(eps: float = 1e-5, seed: int = 7, corrupt_matmul: bool = False) -> list:

@@ -238,12 +238,6 @@ class ModelParams:
             q=None if self.q is None else self.q.copy(),
         )
 
-    @property
-    def n_candidates(self) -> int:
-        if self.q is None:
-            raise ValueError("selection matrix Q not initialized yet")
-        return self.q.shape[0]
-
 
 def init_encoder_decoder(cfg: ModelConfig, rng=None) -> ModelParams:
     """Symmetric-uniform (fan-based) init of encoder and mirrored decoder."""

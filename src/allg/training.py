@@ -30,7 +30,7 @@ def _check_finite(value: float, epoch: int, stage: str) -> None:
         raise NumericalError(f"non-finite loss {value!r} at {stage} epoch {epoch}")
 
 
-def pretrain(x: np.ndarray, cfg: ModelConfig, params: ModelParams | None = None) -> ModelParams:
+def pretrain(x: np.ndarray, cfg: ModelConfig) -> ModelParams:
     """Stage 1: minimize the plain autoencoder reconstruction loss.
 
     Adjacency matrices and Q are untouched; the decoder reads the latent
@@ -39,10 +39,7 @@ def pretrain(x: np.ndarray, cfg: ModelConfig, params: ModelParams | None = None)
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != cfg.input_dim:
         raise ValueError(f"x has {x.shape[0]} rows but encoder expects {cfg.input_dim}")
-    if params is None:
-        params = init_encoder_decoder(cfg)
-    else:
-        params = params.copy()
+    params = init_encoder_decoder(cfg)
     arrays = {k: v for k, v in params.to_dict().items()
               if k.startswith("enc_") or k.startswith("dec_")}
     state = ad.adam_init(arrays)

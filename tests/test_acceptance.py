@@ -16,7 +16,7 @@ import pytest
 
 import allg
 from allg.cli import main
-from allg.evaluate import Protocol, run_protocol
+from allg.evaluate import Protocol, run_protocol, summarize
 from allg.gradcheck import COMPOSITE_TOLERANCE, OP_TOLERANCE, run_all
 from oracles import (
     brute_force_knn_adjacency,
@@ -166,10 +166,10 @@ def test_criterion_6_selection_beats_random_on_blobs():
              "prior_normalize": "col"}
     proto = Protocol(budgets=(15,), runs=5, classifiers=("logistic_regression",),
                      seeds=(0, 1, 2, 3, 4))
-    report = run_protocol(ds, [allg.SelectorSpec("random"),
-                               allg.SelectorSpec("allg", params=model)], proto)
-    ours = report.mean_accuracy("allg", "logistic_regression", 15)
-    base = report.mean_accuracy("random", "logistic_regression", 15)
+    summary = summarize(run_protocol(ds, [allg.SelectorSpec("random"),
+                                          allg.SelectorSpec("allg", params=model)], proto))
+    ours = summary["allg"]["logistic_regression"]["budgets"]["15"]
+    base = summary["random"]["logistic_regression"]["budgets"]["15"]
     _report(6, "ALLG top-15 trains LR at least as well as random selection",
             ours >= base, f" (allg {ours:.4f} vs random {base:.4f})")
 
@@ -185,8 +185,8 @@ def test_criterion_7_splice_reproduction():
     for alpha, beta, lam in itertools.product((0.1, 1.0, 10.0), repeat=3):
         spec = allg.SelectorSpec("allg", params=_splice_model(alpha, beta, lam,
                                                               train_epochs=1000))
-        rep = run_protocol(ds, [spec], grid_proto)
-        mean = rep.grand_mean("allg", "logistic_regression")
+        summary = summarize(run_protocol(ds, [spec], grid_proto))
+        mean = summary["allg"]["logistic_regression"]["average"]
         if mean > best_mean:
             best, best_mean = (alpha, beta, lam), mean
     print(f"grid best (alpha, beta, lambda) = {best} at {best_mean:.4f}")
@@ -194,9 +194,9 @@ def test_criterion_7_splice_reproduction():
     proto = Protocol(budgets=budgets, runs=5, seeds=(0, 1, 2, 3, 4),
                      classifiers=("logistic_regression",))
     spec = allg.SelectorSpec("allg", params=_splice_model(*best))
-    report = run_protocol(ds, [spec], proto)
-    grand = report.grand_mean("allg", "logistic_regression")
-    at125 = report.mean_accuracy("allg", "logistic_regression", 125)
+    allg_means = summarize(run_protocol(ds, [spec], proto))["allg"]["logistic_regression"]
+    grand = allg_means["average"]
+    at125 = allg_means["budgets"]["125"]
     ok_grand = abs(grand - 0.7703) <= 0.05
     ok_125 = abs(at125 - 0.7756) <= 0.05
 
@@ -205,8 +205,8 @@ def test_criterion_7_splice_reproduction():
     order = ("no_graph", "knn_only", "one_matrix", "distinct_two", "full")
     specs = [allg.SelectorSpec("allg", params={**_splice_model(*best), "variant": v, "name": v})
              for v in order]
-    ab_report = run_protocol(ds, specs, proto)
-    means = {v: ab_report.grand_mean(v, "logistic_regression") for v in order}
+    ab_summary = summarize(run_protocol(ds, specs, proto))
+    means = {v: ab_summary[v]["logistic_regression"]["average"] for v in order}
     pairs = sum(means[hi] >= means[lo]
                 for lo, hi in zip(order[:-1], order[1:]))
     ok = ok_grand and ok_125 and pairs >= 3

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import allg
-from allg.baselines import SELECTOR_PARAMS, kmeans_fit
+from allg.baselines import kmeans_fit
 from allg.errors import ConfigError
-from allg.evaluate import RANKERS, rank_candidates
+from allg.evaluate import SELECTORS, rank_candidates
 from oracles import gram_leverage_scores
 
 
@@ -96,8 +96,7 @@ class TestRegistry:
         params = {"random": {}, "kmeans": {"K": 3}, "dcs": {"rank": 2},
                   "allg": {"encoder_dims": (4, 4, 3), "pretrain_epochs": 10,
                            "train_epochs": 10, "knn_k": 3}}
-        # A kind needs both a ranker and a params table.
-        assert set(params) == set(RANKERS) == set(SELECTOR_PARAMS)
+        assert set(params) == set(SELECTORS)
         for kind, p in params.items():
             ranking = rank_candidates(x, allg.SelectorSpec(kind, params=p), seed=5)
             assert sorted(ranking) == list(range(12)), kind

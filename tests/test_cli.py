@@ -198,7 +198,7 @@ class TestAblate:
     def test_full_variant_beats_no_graph_on_noisy_blobs(self):
         # property mirroring the ablation table's ordering on a fixture
         # noisy enough that graph smoothing matters
-        from allg.evaluate import Protocol, run_protocol
+        from allg.evaluate import Protocol, run_protocol, summarize
         ds = allg.make_blobs(100, 3, d=8, spread=4.5, seed=11)
         model = {"encoder_dims": (8, 16, 8), "pretrain_epochs": 1000,
                  "train_epochs": 1000, "knn_k": 5, "alpha": 10.0, "beta": 10.0,
@@ -208,9 +208,9 @@ class TestAblate:
                          seeds=(0, 1, 2, 3, 4))
         specs = [allg.SelectorSpec("allg", params={**model, "variant": v, "name": v})
                  for v in ("no_graph", "full")]
-        rep = run_protocol(ds, specs, proto)
-        assert (rep.grand_mean("full", "logistic_regression")
-                >= rep.grand_mean("no_graph", "logistic_regression"))
+        summary = summarize(run_protocol(ds, specs, proto))
+        assert (summary["full"]["logistic_regression"]["average"]
+                >= summary["no_graph"]["logistic_regression"]["average"])
 
 
 class TestGradcheckCommand:
@@ -321,6 +321,8 @@ class TestExitCodes:
         ("evaluate", {"protocol": {"logreg_max_iter": 0}}, "logreg_max_iter"),
         ("evaluate", {"protocol": {"runs": 0}}, "runs"),
         ("ablate", {"protocol": {"runs": 0}}, "runs"),
+        ("evaluate", {"protocol": {"candidate_fraction": 2}}, "candidate_fraction"),
+        ("evaluate", {"protocol": {"seeds": [-1], "runs": 1}}, "seeds"),
     ], ids=["protocol_key_evaluate", "protocol_key_grid", "protocol_list_evaluate",
             "protocol_list_grid", "model_list_evaluate", "model_list_select",
             "model_list_grid", "selectors_string", "grid_list", "grid_scalar_axis",
@@ -330,7 +332,8 @@ class TestExitCodes:
             "top_level_key", "dataset_key", "selector_entry_key", "kmeans_params_key",
             "encoder_dims_width_select", "encoder_dims_width_evaluate", "grid_empty_axis",
             "svm_c_negative", "svm_c_zero_grid", "logreg_reg_negative", "svm_sweeps_zero",
-            "logreg_max_iter_zero", "runs_zero", "runs_zero_ablate"])
+            "logreg_max_iter_zero", "runs_zero", "runs_zero_ablate",
+            "candidate_fraction_above_one", "seeds_negative"])
     def test_malformed_config_block(self, tmp_path, blobs_csv, capsys, command, payload,
                                     culprit):
         cfg = _write_config(tmp_path, payload)
@@ -345,6 +348,15 @@ class TestExitCodes:
         assert main(["select", "--registry", str(registry), "--dataset", "x",
                      "--out", str(tmp_path / "o")]) == 2
         assert "'delimiter'" in capsys.readouterr().err
+
+    def test_registry_digit_label_column_is_an_index(self, tmp_path, blobs_csv):
+        # blobs.csv holds four feature columns and then the label, column 4.
+        registry = tmp_path / "reg.json"
+        registry.write_text(json.dumps({"x": {"path": blobs_csv, "label_column": "4"}}),
+                            encoding="utf-8")
+        assert main(["evaluate", "--registry", str(registry), "--dataset", "x",
+                     "--selector", "random", "--budgets", "4",
+                     "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("model, selector, out_is_file, culprit", [
         ({"alpha": "x"}, "random,kmeans,dcs,allg", False, "alpha"),

@@ -6,7 +6,7 @@ import pytest
 import allg
 from allg.cli import main
 from allg.errors import ConfigError, DataError
-from allg.evaluate import EvalCell, EvalReport, Protocol, _augment, _svm_weights, run_protocol
+from allg.evaluate import EvalCell, Protocol, _augment, _svm_weights, run_protocol, summarize
 
 from oracles import svm_weights_reference
 
@@ -150,27 +150,46 @@ class TestProtocolConfig:
         with pytest.raises(ConfigError):
             Protocol(budgets=(50, 25))
 
+    def test_repeated_budget_rejected(self):
+        # A repeated budget would count its cells twice and give ablation.csv
+        # one more budget column than each row has means.
+        with pytest.raises(ConfigError, match="strictly ascending"):
+            Protocol(budgets=(25, 25, 50))
+
     def test_unknown_classifier(self):
         with pytest.raises(ConfigError):
             Protocol(classifiers=("forest",))
 
 
-class TestEvalReport:
+class TestSummarize:
     def test_average_is_mean_of_budget_means(self):
         cells = [
             EvalCell("s", "c", 5, 0, 0.5), EvalCell("s", "c", 5, 1, 0.7),
             EvalCell("s", "c", 10, 0, 0.8), EvalCell("s", "c", 10, 1, 1.0),
         ]
-        rep = EvalReport(cells)
-        assert rep.mean_accuracy("s", "c", 5) == pytest.approx(0.6)
-        assert rep.mean_accuracy("s", "c", 10) == pytest.approx(0.9)
-        assert rep.grand_mean("s", "c") == pytest.approx(0.75)
+        means = summarize(cells)["s"]["c"]
+        assert means["budgets"]["5"] == pytest.approx(0.6)
+        assert means["budgets"]["10"] == pytest.approx(0.9)
+        assert means["average"] == pytest.approx(0.75)
+
+    def test_order_of_first_mention_and_numeric_budgets(self):
+        """Selectors and classifiers keep first-seen order; budgets sort as numbers."""
+        cells = [EvalCell(sel, clf, budget, seed, 0.25 * seed + 0.01 * budget)
+                 for budget in (100, 5, 25) for seed in (0, 1)
+                 for sel in ("zeta", "alpha") for clf in ("svm", "lr")]
+        summary = summarize(cells)
+        assert list(summary) == ["zeta", "alpha"]
+        for sel in summary:
+            assert list(summary[sel]) == ["svm", "lr"]
+            for means in summary[sel].values():
+                assert list(means["budgets"]) == ["5", "25", "100"]
+                assert means["budgets"]["25"] == float(np.mean([0.25, 0.5]))
+                assert means["average"] == float(np.mean(list(means["budgets"].values())))
 
     def test_csv_and_summary_files(self, tmp_path, monkeypatch):
-        """`allg evaluate` writes its report's cells, means and summary."""
+        """`allg evaluate` writes its cells, means and summary."""
         cells = [EvalCell("s", "c", 5, 0, 0.5)]
-        rep = EvalReport(cells)
-        monkeypatch.setattr(allg.cli, "run_protocol", lambda ds, specs, protocol: rep)
+        monkeypatch.setattr(allg.cli, "run_protocol", lambda ds, specs, protocol: cells)
         data, out = tmp_path / "pool.csv", tmp_path / "out"
         allg.save_csv(allg.make_blobs(5, 2, d=2, seed=0), data)
         assert main(["evaluate", "--dataset", str(data), "--label-column", "label",
@@ -192,8 +211,8 @@ class TestRunProtocol:
         proto = Protocol(budgets=(5, 10), runs=2, classifiers=("logistic_regression",),
                          logreg_max_iter=300, seeds=(0, 1))
         specs = [allg.SelectorSpec("random"), allg.SelectorSpec("kmeans", params={"K": 3})]
-        rep = run_protocol(labeled, specs, proto)
-        assert len(rep) == 2 * 2 * 1 * 2  # selectors x budgets x classifiers x runs
+        cells = run_protocol(labeled, specs, proto)
+        assert len(cells) == 2 * 2 * 1 * 2  # selectors x budgets x classifiers x runs
 
     def test_saturated_budget_equalizes_selectors(self, labeled):
         # with m = full candidate set every selector trains on the same data
@@ -201,9 +220,9 @@ class TestRunProtocol:
                          logreg_max_iter=500, seeds=(0, 1))
         specs = [allg.SelectorSpec("random"), allg.SelectorSpec("kmeans", params={"K": 3}),
                  allg.SelectorSpec("dcs")]
-        rep = run_protocol(labeled, specs, proto)
+        cells = run_protocol(labeled, specs, proto)
         for seed in (0, 1):
-            accs = {c.selector: c.accuracy for c in rep.cells if c.seed == seed}
+            accs = {c.selector: c.accuracy for c in cells if c.seed == seed}
             assert len(set(accs.values())) == 1
 
     def test_bitwise_deterministic(self, labeled):
@@ -212,16 +231,16 @@ class TestRunProtocol:
         specs = [allg.SelectorSpec("random")]
         r1 = run_protocol(labeled, specs, proto)
         r2 = run_protocol(labeled, specs, proto)
-        assert [c.accuracy for c in r1.cells] == [c.accuracy for c in r2.cells]
+        assert [c.accuracy for c in r1] == [c.accuracy for c in r2]
 
     def test_monotone_trend_small_to_large_budget(self, labeled):
         proto = Protocol(budgets=(4, 24), runs=3, classifiers=("logistic_regression",),
                          logreg_max_iter=500, seeds=(0, 1, 2))
         specs = [allg.SelectorSpec("random"), allg.SelectorSpec("kmeans", params={"K": 3})]
-        rep = run_protocol(labeled, specs, proto)
+        summary = summarize(run_protocol(labeled, specs, proto))
         for spec in specs:
-            lo = rep.mean_accuracy(spec.label, "logistic_regression", 4)
-            hi = rep.mean_accuracy(spec.label, "logistic_regression", 24)
+            lo = summary[spec.label]["logistic_regression"]["budgets"]["4"]
+            hi = summary[spec.label]["logistic_regression"]["budgets"]["24"]
             assert hi >= lo
 
     def test_unlabeled_dataset_rejected(self, rng):
@@ -248,7 +267,7 @@ class TestRunProtocol:
             allg.SelectorSpec("allg", params=dict(model)),
             allg.SelectorSpec("allg", params={**model, "name": "allg_latent"}),
         ]
-        rep = run_protocol(labeled, specs, proto)
-        assert set(rep.selectors()) == {"allg", "allg_latent"}
-        for cell in rep.cells:
+        cells = run_protocol(labeled, specs, proto)
+        assert set(summarize(cells)) == {"allg", "allg_latent"}
+        for cell in cells:
             assert 0.0 <= cell.accuracy <= 1.0
