@@ -43,13 +43,8 @@ from .model import (
     forward,
     init_encoder_decoder,
     load_checkpoint,
-    loss_adjacency,
-    loss_propagation,
-    loss_reconstruction,
-    loss_selection,
     rank,
     save_checkpoint,
-    sup_norm_rows_value,
 )
 from .rng import derive_seed, substream
 from .training import pretrain, reconstruction_loss, run_selection, train
@@ -68,9 +63,7 @@ __all__ = [
     "PriorGraph", "knn_graph", "normalize_adjacency",
     "ForwardCache", "ModelConfig", "ModelParams", "SelectionResult",
     "default_encoder_dims", "forward", "init_encoder_decoder",
-    "load_checkpoint", "loss_adjacency", "loss_propagation",
-    "loss_reconstruction", "loss_selection", "rank",
-    "save_checkpoint", "sup_norm_rows_value",
+    "load_checkpoint", "rank", "save_checkpoint",
     "derive_seed", "substream",
     "pretrain", "reconstruction_loss", "run_selection", "train",
     "__version__",

@@ -80,6 +80,7 @@ def _gather(args) -> dict:
     for block, table in (("dataset", DATASET_KEYS), ("model", ModelConfig),
                          ("protocol", Protocol), ("grid", GRID_KEYS)):
         check_options(table, cfg.get(block, {}), block)
+    _selector_specs(cfg)
     return cfg
 
 
@@ -218,8 +219,8 @@ def cmd_grid(args) -> int:
     grid = cfg.get("grid", {})
     axes = [grid.get(name, [0.1, 1.0, 10.0]) for name in GRID_AXES]
     for name, values in zip(GRID_AXES, axes):
-        if not values:
-            raise ConfigError(f"grid {name!r} must not be empty")
+        if not values or len(set(values)) != len(values):
+            raise ConfigError(f"grid {name!r} must be non-empty without repeats, got {values}")
     # One fixed validation seed for the whole sweep.
     protocol = dataclasses.replace(_protocol(cfg), runs=1, seeds=(cfg["seed"],))
     ds = _load_dataset(cfg)

@@ -272,10 +272,14 @@ def run_protocol(ds: Dataset, selectors: list, protocol: Protocol) -> list:
     # Rankers never see labels, so the one dataset-derived default lives here.
     selectors = [SelectorSpec(s.kind, {"rank": ds.n_classes, **s.params}) if s.kind == "dcs"
                  else s for s in selectors]
-    # An ALLG model depends on the data's width, so it is built here, before any selector runs.
+    # An ALLG model and a DCS rank depend on the data's width, so both are checked here,
+    # before any selector runs.
     for s in selectors:
         if s.kind == "allg":
             _allg_config(s.params, ds.dim, seed=0)
+        elif s.kind == "dcs" and s.params["rank"] > ds.dim:
+            raise ConfigError(f"dcs params key 'rank' must be at most the data's {ds.dim} "
+                              f"features, got {s.params['rank']}")
     cells = []
     for seed in protocol.seeds:
         cand, test, _ = split(ds, SplitSpec(protocol.candidate_fraction, seed))

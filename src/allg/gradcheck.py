@@ -75,23 +75,11 @@ def _scalarize(tape, out, shift):
     return ad.frob_sq(ad.add(out, tape.var(shift)))
 
 
-def check_matmul(rng, eps=1e-5, corrupt=False):
+def check_matmul(rng, eps=1e-5):
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4, 2))
     shift = rng.normal(size=(3, 2))
-
-    if corrupt:
-        # Deliberately mis-scaled rule, used to prove the harness reports
-        # failures.
-        def bad_matmul(x, y):
-            xv, yv = x.value, y.value
-            return x.tape._record(
-                xv @ yv, ((x, lambda g: 1.01 * (g @ yv.T)),
-                          (y, lambda g: 0.99 * (xv.T @ g))))
-
-        build = lambda tape, lv: _scalarize(tape, bad_matmul(lv["a"], lv["b"]), shift)
-    else:
-        build = lambda tape, lv: _scalarize(tape, ad.matmul(lv["a"], lv["b"]), shift)
+    build = lambda tape, lv: _scalarize(tape, ad.matmul(lv["a"], lv["b"]), shift)
     return _check("matmul", build, {"a": a, "b": b}, eps, OP_TOLERANCE)
 
 
@@ -173,11 +161,11 @@ def check_composite(eps=1e-5, seed: int = 0):
     return _check("composite_total_loss", build, params.to_dict(), eps, COMPOSITE_TOLERANCE)
 
 
-def run_all(eps: float = 1e-5, seed: int = 7, corrupt_matmul: bool = False) -> list:
+def run_all(eps: float = 1e-5, seed: int = 7) -> list:
     """Every op check plus the composite loss check, in a fixed order."""
     rng = substream(seed, "gradcheck")
     return [
-        check_matmul(rng, eps, corrupt=corrupt_matmul),
+        check_matmul(rng, eps),
         check_affine(rng, eps),
         check_relu(rng, eps),
         check_frob_sq(rng, eps),

@@ -399,56 +399,6 @@ def forward(params: ModelParams, x: np.ndarray, cfg: ModelConfig,
 
 
 # ---------------------------------------------------------------------------
-# Loss terms as plain numpy functions (reporting / verification surface)
-# ---------------------------------------------------------------------------
-
-def loss_reconstruction(x: np.ndarray, x_hat: np.ndarray) -> float:
-    """||x - x_hat||_F^2."""
-    x, x_hat = np.asarray(x), np.asarray(x_hat)
-    if x.shape != x_hat.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
-    diff = x - x_hat
-    return float(np.sum(diff * diff))
-
-
-def loss_adjacency(a1: np.ndarray, a0: np.ndarray, alpha: float, beta: float) -> float:
-    """alpha ||A_1||_F^2 + beta ||A_1 - A_0||_F^2."""
-    a1, a0 = np.asarray(a1), np.asarray(a0)
-    if a1.shape != a0.shape:
-        raise ValueError(f"shape mismatch: {a1.shape} vs {a0.shape}")
-    diff = a1 - a0
-    return float(alpha * np.sum(a1 * a1) + beta * np.sum(diff * diff))
-
-
-def loss_propagation(matrices, alpha_p: float, beta_p: float) -> float:
-    """sum_{l>=2} alpha' ||A_l||_F^2 + beta' ||A_l - A_{l-1}||_F^2 (0 if N=1)."""
-    matrices = [np.asarray(a) for a in matrices]
-    if not matrices:
-        raise ValueError("at least one adjacency matrix required")
-    total = 0.0
-    for prev, cur in zip(matrices[:-1], matrices[1:]):
-        if prev.shape != cur.shape:
-            raise ValueError(f"shape mismatch: {prev.shape} vs {cur.shape}")
-        diff = cur - prev
-        total += alpha_p * np.sum(cur * cur) + beta_p * np.sum(diff * diff)
-    return float(total)
-
-
-def sup_norm_rows_value(q: np.ndarray) -> float:
-    """sum_i max_j |q_ij|."""
-    return float(np.sum(np.max(np.abs(np.asarray(q)), axis=1)))
-
-
-def loss_selection(s_out: np.ndarray, q: np.ndarray, lam: float) -> float:
-    """||S_out - S_out Q||_F^2 + lambda * sum_i max_j |Q_ij|."""
-    s_out, q = np.asarray(s_out), np.asarray(q)
-    if q.shape[0] != q.shape[1] or q.shape[0] != s_out.shape[1]:
-        raise ValueError(f"Q must be square with side = columns of S_out, got {q.shape}")
-    diff = s_out - s_out @ q
-    return float(np.sum(diff * diff) + lam * sup_norm_rows_value(q))
-
-
-# ---------------------------------------------------------------------------
 # Ranking
 # ---------------------------------------------------------------------------
 

@@ -18,13 +18,8 @@ import allg
 from allg.cli import main
 from allg.evaluate import Protocol, run_protocol, summarize
 from allg.gradcheck import COMPOSITE_TOLERANCE, OP_TOLERANCE, run_all
-from oracles import (
-    brute_force_knn_adjacency,
-    naive_loss_adjacency,
-    naive_loss_propagation,
-    naive_loss_selection,
-    naive_frob_sq,
-)
+from allg.model import VARIANTS
+from oracles import brute_force_knn_adjacency, straight_line_forward
 
 SPLICE_ENV = "ALLG_SPLICE_CSV"
 
@@ -73,29 +68,34 @@ def test_criterion_1_gradient_correctness():
             ok, f" (worst rel err {worst:.2e}, {elapsed:.2f}s)")
 
 
+def _random_model(rng, variant, n=6):
+    """A small model with every weight drawn at random, and its input and prior."""
+    al, be, lam, al_p, be_p = rng.uniform(0.1, 10, size=5)
+    cfg = allg.ModelConfig(encoder_dims=(5, 4, 3), n_adjacency=3, variant=variant,
+                           alpha=al, beta=be, lam=lam, alpha_prop=al_p, beta_prop=be_p)
+    params = allg.init_encoder_decoder(cfg, rng=rng)
+    params.adjacency = [rng.normal(size=(n, n)) for _ in range(cfg.n_stored_matrices)]
+    params.q = rng.normal(size=(n, n))
+    return cfg, params, rng.normal(size=(5, n)), rng.normal(size=(n, n))
+
+
 def test_criterion_2_loss_term_oracles():
     start = time.perf_counter()
     rng = np.random.default_rng(202)
-    ok = True
+    ok, worst = True, 0.0
     for _ in range(20):
-        x, xh = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
-        a0, a1 = rng.normal(size=(5, 5)), rng.normal(size=(5, 5))
-        mats = [rng.normal(size=(5, 5)) for _ in range(3)]
-        s, q = rng.normal(size=(3, 5)), rng.normal(size=(5, 5))
-        al, be, lam = rng.uniform(0.1, 10, size=3)
-        checks = [
-            (allg.loss_reconstruction(x, xh), naive_frob_sq(x - xh)),
-            (allg.loss_adjacency(a1, a0, al, be), naive_loss_adjacency(a1, a0, al, be)),
-            (allg.loss_propagation(mats, al, be), naive_loss_propagation(mats, al, be)),
-            (allg.loss_propagation([mats[0]], al, be), 0.0),
-            (allg.loss_selection(s, q, lam), naive_loss_selection(s, q, lam)),
-        ]
-        for got, want in checks:
-            ok = ok and abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        for variant in VARIANTS:
+            cfg, params, x, a0 = _random_model(rng, variant)
+            _, losses = allg.forward(params, x, cfg, a0)
+            oracle = straight_line_forward(params, x, a0, cfg)
+            for term in ("recon", "adjacency", "propagation", "selection"):
+                got, want = losses[term], oracle[term]
+                ok = ok and abs(got - want) <= 1e-12 * max(1.0, abs(want))
+                worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 1.0
     _report(2, "loss terms match naive-loop oracles to 1e-12",
-            ok, f" ({elapsed:.3f}s)")
+            ok, f" (worst rel err {worst:.1e}, {elapsed:.3f}s)")
 
 
 def test_criterion_3_shortcut_identities():

@@ -323,6 +323,10 @@ class TestExitCodes:
         ("ablate", {"protocol": {"runs": 0}}, "runs"),
         ("evaluate", {"protocol": {"candidate_fraction": 2}}, "candidate_fraction"),
         ("evaluate", {"protocol": {"seeds": [-1], "runs": 1}}, "seeds"),
+        ("select", {"selectors": [{"kind": "bogus"}]}, "bogus"),
+        ("grid", {"selectors": [{"kind": "bogus"}]}, "bogus"),
+        ("ablate", {"selectors": [{"kind": "bogus"}]}, "bogus"),
+        ("grid", {"grid": {"alpha": [1, 1], "beta": [1], "lambda": [1]}}, "alpha"),
     ], ids=["protocol_key_evaluate", "protocol_key_grid", "protocol_list_evaluate",
             "protocol_list_grid", "model_list_evaluate", "model_list_select",
             "model_list_grid", "selectors_string", "grid_list", "grid_scalar_axis",
@@ -333,7 +337,8 @@ class TestExitCodes:
             "encoder_dims_width_select", "encoder_dims_width_evaluate", "grid_empty_axis",
             "svm_c_negative", "svm_c_zero_grid", "logreg_reg_negative", "svm_sweeps_zero",
             "logreg_max_iter_zero", "runs_zero", "runs_zero_ablate",
-            "candidate_fraction_above_one", "seeds_negative"])
+            "candidate_fraction_above_one", "seeds_negative", "selector_kind_select",
+            "selector_kind_grid", "selector_kind_ablate", "grid_repeated_value"])
     def test_malformed_config_block(self, tmp_path, blobs_csv, capsys, command, payload,
                                     culprit):
         cfg = _write_config(tmp_path, payload)
@@ -358,22 +363,26 @@ class TestExitCodes:
                      "--selector", "random", "--budgets", "4",
                      "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.fixture()
+    def fits(self, monkeypatch):
+        """Classifier fits made while the test runs; each returns accuracy 0.5."""
+        calls = []
+
+        def counting_fit(*args, **kwargs):
+            calls.append(1)
+            return 0.5
+
+        monkeypatch.setattr(allg.evaluate, "train_logreg", counting_fit)
+        monkeypatch.setattr(allg.evaluate, "train_linear_svm", counting_fit)
+        return calls
+
     @pytest.mark.parametrize("model, selector, out_is_file, culprit", [
         ({"alpha": "x"}, "random,kmeans,dcs,allg", False, "alpha"),
         (_model_json(), "random,kmeans,dcs,allg", True, "out"),
         (_model_json(), "random,mystery", False, "mystery"),
     ], ids=["model_value", "out_is_file", "unknown_kind"])
-    def test_bad_allg_model_fails_before_any_fit(self, tmp_path, blobs_csv, capsys,
-                                                 monkeypatch, model, selector, out_is_file,
-                                                 culprit):
-        fits = []
-
-        def counting_fit(*args, **kwargs):
-            fits.append(1)
-            return 0.5
-
-        monkeypatch.setattr(allg.evaluate, "train_logreg", counting_fit)
-        monkeypatch.setattr(allg.evaluate, "train_linear_svm", counting_fit)
+    def test_bad_allg_model_fails_before_any_fit(self, tmp_path, blobs_csv, capsys, fits,
+                                                 model, selector, out_is_file, culprit):
         cfg = _write_config(tmp_path, {"model": model,
                                        "protocol": {"budgets": [3], "runs": 1}})
         out = tmp_path / "o"
@@ -383,6 +392,18 @@ class TestExitCodes:
                      "--label-column", "label", "--out", str(out),
                      "--selector", selector]) == 2
         assert f"'{culprit}'" in capsys.readouterr().err
+        assert fits == []
+
+    def test_dcs_rank_above_width_fails_before_any_fit(self, tmp_path, blobs_csv, capsys,
+                                                       fits):
+        # blobs.csv has 4 features, so no rank-9 subspace exists.
+        cfg = _write_config(tmp_path, {
+            "selectors": [{"kind": "random"}, {"kind": "dcs", "params": {"rank": 9}}],
+            "protocol": {"budgets": [3], "runs": 1, "classifiers": ["logistic_regression"]},
+        })
+        assert main(["evaluate", "--config", cfg, "--dataset", blobs_csv,
+                     "--label-column", "label", "--out", str(tmp_path / "o")]) == 2
+        assert "'rank'" in capsys.readouterr().err
         assert fits == []
 
     def test_budget_larger_than_pool(self, tmp_path, blobs_csv):

@@ -1,3 +1,4 @@
+import allg.autodiff as ad
 import allg.gradcheck as gc
 
 
@@ -10,9 +11,15 @@ def test_all_ops_pass_at_tolerance():
         assert r.passed, f"{r.name}: {r.max_rel_err}"
 
 
-def test_corrupted_matmul_backward_is_caught():
+def test_corrupted_matmul_backward_is_caught(monkeypatch):
     # harness sanity: a deliberately mis-scaled backward rule must fail
-    reports = gc.run_all(corrupt_matmul=True)
+    def bad_matmul(x, y):
+        xv, yv = x.value, y.value
+        return x.tape._record(xv @ yv, ((x, lambda g: 1.01 * (g @ yv.T)),
+                                        (y, lambda g: 0.99 * (xv.T @ g))))
+
+    monkeypatch.setattr(ad, "matmul", bad_matmul)
+    reports = gc.run_all()
     by_name = {r.name: r for r in reports}
     assert not by_name["matmul"].passed
     assert by_name["affine"].passed  # only the corrupted op fails
