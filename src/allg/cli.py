@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import DATASET_KEYS, Dataset, load_registry, resolve_dataset, standardize
 from .errors import AllgError, ConfigError, DataError, NumericalError
-from .evaluate import Protocol, SelectorSpec, run_protocol, summarize
+from .evaluate import Protocol, SelectorSpec, check_protocol, run_protocol, summarize
 from .gradcheck import run_all
 from .model import ModelConfig, check_options, config_from_options, config_to_dict, save_checkpoint
 from .rng import substream
@@ -170,9 +170,10 @@ def cmd_select(args) -> int:
         raise ConfigError(f"--m {args.m} must lie in 1..{ds.n_samples} for this pool")
     std, _, _ = standardize(ds)
     # A seed in the config file's model block wins over --seed.
-    mcfg = config_from_options({"seed": cfg["seed"], **cfg.get("model", {})}, ds.dim)
+    mcfg = config_from_options({"seed": cfg["seed"], **cfg.get("model", {})},
+                               ds.dim, ds.n_samples)
     out = _out_dir(cfg)
-    result, params, history, _ = run_selection(std.features, mcfg)
+    result, params, history = run_selection(std.features, mcfg)
     _write_csv(os.path.join(out, "ranking.csv"), ("index", "score"),
                zip(result.ranked_indices[:args.m], result.scores))
     _write_csv(os.path.join(out, "losses.csv"), LOSS_COLUMNS,
@@ -198,6 +199,7 @@ def cmd_evaluate(args) -> int:
     cfg = _gather(args)
     specs, protocol = _selector_specs(cfg), _protocol(cfg)
     ds = _load_dataset(cfg)
+    check_protocol(ds, specs, protocol)
     out = _out_dir(cfg)
     cells = run_protocol(ds, specs, protocol)
     summary = summarize(cells)
@@ -223,12 +225,15 @@ def cmd_grid(args) -> int:
             raise ConfigError(f"grid {name!r} must be non-empty without repeats, got {values}")
     # One fixed validation seed for the whole sweep.
     protocol = dataclasses.replace(_protocol(cfg), runs=1, seeds=(cfg["seed"],))
+    points = list(itertools.product(*(sorted(v) for v in axes)))
+    specs = [SelectorSpec("allg", {**cfg.get("model", {}), "alpha": alpha, "beta": beta,
+                                   "lam": lam}) for alpha, beta, lam in points]
     ds = _load_dataset(cfg)
+    for spec in specs:
+        check_protocol(ds, [spec], protocol)
     out = _out_dir(cfg)
     rows = []
-    for alpha, beta, lam in itertools.product(*(sorted(v) for v in axes)):
-        model_opts = {**cfg.get("model", {}), "alpha": alpha, "beta": beta, "lam": lam}
-        spec = SelectorSpec("allg", model_opts)
+    for (alpha, beta, lam), spec in zip(points, specs):
         averages = [means["average"]
                     for means in summarize(run_protocol(ds, [spec], protocol))["allg"].values()]
         mean = float(sum(averages) / len(averages))
@@ -250,6 +255,7 @@ def cmd_ablate(args) -> int:
     specs = [SelectorSpec("allg", {**model, "variant": v, "name": v}) for v in ABLATION_ORDER]
     protocol = _protocol(cfg)
     ds = _load_dataset(cfg)
+    check_protocol(ds, specs, protocol)
     out = _out_dir(cfg)
     cells = run_protocol(ds, specs, protocol)
     summary = summarize(cells)

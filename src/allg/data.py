@@ -228,6 +228,14 @@ def apply_standardization(ds: Dataset, mean: np.ndarray, std: np.ndarray) -> Dat
                    feature_names=ds.feature_names)
 
 
+def candidate_count(n: int, fraction: float) -> int:
+    """Candidate-side size round(fraction * n) of a split of n samples."""
+    n_cand = int(np.floor(fraction * n + 0.5))
+    if n_cand < 1 or n_cand >= n:
+        raise DataError(f"split of n={n} at fraction {fraction} leaves an empty side")
+    return n_cand
+
+
 def split(ds: Dataset, spec: SplitSpec):
     """Partition into (candidate, test) deterministically under spec.seed.
 
@@ -235,11 +243,7 @@ def split(ds: Dataset, spec: SplitSpec):
     relative sample order.  Returns (candidate, test, candidate_indices).
     """
     n = ds.n_samples
-    n_cand = int(np.floor(spec.candidate_fraction * n + 0.5))
-    if n_cand < 1 or n_cand >= n:
-        raise DataError(
-            f"split of n={n} at fraction {spec.candidate_fraction} leaves an empty side"
-        )
+    n_cand = candidate_count(n, spec.candidate_fraction)
     rng = substream(spec.seed, "split")
     perm = rng.permutation(n)
     cand_idx = np.sort(perm[:n_cand])

@@ -12,13 +12,14 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .baselines import select_dcs, select_kmeans, select_random
-from .data import Dataset, SplitSpec, apply_standardization, split, standardize
+from .data import Dataset, SplitSpec, apply_standardization, candidate_count, split, standardize
 from .errors import ConfigError, DataError
 from .model import ModelConfig, check_options, config_from_options
 from .rng import derive_seed
 from .training import run_selection
 
 CLASSIFIERS = ("linear_svm", "logistic_regression")
+KMEANS_K = 5  # a kmeans selector's cluster count when its params give no "K"
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +157,9 @@ class Protocol:
                               ("runs", self.runs >= 1, ">= 1"),
                               ("candidate_fraction", 0 < self.candidate_fraction <= 1,
                                "in (0, 1]"),
-                              ("seeds", min(self.seeds, default=0) >= 0, ">= 0 throughout")):
+                              ("seeds", min(self.seeds, default=0) >= 0
+                               and len(set(self.seeds)) == len(self.seeds),
+                               ">= 0 throughout, without repeats")):
             if not ok:
                 raise ConfigError(f"protocol key {key!r} must be {rule}, got {getattr(self, key)!r}")
         for c in self.classifiers:
@@ -207,25 +210,26 @@ def summarize(cells: list) -> dict:
 #                     params table for check_options; every kind also takes "name")
 # ---------------------------------------------------------------------------
 
-def _allg_config(params: dict, d: int, seed: int):
+def _allg_config(params: dict, d: int, n: int, seed: int):
     """ModelConfig of an ALLG selector; params are ModelConfig fields plus "name".
 
     The `seed` argument replaces any seed field in params.
     """
     opts = {k: v for k, v in params.items() if k != "name"}
-    return config_from_options({**opts, "seed": seed}, d)
+    return config_from_options({**opts, "seed": seed}, d, n)
 
 
 def _rank_allg(x: np.ndarray, params: dict, seed: int) -> list:
     """Train ALLG on x and rank it."""
-    result, *_ = run_selection(x, _allg_config(params, x.shape[0], seed))
+    result, *_ = run_selection(x, _allg_config(params, *x.shape, seed))
     return result.ranked_indices
 
 
 SELECTORS = {
     "random": (lambda x, params, seed: select_random(x.shape[1], x.shape[1], seed), {}),
-    "kmeans": (lambda x, params, seed: select_kmeans(x, x.shape[1], k=params.get("K", 5),
-                                                     seed=seed), {"K": int}),
+    "kmeans": (lambda x, params, seed: select_kmeans(x, x.shape[1],
+                                                     k=params.get("K", KMEANS_K), seed=seed),
+               {"K": int}),
     "dcs": (lambda x, params, seed: select_dcs(x, x.shape[1], rank=params.get("rank", 5)),
             {"rank": int}),
     "allg": (_rank_allg, {f.name: f.type for f in fields(ModelConfig)}),
@@ -258,35 +262,47 @@ def rank_candidates(x: np.ndarray, spec: SelectorSpec, seed: int) -> list:
     return SELECTORS[spec.kind][0](x, spec.params, seed)
 
 
-def run_protocol(ds: Dataset, selectors: list, protocol: Protocol) -> list:
-    """Run the full benchmark; returns its EvalCells (see `summarize`).
+def check_protocol(ds: Dataset, selectors: list, protocol: Protocol) -> list:
+    """Check every setting that depends on the data, before any selector runs.
 
-    Selector randomness is derived per (run seed, selector label), so the
-    cells of one selector are unaffected by adding another.
+    Raises ConfigError naming the key (or DataError for an unlabeled or
+    unsplittable pool).  Returns the selectors with each DCS rank defaulted
+    to the class count.
     """
     if ds.labels is None:
         raise DataError("evaluation protocol needs a labeled dataset")
     labels = {s.label for s in selectors}
     if len(labels) != len(selectors):
         raise ConfigError("selector labels must be unique; use params['name'] to disambiguate")
+    n = candidate_count(ds.n_samples, protocol.candidate_fraction)
     # Rankers never see labels, so the one dataset-derived default lives here.
     selectors = [SelectorSpec(s.kind, {"rank": ds.n_classes, **s.params}) if s.kind == "dcs"
                  else s for s in selectors]
-    # An ALLG model and a DCS rank depend on the data's width, so both are checked here,
-    # before any selector runs.
     for s in selectors:
         if s.kind == "allg":
-            _allg_config(s.params, ds.dim, seed=0)
-        elif s.kind == "dcs" and s.params["rank"] > ds.dim:
+            _allg_config(s.params, ds.dim, n, seed=0)
+        elif s.kind == "kmeans" and s.params.get("K", KMEANS_K) > n:
+            raise ConfigError(f"kmeans params key 'K' must be at most the {n} candidates, "
+                              f"got {s.params.get('K', KMEANS_K)}")
+        elif s.kind == "dcs" and s.params["rank"] > min(ds.dim, n):
             raise ConfigError(f"dcs params key 'rank' must be at most the data's {ds.dim} "
-                              f"features, got {s.params['rank']}")
+                              f"features and {n} candidates, got {s.params['rank']}")
+    if protocol.budgets[-1] > n:
+        raise ConfigError(f"protocol key 'budgets' must stay within the {n} candidates, "
+                          f"got largest budget {protocol.budgets[-1]}")
+    return selectors
+
+
+def run_protocol(ds: Dataset, selectors: list, protocol: Protocol) -> list:
+    """Run the full benchmark; returns its EvalCells (see `summarize`).
+
+    Selector randomness is derived per (run seed, selector label), so the
+    cells of one selector are unaffected by adding another.
+    """
+    selectors = check_protocol(ds, selectors, protocol)
     cells = []
     for seed in protocol.seeds:
         cand, test, _ = split(ds, SplitSpec(protocol.candidate_fraction, seed))
-        if protocol.budgets[-1] > cand.n_samples:
-            raise ConfigError(
-                f"largest budget {protocol.budgets[-1]} exceeds candidate size {cand.n_samples}"
-            )
         cand_std, mu, sd = standardize(cand)
         test_std = apply_standardization(test, mu, sd)
         for spec in selectors:

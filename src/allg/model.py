@@ -190,11 +190,14 @@ def config_from_dict(d: dict) -> ModelConfig:
     return ModelConfig(**d)
 
 
-def config_from_options(opts: dict, d: int) -> ModelConfig:
-    """ModelConfig for d-feature data; encoder_dims defaults to default_encoder_dims(d)."""
+def config_from_options(opts: dict, d: int, n: int) -> ModelConfig:
+    """ModelConfig for n candidates of d features; encoder_dims defaults to
+    default_encoder_dims(d), and a graph variant's kNN prior needs knn_k < n."""
     cfg = config_from_dict({"encoder_dims": default_encoder_dims(d), **opts})
     if cfg.input_dim != d:
         raise ConfigError(f"model key 'encoder_dims' must start at the data's {d} features")
+    if cfg.n_matrices and cfg.knn_k >= n:
+        raise ConfigError(f"model key 'knn_k' must be below the {n} candidates, got {cfg.knn_k}")
     return cfg
 
 

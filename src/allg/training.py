@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import NumericalError
-from .graph import PriorGraph, knn_graph, normalize_adjacency
+from .graph import knn_graph, normalize_adjacency
 from .model import (
     ModelConfig,
     ModelParams,
@@ -67,32 +67,27 @@ def reconstruction_loss(params: ModelParams, x: np.ndarray, cfg: ModelConfig) ->
     return _reconstruction_graph(params, x, cfg, trainable=False)[0].item()
 
 
-def _as_prior_array(a0, n: int) -> np.ndarray | None:
-    if a0 is None:
-        return None
-    arr = a0.adjacency if isinstance(a0, PriorGraph) else np.asarray(a0, dtype=np.float64)
-    if arr.shape != (n, n):
-        raise ValueError(f"prior graph is {arr.shape} but the candidate set has n={n}")
-    return arr
-
-
-def train(x: np.ndarray, a0, cfg: ModelConfig, params: ModelParams):
+def train(x: np.ndarray, a0: np.ndarray | None, cfg: ModelConfig, params: ModelParams):
     """Stage 2: joint full-batch Adam on all four loss terms.
 
-    `params` carries the pretrained encoder/decoder.  A_0 is degree
-    normalized per cfg.prior_normalize; adjacency matrices are initialized
-    to (normalized) A_0 and Q to zero unless the incoming params already
-    provide them (useful for warm starts).  Returns (params, history), where
-    history holds one {"epoch", "recon", "adjacency", "propagation",
-    "selection", "total"} dict per epoch, recorded before that epoch's update.
+    `params` carries the pretrained encoder/decoder.  `a0` is the loss-ready
+    prior A_0, already normalized per cfg.prior_normalize: the same array
+    `forward` takes, and None for the no_graph variant.  Adjacency matrices
+    are initialized to copies of A_0 and Q to zero unless the incoming
+    params already provide them (useful for warm starts).  Returns (params,
+    history), where history holds one {"epoch", "recon", "adjacency",
+    "propagation", "selection", "total"} dict per epoch, recorded before
+    that epoch's update.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[1]
-    a0_arr = _as_prior_array(a0, n) if cfg.n_matrices else None
-    if cfg.n_matrices and a0_arr is None:
-        raise ValueError(f"variant {cfg.variant!r} needs a prior graph A_0")
-    if a0_arr is not None:
-        a0_arr = normalize_adjacency(a0_arr, cfg.prior_normalize)
+    a0_arr = None
+    if cfg.n_matrices:
+        if a0 is None:
+            raise ValueError(f"variant {cfg.variant!r} needs a prior graph A_0")
+        a0_arr = np.asarray(a0, dtype=np.float64)
+        if a0_arr.shape != (n, n):
+            raise ValueError(f"prior graph is {a0_arr.shape} but the candidate set has n={n}")
 
     params = params.copy()
     if cfg.n_matrices and not params.adjacency:
@@ -127,17 +122,16 @@ def train(x: np.ndarray, a0, cfg: ModelConfig, params: ModelParams):
 def run_selection(x: np.ndarray, cfg: ModelConfig):
     """Full pipeline on a standardized candidate matrix.
 
-    Builds the kNN prior, pretrains the autoencoder, trains the joint
-    objective, and ranks candidates.  Returns (SelectionResult, params,
-    history, prior) where prior is None for the no_graph variant.
+    Builds and normalizes the kNN prior A_0 once, pretrains the
+    autoencoder, trains the joint objective, and ranks candidates.  Returns
+    (SelectionResult, params, history).
     """
     x = np.asarray(x, dtype=np.float64)
-    prior = knn_graph(x, cfg.knn_k) if cfg.n_matrices else None
-    a0_arr = None
-    if prior is not None:
-        a0_arr = normalize_adjacency(prior.adjacency, cfg.prior_normalize)
+    a0 = None
+    if cfg.n_matrices:
+        a0 = normalize_adjacency(knn_graph(x, cfg.knn_k).adjacency, cfg.prior_normalize)
     params = pretrain(x, cfg)
-    params, history = train(x, prior, cfg, params)
-    _, final_losses = forward(params, x, cfg, a0=a0_arr)
+    params, history = train(x, a0, cfg, params)
+    _, final_losses = forward(params, x, cfg, a0=a0)
     result = rank(params, final_losses=final_losses)
-    return result, params, history, prior
+    return result, params, history

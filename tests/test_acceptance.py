@@ -221,7 +221,7 @@ def test_criterion_8_convergence_shape_on_splice():
     cand, _, _ = allg.split(ds, allg.SplitSpec(0.5, 0))
     std, _, _ = allg.standardize(cand)
     cfg = allg.ModelConfig(seed=0, **_splice_model(train_epochs=2000))
-    _, _, history, _ = allg.run_selection(std.features, cfg)
+    _, _, history = allg.run_selection(std.features, cfg)
     total = np.array([epoch["total"] for epoch in history])
     decreased = total[-1] < total[0]
     window = total[-100:]

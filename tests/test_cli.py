@@ -323,6 +323,7 @@ class TestExitCodes:
         ("ablate", {"protocol": {"runs": 0}}, "runs"),
         ("evaluate", {"protocol": {"candidate_fraction": 2}}, "candidate_fraction"),
         ("evaluate", {"protocol": {"seeds": [-1], "runs": 1}}, "seeds"),
+        ("evaluate", {"protocol": {"seeds": [1, 1]}}, "seeds"),
         ("select", {"selectors": [{"kind": "bogus"}]}, "bogus"),
         ("grid", {"selectors": [{"kind": "bogus"}]}, "bogus"),
         ("ablate", {"selectors": [{"kind": "bogus"}]}, "bogus"),
@@ -337,8 +338,9 @@ class TestExitCodes:
             "encoder_dims_width_select", "encoder_dims_width_evaluate", "grid_empty_axis",
             "svm_c_negative", "svm_c_zero_grid", "logreg_reg_negative", "svm_sweeps_zero",
             "logreg_max_iter_zero", "runs_zero", "runs_zero_ablate",
-            "candidate_fraction_above_one", "seeds_negative", "selector_kind_select",
-            "selector_kind_grid", "selector_kind_ablate", "grid_repeated_value"])
+            "candidate_fraction_above_one", "seeds_negative", "seeds_repeated",
+            "selector_kind_select", "selector_kind_grid", "selector_kind_ablate",
+            "grid_repeated_value"])
     def test_malformed_config_block(self, tmp_path, blobs_csv, capsys, command, payload,
                                     culprit):
         cfg = _write_config(tmp_path, payload)
@@ -405,6 +407,30 @@ class TestExitCodes:
                      "--label-column", "label", "--out", str(tmp_path / "o")]) == 2
         assert "'rank'" in capsys.readouterr().err
         assert fits == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, payload, culprit", [
+        ("evaluate", {"selectors": [{"kind": "random"},
+                                    {"kind": "kmeans", "params": {"K": 40}}]}, "K"),
+        ("evaluate", {"selectors": [{"kind": "random"}, {"kind": "allg"}],
+                      "model": _model_json(knn_k=30)}, "knn_k"),
+        ("evaluate", {"selectors": [{"kind": "random"}], "protocol": {"budgets": [40]}},
+         "budgets"),
+        ("select", {"model": _model_json(knn_k=45)}, "knn_k"),
+        ("grid", {"model": _model_json(knn_k=30)}, "knn_k"),
+        ("ablate", {"model": _model_json(knn_k=30)}, "knn_k"),
+    ], ids=["kmeans_K", "allg_knn_k", "budget", "select_knn_k", "grid_knn_k",
+            "ablate_knn_k"])
+    def test_pool_size_setting_fails_before_any_fit(self, tmp_path, blobs_csv, capsys, fits,
+                                                    command, payload, culprit):
+        # blobs.csv has 45 rows, so an evaluation split leaves 23 candidates.
+        payload = {"protocol": {"budgets": [3], "runs": 1}, **payload}
+        cfg = _write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--dataset", blobs_csv,
+                     "--label-column", "label", "--out", str(tmp_path / "o")]) == 2
+        assert f"'{culprit}'" in capsys.readouterr().err
+        assert fits == []
+        assert not (tmp_path / "o").exists()
 
     def test_budget_larger_than_pool(self, tmp_path, blobs_csv):
         assert main(["select", "--dataset", blobs_csv, "--label-column", "label",

@@ -190,6 +190,7 @@ class TestSummarize:
         """`allg evaluate` writes its cells, means and summary."""
         cells = [EvalCell("s", "c", 5, 0, 0.5)]
         monkeypatch.setattr(allg.cli, "run_protocol", lambda ds, specs, protocol: cells)
+        monkeypatch.setattr(allg.cli, "check_protocol", lambda ds, specs, protocol: specs)
         data, out = tmp_path / "pool.csv", tmp_path / "out"
         allg.save_csv(allg.make_blobs(5, 2, d=2, seed=0), data)
         assert main(["evaluate", "--dataset", str(data), "--label-column", "label",

@@ -42,7 +42,7 @@ class TestTrain:
     def _pipeline(self, x, cfg):
         prior = allg.knn_graph(x, cfg.knn_k)
         params = allg.pretrain(x, cfg)
-        return allg.train(x, prior, cfg, params)
+        return allg.train(x, prior.adjacency, cfg, params)
 
     def test_loss_trend_decreases(self, blobs_std):
         cfg = allg.ModelConfig(encoder_dims=(4, 6, 3), pretrain_epochs=80,
@@ -74,14 +74,14 @@ class TestTrain:
         x = blobs_std.features
         prior = allg.knn_graph(x, cfg.knn_k)
         params = allg.pretrain(x, cfg)
-        trained, _ = allg.train(x, prior, cfg, params)
+        trained, _ = allg.train(x, prior.adjacency, cfg, params)
         assert np.array_equal(trained.adjacency[0], prior.adjacency)
 
     def test_tied_two_shares_matrix(self, blobs_std):
         cfg = allg.ModelConfig(encoder_dims=(4, 6, 3), pretrain_epochs=30,
                                train_epochs=50, knn_k=4, seed=3, variant="tied_two")
         x = blobs_std.features
-        trained, _ = allg.train(x, allg.knn_graph(x, 4), cfg, allg.pretrain(x, cfg))
+        trained, _ = allg.train(x, allg.knn_graph(x, 4).adjacency, cfg, allg.pretrain(x, cfg))
         assert len(trained.adjacency) == 1
         cache, _ = allg.forward(params=trained, x=x, cfg=cfg,
                                 a0=allg.knn_graph(x, 4).adjacency)
@@ -99,7 +99,7 @@ class TestTrain:
                      for _ in range(cfg.n_stored_matrices)]
         init_dist = np.linalg.norm(perturbed[0] - prior.adjacency)
         params.adjacency = [a.copy() for a in perturbed]
-        trained, _ = allg.train(x, prior, cfg, params)
+        trained, _ = allg.train(x, prior.adjacency, cfg, params)
         final_dist = np.linalg.norm(trained.adjacency[0] - prior.adjacency)
         assert final_dist < init_dist
         assert final_dist < 0.02 * np.linalg.norm(prior.adjacency)
@@ -108,7 +108,7 @@ class TestTrain:
         x = blobs_std.features
         cfg = allg.ModelConfig(encoder_dims=(4, 6, 3), pretrain_epochs=60,
                                train_epochs=400, knn_k=4, seed=3, lam=1e9)
-        _, params, _, _ = allg.run_selection(x, cfg)
+        _, params, _ = allg.run_selection(x, cfg)
         assert np.max(np.abs(params.q)) < 1e-2
 
     def test_early_stop_breaks_before_limit(self, blobs_std):
@@ -138,17 +138,43 @@ class TestTrain:
         gc.disable()
         try:
             before = live_tapes()
-            allg.train(x, prior, tiny_cfg, params)
+            allg.train(x, prior.adjacency, tiny_cfg, params)
             after = live_tapes()
         finally:
             gc.enable()
         assert after == before
 
+    def test_run_selection_normalizes_prior_once(self, blobs_std, monkeypatch):
+        calls = []
+        normalize = allg.training.normalize_adjacency
+
+        def counting(a, mode):
+            calls.append(mode)
+            return normalize(a, mode)
+
+        monkeypatch.setattr(allg.training, "normalize_adjacency", counting)
+        cfg = allg.ModelConfig(encoder_dims=(4, 6, 3), pretrain_epochs=5, train_epochs=5,
+                               knn_k=4, seed=3, prior_normalize="col")
+        allg.run_selection(blobs_std.features, cfg)
+        assert calls == ["col"]
+
+    def test_train_takes_the_prior_forward_takes(self, blobs_std):
+        # train's a0 is the normalized A_0 itself, so training on it by hand
+        # reproduces run_selection bit for bit.
+        x = blobs_std.features
+        cfg = allg.ModelConfig(encoder_dims=(4, 6, 3), pretrain_epochs=20, train_epochs=20,
+                               knn_k=4, seed=3, prior_normalize="col")
+        a0 = allg.normalize_adjacency(allg.knn_graph(x, cfg.knn_k).adjacency, "col")
+        trained, _ = allg.train(x, a0, cfg, allg.pretrain(x, cfg))
+        params = allg.run_selection(x, cfg)[1]
+        for key, arr in params.to_dict().items():
+            assert np.array_equal(trained.to_dict()[key], arr), key
+
     def test_incoming_params_not_mutated(self, blobs_std, tiny_cfg):
         x = blobs_std.features
         params = allg.pretrain(x, tiny_cfg)
         snapshot = {k: v.copy() for k, v in params.to_dict().items()}
-        allg.train(x, allg.knn_graph(x, tiny_cfg.knn_k), tiny_cfg, params)
+        allg.train(x, allg.knn_graph(x, tiny_cfg.knn_k).adjacency, tiny_cfg, params)
         for key, arr in params.to_dict().items():
             assert np.array_equal(arr, snapshot[key]), key
 
