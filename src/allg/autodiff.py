@@ -15,8 +15,6 @@ use numpy's fixed summation order, so identical inputs give bitwise
 identical gradients.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
@@ -82,10 +80,13 @@ class Tape:
         """Accumulate d(loss)/d(leaf) for every requires_grad leaf.
 
         May be called once per tape; build a new tape for another pass.
-        A node's second gradient contribution allocates its sum and later
-        ones add into it in place; an array a VJP returned is never written,
-        because add and sub hand g itself to their parents.  An interior
-        node's gradient is dropped once its parents have been served.
+        A contribution a VJP returned is fresh unless it is g itself (add
+        and sub hand g to their parents), and only fresh arrays are written:
+        a node's second contribution is added in place into whichever of
+        the two is fresh, and a sum is allocated only when neither is.
+        Addition commutes, so the bits do not depend on which array is
+        written.  An interior node's gradient is dropped once its parents
+        have been served.
         """
         if loss.tape is not self:
             raise ValueError("loss belongs to a different tape")
@@ -94,7 +95,7 @@ class Tape:
         if self._grads is not None:
             raise RuntimeError("backward() already ran on this tape; build a new tape")
         grads = [None] * len(self._parents)
-        owned = [False] * len(self._parents)  # grads[i] is a sum this sweep allocated
+        fresh = [False] * len(self._parents)  # grads[i] is an array only this sweep holds
         grads[loss.index] = np.ones((1, 1), dtype=np.float64)
         for i in range(loss.index, -1, -1):
             g = grads[i]
@@ -102,13 +103,16 @@ class Tape:
                 continue
             for parent, vjp in self._parents[i]:
                 contrib = vjp(g)
+                new = contrib is not g
                 if grads[parent] is None:
-                    grads[parent] = contrib
-                elif owned[parent]:
+                    grads[parent], fresh[parent] = contrib, new
+                elif fresh[parent]:
                     grads[parent] += contrib
+                elif new:
+                    contrib += grads[parent]
+                    grads[parent], fresh[parent] = contrib, True
                 else:
-                    grads[parent] = grads[parent] + contrib
-                    owned[parent] = True
+                    grads[parent], fresh[parent] = grads[parent] + contrib, True
             grads[i] = None
         self._grads = grads
 
@@ -191,22 +195,29 @@ def graph_penalty(a: Var, b: Var, alpha: float, beta: float) -> Var:
     """alpha ||a||_F^2 + beta ||a - b||_F^2 as a 1x1 Var, in one node.
 
     Each squared norm is a single-pass dot product; the VJPs are
-    2 alpha a + 2 beta (a - b) for a and -2 beta (a - b) for b.
+    2 alpha a + 2 beta (a - b) for a and -2 beta (a - b) for b.  The node
+    keeps only its inputs: each VJP recomputes a - b, the same subtraction
+    as the forward pass, so no n x n difference lives until backward.
     """
     tape = _check_same_tape(a, b)
     if a.shape != b.shape:
         raise ValueError(f"graph_penalty shape mismatch: {a.shape} vs {b.shape}")
     alpha, beta = float(alpha), float(beta)
-    av = a.value
-    diff = av - b.value
+    av, bv = a.value, b.value
+    diff = av - bv
     out = np.array([[alpha * np.vdot(av, av) + beta * np.vdot(diff, diff)]])
+
+    def scaled_diff(c):
+        d = av - bv
+        d *= c
+        return d
 
     def vjp_a(g):
         grad = (2.0 * alpha * g[0, 0]) * av
-        grad += (2.0 * beta * g[0, 0]) * diff
+        grad += scaled_diff(2.0 * beta * g[0, 0])
         return grad
 
-    return tape._record(out, ((a, vjp_a), (b, lambda g: (-2.0 * beta * g[0, 0]) * diff)))
+    return tape._record(out, ((a, vjp_a), (b, lambda g: scaled_diff(-2.0 * beta * g[0, 0]))))
 
 
 def add(a: Var, b: Var) -> Var:
@@ -236,20 +247,27 @@ def scale(x: Var, c: float) -> Var:
 _ADAM_BLOCK_BYTES = 256 * 1024
 
 
-@dataclass
-class AdamState:
-    """First / second moment accumulators, one pair per parameter name."""
+def _block_rows(arr: np.ndarray) -> int:
+    """Rows per block of the in-place Adam update of `arr`."""
+    return max(1, _ADAM_BLOCK_BYTES * arr.shape[0] // max(arr.nbytes, 1))
 
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+
+class AdamState:
+    """First / second moment accumulators, one pair per parameter name, and
+    the scratch of adam_step: two rows, each as large as the largest row
+    block of any parameter, so a step allocates no array."""
+
+    __slots__ = ("m", "v", "scratch")
+
+    def __init__(self, params: dict):
+        self.m = {key: np.zeros_like(arr) for key, arr in params.items()}
+        self.v = {key: np.zeros_like(arr) for key, arr in params.items()}
+        block = max((_block_rows(arr) * arr[0].size for arr in params.values()), default=0)
+        self.scratch = np.empty((2, block))
 
 
 def adam_init(params: dict) -> AdamState:
-    state = AdamState()
-    for key, arr in params.items():
-        state.m[key] = np.zeros_like(arr)
-        state.v[key] = np.zeros_like(arr)
-    return state
+    return AdamState(params)
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, *, lr: float,
@@ -257,10 +275,10 @@ def adam_step(params: dict, grads: dict, state: AdamState, *, lr: float,
               t: int):
     """One bias-corrected Adam update, in place on the parameter arrays.
 
-    Each parameter is updated one row block at a time through two
-    block-sized scratch arrays, so no temporary of the parameter's size is
-    allocated; every element sees the same operations in the same order.
-    Parameters without an entry in `grads` (frozen) are left untouched.
+    Each parameter is updated one row block at a time through the two
+    row-block arrays of `state.scratch`, so no array is allocated; every
+    element sees the same operations in the same order.  Parameters
+    without an entry in `grads` (frozen) are left untouched.
     """
     if t < 1:
         raise ValueError(f"Adam step count must be >= 1, got {t}")
@@ -273,9 +291,9 @@ def adam_step(params: dict, grads: dict, state: AdamState, *, lr: float,
             raise ValueError(f"gradient shape {g.shape} != parameter shape {arr.shape} for {key!r}")
         m = state.m[key]
         v = state.v[key]
-        block = max(1, _ADAM_BLOCK_BYTES * arr.shape[0] // max(arr.nbytes, 1))  # rows
-        s1 = np.empty((block,) + arr.shape[1:])
-        s2 = np.empty_like(s1)
+        block = _block_rows(arr)
+        s1, s2 = (s[:block * arr[0].size].reshape((block,) + arr.shape[1:])
+                  for s in state.scratch)
         for r in range(0, arr.shape[0], block):
             rs = slice(r, r + block)
             gb, mb, vb, pb = g[rs], m[rs], v[rs], arr[rs]

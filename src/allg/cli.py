@@ -221,8 +221,9 @@ def cmd_grid(args) -> int:
     grid = cfg.get("grid", {})
     axes = [grid.get(name, [0.1, 1.0, 10.0]) for name in GRID_AXES]
     for name, values in zip(GRID_AXES, axes):
-        if not values or len(set(values)) != len(values):
-            raise ConfigError(f"grid {name!r} must be non-empty without repeats, got {values}")
+        if not values or len(set(values)) != len(values) or min(values) <= 0:
+            raise ConfigError(f"grid key {name!r} must list distinct positive values, "
+                              f"got {values}")
     # One fixed validation seed for the whole sweep.
     protocol = dataclasses.replace(_protocol(cfg), runs=1, seeds=(cfg["seed"],))
     points = list(itertools.product(*(sorted(v) for v in axes)))

@@ -17,6 +17,7 @@ contribute to reconstructing the others.
 
 import dataclasses
 import json
+import os
 import types
 import typing
 from dataclasses import dataclass, field
@@ -65,45 +66,41 @@ class ModelConfig:
     early_stop_patience: int = 50
 
     def __post_init__(self):
+        """Range checks; each message quotes the offending model key."""
         object.__setattr__(self, "encoder_dims", tuple(int(v) for v in self.encoder_dims))
         if len(self.encoder_dims) < 2 or any(v < 1 for v in self.encoder_dims):
-            raise ConfigError(f"encoder_dims needs >= 2 positive entries, got {self.encoder_dims}")
+            raise ConfigError(f"model key 'encoder_dims' needs >= 2 positive entries, "
+                              f"got {self.encoder_dims}")
         variant = _VARIANT_ALIASES.get(self.variant, self.variant)
         object.__setattr__(self, "variant", variant)
         if variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+            raise ConfigError(f"model key 'variant' must be one of {VARIANTS}, "
+                              f"got {self.variant!r}")
         if self.variant == "full":
             if self.n_adjacency < 1:
-                raise ConfigError("n_adjacency must be >= 1")
+                raise ConfigError(f"model key 'n_adjacency' must be >= 1, got {self.n_adjacency}")
             if not 1 <= self.shortcut_layer <= self.n_adjacency:
-                raise ConfigError(
-                    f"shortcut layer k={self.shortcut_layer} must lie in 1..N={self.n_adjacency}"
-                )
+                raise ConfigError(f"model key 'shortcut_layer' must lie in 1..n_adjacency="
+                                  f"{self.n_adjacency}, got {self.shortcut_layer}")
         if not 0.0 <= self.shortcut_weight <= 1.0:
-            raise ConfigError(f"shortcut weight r={self.shortcut_weight} must lie in [0, 1]")
-        for name in ("alpha", "beta", "lam", "lr"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("alpha_prop", "beta_prop"):
+            raise ConfigError(f"model key 'shortcut_weight' must lie in [0, 1], "
+                              f"got {self.shortcut_weight}")
+        for name in ("alpha", "beta", "lam", "lr", "alpha_prop", "beta_prop",
+                     "early_stop_tol"):
             val = getattr(self, name)
             if val is not None and val <= 0:
-                raise ConfigError(f"{name} must be positive, got {val}")
-        if self.pretrain_epochs < 0 or self.train_epochs < 1:
-            raise ConfigError("pretrain_epochs must be >= 0 and train_epochs >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.knn_k < 1:
-            raise ConfigError("knn_k must be >= 1")
-        if self.prior_normalize not in ("none", "col", "sym"):
-            raise ConfigError(
-                f"prior_normalize must be 'none', 'col', or 'sym', got {self.prior_normalize!r}"
-            )
-        if self.encoder_final_activation not in _ACTIVATIONS:
-            raise ConfigError(f"encoder_final_activation must be one of {_ACTIVATIONS}")
-        if self.decoder_final_activation not in _ACTIVATIONS:
-            raise ConfigError(f"decoder_final_activation must be one of {_ACTIVATIONS}")
-        if self.early_stop_patience < 1 or self.early_stop_tol <= 0:
-            raise ConfigError("early stop patience must be >= 1 and tolerance positive")
+                raise ConfigError(f"model key {name!r} must be positive, got {val}")
+        for name, low in (("pretrain_epochs", 0), ("train_epochs", 1), ("seed", 0),
+                          ("knn_k", 1), ("early_stop_patience", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"model key {name!r} must be >= {low}, "
+                                  f"got {getattr(self, name)}")
+        for name, allowed in (("prior_normalize", ("none", "col", "sym")),
+                              ("encoder_final_activation", _ACTIVATIONS),
+                              ("decoder_final_activation", _ACTIVATIONS)):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"model key {name!r} must be one of {allowed}, "
+                                  f"got {getattr(self, name)!r}")
 
     @property
     def input_dim(self) -> int:
@@ -192,13 +189,47 @@ def config_from_dict(d: dict) -> ModelConfig:
 
 def config_from_options(opts: dict, d: int, n: int) -> ModelConfig:
     """ModelConfig for n candidates of d features; encoder_dims defaults to
-    default_encoder_dims(d), and a graph variant's kNN prior needs knn_k < n."""
+    default_encoder_dims(d), a graph variant's kNN prior needs knn_k < n, and
+    stage 2 must fit in physical memory (see stage2_peak_bytes)."""
     cfg = config_from_dict({"encoder_dims": default_encoder_dims(d), **opts})
     if cfg.input_dim != d:
         raise ConfigError(f"model key 'encoder_dims' must start at the data's {d} features")
     if cfg.n_matrices and cfg.knn_k >= n:
         raise ConfigError(f"model key 'knn_k' must be below the {n} candidates, got {cfg.knn_k}")
+    need, have = stage2_peak_bytes(cfg, n), physical_memory_bytes()
+    if have is not None and need > have:
+        raise ConfigError(f"stage 2 of variant {cfg.variant!r} on {n} candidates needs about "
+                          f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of "
+                          "physical memory; rank a smaller pool (config key 'subsample')")
     return cfg
+
+
+# Peak RSS of the interpreter with numpy and allg imported, before any data.
+_BASE_BYTES = 36 * 2**20
+
+
+def stage2_peak_bytes(cfg: ModelConfig, n: int) -> int:
+    """Estimated peak RSS of run_selection on n candidates.
+
+    Each trainable n x n parameter (Q and every adjacency matrix the variant
+    learns) holds itself, two Adam moments and a gradient; a frozen
+    adjacency matrix and the prior A_0 hold one array each; the VJP
+    temporaries of one backward pass add three.  That is 16 float64 n x n
+    arrays for the default full variant, as measured; the other variants
+    measure within one array of it.  The d x n activations are left out.
+    """
+    frozen = cfg.n_stored_matrices if is_frozen(cfg, "adj0") else 0
+    trainable = 1 + cfg.n_stored_matrices - frozen
+    arrays = 4 * trainable + frozen + (1 if cfg.n_matrices else 0) + 3
+    return _BASE_BYTES + arrays * 8 * n * n
+
+
+def physical_memory_bytes() -> int | None:
+    """Installed physical memory, or None where the OS does not report it."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ matrix are n x n parameters indexed by candidate position, so every
 forward pass must see all n candidates in a fixed order.
 """
 
+import ctypes
 import math
 
 import numpy as np
@@ -25,9 +26,48 @@ from .model import (
     wrap_params,
 )
 
+# glibc's mallopt parameters, and its own ceiling for the dynamic mmap threshold on 64-bit
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_MAX = 32 * 2**20
+
+
+def _hold_heap() -> None:
+    """Let the arrays one epoch frees serve the next epoch.
+
+    Every epoch frees several n x n arrays (gradients and VJP temporaries).
+    Under glibc's dynamic thresholds that space ends up at the top of the
+    heap, is trimmed, and the next epoch faults the same pages in again.
+    Setting one threshold turns the dynamic ones off, so both are fixed:
+    arrays below 32 MiB come from the heap, and its top is trimmed only
+    past 8 such arrays.  No value changes; without mallopt this does nothing.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_MAX)
+        mallopt(_M_TRIM_THRESHOLD, 8 * _MMAP_MAX)
+
+
 def _check_finite(value: float, epoch: int, stage: str) -> None:
     if not math.isfinite(value):
         raise NumericalError(f"non-finite loss {value!r} at {stage} epoch {epoch}")
+
+
+def _epoch(build, trainable: dict, state: ad.AdamState, lr: float, epoch: int,
+           stage: str) -> dict:
+    """One full-batch Adam epoch; returns its loss values by term.
+
+    build() records the loss on a new tape and returns (loss Vars by term,
+    with "total", and the leaf Vars by parameter name).  The tape and the
+    gradients are locals, so they die on return, before the next epoch
+    builds its tape.
+    """
+    losses, pv = build()
+    terms = {k: v.item() for k, v in losses.items()}
+    _check_finite(terms["total"], epoch, stage)
+    losses["total"].tape.backward(losses["total"])
+    ad.adam_step(trainable, {k: pv[k].grad for k in trainable}, state, lr=lr, t=epoch)
+    return terms
 
 
 def pretrain(x: np.ndarray, cfg: ModelConfig) -> ModelParams:
@@ -43,12 +83,13 @@ def pretrain(x: np.ndarray, cfg: ModelConfig) -> ModelParams:
     arrays = {k: v for k, v in params.to_dict().items()
               if k.startswith("enc_") or k.startswith("dec_")}
     state = ad.adam_init(arrays)
-    for epoch in range(1, cfg.pretrain_epochs + 1):
+
+    def build():
         loss, pv = _reconstruction_graph(params, x, cfg, trainable=True)
-        _check_finite(loss.item(), epoch, "pretrain")
-        loss.tape.backward(loss)
-        grads = {k: pv[k].grad for k in arrays}
-        ad.adam_step(arrays, grads, state, lr=cfg.lr, t=epoch)
+        return {"total": loss}, pv
+
+    for epoch in range(1, cfg.pretrain_epochs + 1):
+        _epoch(build, arrays, state, cfg.lr, epoch, "pretrain")
     return params
 
 
@@ -77,7 +118,8 @@ def train(x: np.ndarray, a0: np.ndarray | None, cfg: ModelConfig, params: ModelP
     params already provide them (useful for warm starts).  Returns (params,
     history), where history holds one {"epoch", "recon", "adjacency",
     "propagation", "selection", "total"} dict per epoch, recorded before
-    that epoch's update.
+    that epoch's update.  On glibc it first fixes the process's heap
+    thresholds (see _hold_heap), so epochs do not fault their arrays in anew.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[1]
@@ -89,6 +131,7 @@ def train(x: np.ndarray, a0: np.ndarray | None, cfg: ModelConfig, params: ModelP
         if a0_arr.shape != (n, n):
             raise ValueError(f"prior graph is {a0_arr.shape} but the candidate set has n={n}")
 
+    _hold_heap()
     params = params.copy()
     if cfg.n_matrices and not params.adjacency:
         params.adjacency = [a0_arr.copy() for _ in range(cfg.n_stored_matrices)]
@@ -98,19 +141,18 @@ def train(x: np.ndarray, a0: np.ndarray | None, cfg: ModelConfig, params: ModelP
     arrays = params.to_dict()
     trainable = {k: v for k, v in arrays.items() if not is_frozen(cfg, k)}
     state = ad.adam_init(trainable)
-    history = []
-    for epoch in range(1, cfg.train_epochs + 1):
+
+    def build():
         tape = ad.Tape()
         xv = tape.var(x)
         a0v = None if a0_arr is None else tape.var(a0_arr)
         pv = wrap_params(tape, params, cfg, trainable=True)
-        losses, _ = build_loss_graph(tape, pv, xv, a0v, cfg)
-        terms = {k: v.item() for k, v in losses.items()}
-        _check_finite(terms["total"], epoch, "train")
+        return build_loss_graph(tape, pv, xv, a0v, cfg)[0], pv
+
+    history = []
+    for epoch in range(1, cfg.train_epochs + 1):
+        terms = _epoch(build, trainable, state, cfg.lr, epoch, "train")
         history.append({"epoch": epoch, **terms})
-        tape.backward(losses["total"])
-        grads = {k: pv[k].grad for k in trainable}
-        ad.adam_step(trainable, grads, state, lr=cfg.lr, t=epoch)
         if cfg.early_stop and epoch > cfg.early_stop_patience:
             ref = history[-1 - cfg.early_stop_patience]["total"]
             cur = terms["total"]

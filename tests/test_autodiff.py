@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,44 @@ class TestBackwardContract:
         np.testing.assert_allclose(bv.grad, 2 * (a + b) + 2 * b + 8 * b, rtol=1e-13)
         assert av.grad is not bv.grad
 
+    @staticmethod
+    def _spy_add(a, b, seen):
+        """add(a, b) whose VJP also records each g it hands on, with a copy."""
+        def vjp(g):
+            seen.append((g, g.copy()))
+            return g
+        return a.tape._record(a.value + b.value, ((a, vjp), (b, vjp)))
+
+    def test_add_of_a_var_with_itself(self, rng):
+        # both contributions are g itself, so neither may be written
+        x = rng.normal(size=(3, 4))
+        tape = ad.Tape()
+        xv = tape.var(x, requires_grad=True)
+        seen = []
+        tape.backward(ad.frob_sq(self._spy_add(xv, xv, seen)))
+        g = 2.0 * (x + x)
+        assert np.array_equal(xv.grad, g + g)
+        assert all(np.array_equal(arr, snap) for arr, snap in seen)
+        assert xv.grad is not seen[0][0]
+
+    def test_passed_through_g_never_written(self, rng):
+        # add hands one g to both leaves first; each leaf's later fresh
+        # contribution takes the sum in place, and g stays as it was
+        a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+        tape = ad.Tape()
+        av = tape.var(a, requires_grad=True)
+        bv = tape.var(b, requires_grad=True)
+        extra_a, extra_b = ad.frob_sq(ad.scale(av, 3.0)), ad.frob_sq(ad.scale(bv, -2.0))
+        seen = []
+        shared = ad.frob_sq(self._spy_add(av, bv, seen))
+        tape.backward(ad.add(ad.add(extra_a, extra_b), shared))
+        g = 2.0 * (a + b)
+        assert np.array_equal(av.grad, g + 3.0 * (2.0 * (3.0 * a)))
+        assert np.array_equal(bv.grad, g + -2.0 * (2.0 * (-2.0 * b)))
+        for passed, snap in seen:
+            assert np.array_equal(passed, snap) and np.array_equal(passed, g)
+            assert av.grad is not passed and bv.grad is not passed
+
     def test_backward_deterministic_bitwise(self, rng):
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(4, 3))
@@ -329,6 +369,19 @@ class TestAdam:
         for k in shapes:
             assert np.array_equal(params[k], want[k]), k
             assert np.array_equal(state.m[k], m[k]) and np.array_equal(state.v[k], v[k]), k
+
+    def test_step_allocates_no_row_block_scratch(self, rng):
+        # the row-block scratch belongs to AdamState, so a step allocates nothing
+        params = {"w": rng.normal(size=(300, 1000))}
+        state = ad.adam_init(params)
+        grads = {"w": rng.normal(size=(300, 1000))}
+        tracemalloc.start()
+        try:
+            ad.adam_step(params, grads, state, lr=0.01, t=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ad._ADAM_BLOCK_BYTES // 8
 
     def test_frozen_params_skipped(self):
         params = {"a": np.ones((1, 1)), "b": np.ones((1, 1))}

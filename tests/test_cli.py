@@ -328,6 +328,11 @@ class TestExitCodes:
         ("grid", {"selectors": [{"kind": "bogus"}]}, "bogus"),
         ("ablate", {"selectors": [{"kind": "bogus"}]}, "bogus"),
         ("grid", {"grid": {"alpha": [1, 1], "beta": [1], "lambda": [1]}}, "alpha"),
+        ("grid", {"grid": {"lambda": [-1, 1]}}, "lambda"),
+        ("select", {"model": {"knn_k": 0}}, "knn_k"),
+        ("evaluate", {"model": {"lam": 0}}, "lam"),
+        ("ablate", {"model": {"train_epochs": 0}}, "train_epochs"),
+        ("select", {"model": {"prior_normalize": "rows"}}, "prior_normalize"),
     ], ids=["protocol_key_evaluate", "protocol_key_grid", "protocol_list_evaluate",
             "protocol_list_grid", "model_list_evaluate", "model_list_select",
             "model_list_grid", "selectors_string", "grid_list", "grid_scalar_axis",
@@ -340,7 +345,9 @@ class TestExitCodes:
             "logreg_max_iter_zero", "runs_zero", "runs_zero_ablate",
             "candidate_fraction_above_one", "seeds_negative", "seeds_repeated",
             "selector_kind_select", "selector_kind_grid", "selector_kind_ablate",
-            "grid_repeated_value"])
+            "grid_repeated_value", "grid_axis_negative", "model_knn_k_zero",
+            "model_lam_zero_evaluate", "model_train_epochs_zero_ablate",
+            "model_prior_normalize_unknown"])
     def test_malformed_config_block(self, tmp_path, blobs_csv, capsys, command, payload,
                                     culprit):
         cfg = _write_config(tmp_path, payload)
@@ -429,6 +436,20 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--dataset", blobs_csv,
                      "--label-column", "label", "--out", str(tmp_path / "o")]) == 2
         assert f"'{culprit}'" in capsys.readouterr().err
+        assert fits == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["select", "evaluate", "grid", "ablate"])
+    def test_stage2_above_physical_memory_fails_before_any_fit(self, tmp_path, blobs_csv,
+                                                               capsys, fits, monkeypatch,
+                                                               command):
+        # 1 MiB of physical memory holds no stage 2, however small the pool.
+        monkeypatch.setattr(allg.model, "physical_memory_bytes", lambda: 2**20)
+        cfg = _write_config(tmp_path, {"model": _model_json(),
+                                       "protocol": {"budgets": [3], "runs": 1}})
+        assert main([command, "--config", cfg, "--dataset", blobs_csv,
+                     "--label-column", "label", "--out", str(tmp_path / "o")]) == 2
+        assert "physical memory" in capsys.readouterr().err
         assert fits == []
         assert not (tmp_path / "o").exists()
 

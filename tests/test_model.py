@@ -5,7 +5,13 @@ import pytest
 
 import allg
 from allg.errors import ConfigError
-from allg.model import adjacency_key, config_from_dict, config_to_dict
+from allg.model import (
+    adjacency_key,
+    config_from_dict,
+    config_from_options,
+    config_to_dict,
+    stage2_peak_bytes,
+)
 from oracles import straight_line_forward
 
 
@@ -57,6 +63,31 @@ class TestModelConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             config_from_dict({"encoder_dims": (4, 2), "typo_field": 1})
+
+
+class TestMemoryPreflight:
+    def test_default_variant_counts_16_square_arrays(self):
+        cfg = allg.ModelConfig(encoder_dims=(5, 4, 3))
+        base = stage2_peak_bytes(cfg, 0)
+        assert stage2_peak_bytes(cfg, 1000) == base + 16 * 8 * 1000 * 1000
+
+    def test_variants_without_learned_graphs_need_less(self):
+        base = allg.ModelConfig(encoder_dims=(5, 4, 3))
+        need = {v: stage2_peak_bytes(dataclasses.replace(base, variant=v), 500)
+                for v in allg.model.VARIANTS}
+        assert need["no_graph"] < need["knn_only"] < need["one_matrix"] < need["full"]
+        assert need["distinct_two"] == need["full"]
+
+    def test_estimate_at_the_ceiling_passes_and_above_it_fails(self, monkeypatch):
+        need = stage2_peak_bytes(config_from_options({}, 5, 50), 50)
+        monkeypatch.setattr(allg.model, "physical_memory_bytes", lambda: need)
+        config_from_options({}, 5, 50)
+        with pytest.raises(ConfigError, match="physical memory"):
+            config_from_options({}, 5, 51)
+
+    def test_unknown_physical_memory_skips_the_check(self, monkeypatch):
+        monkeypatch.setattr(allg.model, "physical_memory_bytes", lambda: None)
+        config_from_options({}, 5, 100_000)
 
 
 class TestAblationVariants:

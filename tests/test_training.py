@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,25 @@ class TestTrain:
         finally:
             gc.enable()
         assert after == before
+
+    def test_stage2_footprint_at_most_16_square_arrays(self):
+        # 3 parameters, 6 Adam moments, 3 gradients and the VJP temporaries of
+        # one backward pass; nothing of one epoch may live into the next.
+        n, d = 400, 20
+        x = np.random.default_rng(7).normal(size=(d, n))
+        cfg = allg.ModelConfig(encoder_dims=(d, 16, 8), pretrain_epochs=2, train_epochs=3,
+                               knn_k=5, seed=1)
+        a0 = allg.knn_graph(x, cfg.knn_k).adjacency
+        params = allg.pretrain(x, cfg)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            allg.train(x, a0, cfg, params)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        square, slack = 8 * n * n, 16 * 8 * d * n
+        assert peak <= 16 * square + slack, f"{peak / square:.2f} n x n arrays"
 
     def test_run_selection_normalizes_prior_once(self, blobs_std, monkeypatch):
         calls = []
