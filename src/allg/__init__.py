@@ -8,7 +8,7 @@ representativeness.  Classical selectors (random, K-Means, DCS) and an
 accuracy-based evaluation protocol are included for benchmarking.
 """
 
-from .autodiff import AdamState, Tape, Var, adam_init, adam_step
+from .autodiff import AdamState, Tape, Var, adam_step
 from .baselines import kmeans_fit, select_dcs, select_kmeans, select_random
 from .data import (
     Dataset,
@@ -52,7 +52,7 @@ from .training import pretrain, reconstruction_loss, run_selection, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "Tape", "Var", "adam_init", "adam_step",
+    "AdamState", "Tape", "Var", "adam_step",
     "kmeans_fit", "select_dcs", "select_kmeans", "select_random",
     "Dataset", "SplitSpec", "apply_standardization", "load_csv",
     "load_registry", "make_blobs", "resolve_dataset", "save_csv", "split",

@@ -85,7 +85,8 @@ class Tape:
         a node's second contribution is added in place into whichever of
         the two is fresh, and a sum is allocated only when neither is.
         Addition commutes, so the bits do not depend on which array is
-        written.  An interior node's gradient is dropped once its parents
+        written.  A contribution is dropped once it is summed, before the
+        next VJP runs, and an interior node's gradient once its parents
         have been served.
         """
         if loss.tape is not self:
@@ -113,6 +114,7 @@ class Tape:
                     grads[parent], fresh[parent] = contrib, True
                 else:
                     grads[parent], fresh[parent] = grads[parent] + contrib, True
+                del contrib
             grads[i] = None
         self._grads = grads
 
@@ -243,6 +245,8 @@ def scale(x: Var, c: float) -> Var:
 # Adam optimizer over dicts of named parameter arrays.
 # ---------------------------------------------------------------------------
 
+# Adam's moment decay rates and the guard added to its denominator.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 # Row-block size of the in-place Adam update, in bytes of parameter data.
 _ADAM_BLOCK_BYTES = 256 * 1024
 
@@ -266,23 +270,18 @@ class AdamState:
         self.scratch = np.empty((2, block))
 
 
-def adam_init(params: dict) -> AdamState:
-    return AdamState(params)
-
-
-def adam_step(params: dict, grads: dict, state: AdamState, *, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-              t: int):
+def adam_step(params: dict, grads: dict, state: AdamState, *, lr: float, t: int):
     """One bias-corrected Adam update, in place on the parameter arrays.
 
-    Each parameter is updated one row block at a time through the two
-    row-block arrays of `state.scratch`, so no array is allocated; every
-    element sees the same operations in the same order.  Parameters
-    without an entry in `grads` (frozen) are left untouched.
+    The decay rates are _BETA1 and _BETA2, the guard _EPS.  Each
+    parameter is updated one row block at a time through the two row-block
+    arrays of `state.scratch`, so no array is allocated; every element sees
+    the same operations in the same order.  Parameters without an entry in
+    `grads` (frozen) are left untouched.
     """
     if t < 1:
         raise ValueError(f"Adam step count must be >= 1, got {t}")
-    c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
+    c1, c2 = 1.0 - _BETA1**t, 1.0 - _BETA2**t
     for key, arr in params.items():
         g = grads.get(key)
         if g is None:
@@ -298,18 +297,18 @@ def adam_step(params: dict, grads: dict, state: AdamState, *, lr: float,
             rs = slice(r, r + block)
             gb, mb, vb, pb = g[rs], m[rs], v[rs], arr[rs]
             a, b = s1[:len(pb)], s2[:len(pb)]
-            mb *= beta1
-            np.multiply(gb, 1.0 - beta1, out=a)
+            mb *= _BETA1
+            np.multiply(gb, 1.0 - _BETA1, out=a)
             mb += a
-            vb *= beta2
+            vb *= _BETA2
             np.multiply(gb, gb, out=a)
-            a *= 1.0 - beta2
+            a *= 1.0 - _BETA2
             vb += a
             np.divide(mb, c1, out=a)  # m_hat
             a *= lr
             np.divide(vb, c2, out=b)  # v_hat
             np.sqrt(b, out=b)
-            b += eps
+            b += _EPS
             a /= b
             pb -= a
     return params, state

@@ -12,12 +12,13 @@ from .errors import ConfigError, NumericalError
 from .rng import substream
 
 
-def select_random(n: int, m: int, seed: int) -> list:
-    """m distinct uniform indices, deterministic under seed."""
-    if m > n:
-        raise ConfigError(f"cannot select m={m} from n={n} candidates")
+_KMEANS_MAX_ITER = 300
+
+
+def select_random(n: int, seed: int) -> list:
+    """A uniform permutation of range(n), deterministic under seed."""
     rng = substream(seed, "random_selector")
-    return [int(i) for i in rng.permutation(n)[:m]]
+    return [int(i) for i in rng.permutation(n)]
 
 
 def _farthest_point_init(x: np.ndarray, k: int, rng) -> np.ndarray:
@@ -32,9 +33,10 @@ def _farthest_point_init(x: np.ndarray, k: int, rng) -> np.ndarray:
     return x[:, chosen].copy()
 
 
-def kmeans_fit(x: np.ndarray, k: int, seed: int, max_iter: int = 300):
+def kmeans_fit(x: np.ndarray, k: int, seed: int):
     """Lloyd's algorithm with seeded farthest-point init.
 
+    Stops once the assignments repeat, or after _KMEANS_MAX_ITER rounds.
     Returns (centroids d x k, assignments, within-cluster-SS history).
     Empty clusters are re-seeded to the point farthest from its centroid.
     """
@@ -46,7 +48,7 @@ def kmeans_fit(x: np.ndarray, k: int, seed: int, max_iter: int = 300):
     centroids = _farthest_point_init(x, k, rng)
     assign = np.full(n, -1)
     wcss_history = []
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         d2 = (
             np.sum(x * x, axis=0)[:, None]
             + np.sum(centroids * centroids, axis=0)[None, :]
@@ -70,12 +72,9 @@ def kmeans_fit(x: np.ndarray, k: int, seed: int, max_iter: int = 300):
     return centroids, assign, wcss_history
 
 
-def select_kmeans(x: np.ndarray, m: int, k: int = 5, seed: int = 0) -> list:
+def select_kmeans(x: np.ndarray, k: int, seed: int) -> list:
     """Centroid-proximal ranking, round-robin across the K clusters."""
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[1]
-    if m > n:
-        raise ConfigError(f"cannot select m={m} from n={n} candidates")
     centroids, assign, _ = kmeans_fit(x, k, seed)
     dist = np.sqrt(np.sum((x - centroids[:, assign]) ** 2, axis=0))
     queues = []
@@ -88,10 +87,10 @@ def select_kmeans(x: np.ndarray, m: int, k: int = 5, seed: int = 0) -> list:
         for c in range(k):
             if queues[c]:
                 ranking.append(int(queues[c].pop(0)))
-    return ranking[:m]
+    return ranking
 
 
-def select_dcs(x: np.ndarray, m: int, rank: int) -> list:
+def select_dcs(x: np.ndarray, rank: int) -> list:
     """Deterministic column sampling by top-`rank` subspace leverage.
 
     Column scores are the squared norms of each column's coordinates in
@@ -102,8 +101,6 @@ def select_dcs(x: np.ndarray, m: int, rank: int) -> list:
     d, n = x.shape
     if rank > min(d, n):
         raise ConfigError(f"dcs rank={rank} exceeds min(d, n)={min(d, n)}")
-    if m > n:
-        raise ConfigError(f"cannot select m={m} from n={n} candidates")
     try:
         u, s, _ = np.linalg.svd(x, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -112,4 +109,4 @@ def select_dcs(x: np.ndarray, m: int, rank: int) -> list:
     coords = (u[:, :rank][:, keep].T @ x) / s[:rank][keep][:, None]
     scores = np.sum(coords * coords, axis=0)
     order = np.argsort(-scores, kind="stable")  # ties -> lowest index
-    return [int(i) for i in order[:m]]
+    return [int(i) for i in order]

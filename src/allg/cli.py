@@ -75,6 +75,8 @@ def _gather(args) -> dict:
         cfg.setdefault("protocol", {})["budgets"] = _parse_int_list(args.budgets)
     if getattr(args, "selector", None):
         cfg["selectors"] = [{"kind": k.strip()} for k in args.selector.split(",") if k.strip()]
+    if cfg.get("subsample", 2) < 2:
+        raise ConfigError(f"config key 'subsample' must be >= 2, got {cfg['subsample']}")
     cfg.setdefault("seed", 0)
     cfg.setdefault("out", "allg_out")
     for block, table in (("dataset", DATASET_KEYS), ("model", ModelConfig),
@@ -102,10 +104,8 @@ def _load_dataset(cfg: dict):
 def _maybe_subsample(ds, cfg: dict):
     """Deterministic uniform subsample for smoke-testing large datasets."""
     size = cfg.get("subsample")
-    if not size or size >= ds.n_samples:
+    if size is None or size >= ds.n_samples:
         return ds
-    if size < 2:
-        raise ConfigError(f"subsample size must be >= 2, got {size}")
     keep = np.sort(substream(cfg["seed"], "subsample").permutation(ds.n_samples)[:size])
     return Dataset(
         features=ds.features[:, keep],

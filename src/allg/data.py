@@ -187,17 +187,18 @@ def load_csv(path, label_column=None, delimiter: str = ",", header="auto",
     )
 
 
-def save_csv(ds: Dataset, path, delimiter: str = ",", label_name: str = "label") -> None:
+def save_csv(ds: Dataset, path) -> None:
     """Write a Dataset back to CSV (one sample per row, header included).
 
-    Feature values are written with repr-exact precision so a reload
-    reproduces them bit for bit.
+    Columns are comma-separated and the labels, if any, come last under
+    the header `label`.  Feature values are written with repr-exact
+    precision so a reload reproduces them bit for bit.
     """
     d, n = ds.features.shape
     names = ds.feature_names or [f"f{j}" for j in range(d)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        head = list(names) + ([label_name] if ds.labels is not None else [])
+        writer = csv.writer(fh)
+        head = list(names) + (["label"] if ds.labels is not None else [])
         writer.writerow(head)
         for i in range(n):
             row = [repr(float(v)) for v in ds.features[:, i]]

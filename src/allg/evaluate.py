@@ -155,8 +155,8 @@ class Protocol:
                               ("svm_sweeps", self.svm_sweeps >= 1, ">= 1"),
                               ("logreg_max_iter", self.logreg_max_iter >= 1, ">= 1"),
                               ("runs", self.runs >= 1, ">= 1"),
-                              ("candidate_fraction", 0 < self.candidate_fraction <= 1,
-                               "in (0, 1]"),
+                              ("candidate_fraction", 0 < self.candidate_fraction < 1,
+                               "in (0, 1)"),
                               ("seeds", min(self.seeds, default=0) >= 0
                                and len(set(self.seeds)) == len(self.seeds),
                                ">= 0 throughout, without repeats")):
@@ -226,12 +226,10 @@ def _rank_allg(x: np.ndarray, params: dict, seed: int) -> list:
 
 
 SELECTORS = {
-    "random": (lambda x, params, seed: select_random(x.shape[1], x.shape[1], seed), {}),
-    "kmeans": (lambda x, params, seed: select_kmeans(x, x.shape[1],
-                                                     k=params.get("K", KMEANS_K), seed=seed),
+    "random": (lambda x, params, seed: select_random(x.shape[1], seed), {}),
+    "kmeans": (lambda x, params, seed: select_kmeans(x, params.get("K", KMEANS_K), seed),
                {"K": int}),
-    "dcs": (lambda x, params, seed: select_dcs(x, x.shape[1], rank=params.get("rank", 5)),
-            {"rank": int}),
+    "dcs": (lambda x, params, seed: select_dcs(x, params.get("rank", 5)), {"rank": int}),
     "allg": (_rank_allg, {f.name: f.type for f in fields(ModelConfig)}),
 }
 

@@ -23,12 +23,11 @@ def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     return dist
 
 
-def knn_graph(x: np.ndarray, k: int, symmetrize: bool = True) -> PriorGraph:
-    """Binary kNN graph over the columns of x (Euclidean, self excluded).
+def knn_graph(x: np.ndarray, k: int) -> PriorGraph:
+    """Undirected binary kNN graph over the columns of x (Euclidean, self excluded).
 
-    Column j gets ones at the k nearest samples to j; distance ties break
-    toward the lowest index.  With symmetrize=True (default) the result is
-    A = max(A, A^T), an undirected graph.
+    Column j first gets ones at the k nearest samples to j, distance ties
+    broken toward the lowest index; the result is A = max(A, A^T).
     """
     x = np.asarray(x, dtype=np.float64)
     d, n = x.shape
@@ -41,9 +40,7 @@ def knn_graph(x: np.ndarray, k: int, symmetrize: bool = True) -> PriorGraph:
         order = np.lexsort((idx, dist[:, j]))  # by distance, ties by index
         neighbors = order[order != j][:k]
         adjacency[neighbors, j] = 1.0
-    if symmetrize:
-        adjacency = np.maximum(adjacency, adjacency.T)
-    return PriorGraph(adjacency=adjacency, k=k)
+    return PriorGraph(adjacency=np.maximum(adjacency, adjacency.T), k=k)
 
 
 def normalize_adjacency(a: np.ndarray, mode: str) -> np.ndarray:

@@ -61,9 +61,6 @@ class ModelConfig:
     variant: str = "full"
     encoder_final_activation: str = "relu"
     decoder_final_activation: str = "linear"
-    early_stop: bool = False
-    early_stop_tol: float = 1e-6
-    early_stop_patience: int = 50
 
     def __post_init__(self):
         """Range checks; each message quotes the offending model key."""
@@ -85,13 +82,12 @@ class ModelConfig:
         if not 0.0 <= self.shortcut_weight <= 1.0:
             raise ConfigError(f"model key 'shortcut_weight' must lie in [0, 1], "
                               f"got {self.shortcut_weight}")
-        for name in ("alpha", "beta", "lam", "lr", "alpha_prop", "beta_prop",
-                     "early_stop_tol"):
+        for name in ("alpha", "beta", "lam", "lr", "alpha_prop", "beta_prop"):
             val = getattr(self, name)
             if val is not None and val <= 0:
                 raise ConfigError(f"model key {name!r} must be positive, got {val}")
         for name, low in (("pretrain_epochs", 0), ("train_epochs", 1), ("seed", 0),
-                          ("knn_k", 1), ("early_stop_patience", 1)):
+                          ("knn_k", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"model key {name!r} must be >= {low}, "
                                   f"got {getattr(self, name)}")
@@ -215,8 +211,9 @@ def stage2_peak_bytes(cfg: ModelConfig, n: int) -> int:
     learns) holds itself, two Adam moments and a gradient; a frozen
     adjacency matrix and the prior A_0 hold one array each; the VJP
     temporaries of one backward pass add three.  That is 16 float64 n x n
-    arrays for the default full variant, as measured; the other variants
-    measure within one array of it.  The d x n activations are left out.
+    arrays for the default full variant; every variant's traced peak lies
+    at most 1.5 arrays below its estimate.  The d x n activations are left
+    out.
     """
     frozen = cfg.n_stored_matrices if is_frozen(cfg, "adj0") else 0
     trainable = 1 + cfg.n_stored_matrices - frozen
@@ -467,7 +464,7 @@ def rank(params: ModelParams, final_losses: dict | None = None) -> SelectionResu
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path, params: ModelParams, cfg: ModelConfig) -> None:

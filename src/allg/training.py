@@ -82,7 +82,7 @@ def pretrain(x: np.ndarray, cfg: ModelConfig) -> ModelParams:
     params = init_encoder_decoder(cfg)
     arrays = {k: v for k, v in params.to_dict().items()
               if k.startswith("enc_") or k.startswith("dec_")}
-    state = ad.adam_init(arrays)
+    state = ad.AdamState(arrays)
 
     def build():
         loss, pv = _reconstruction_graph(params, x, cfg, trainable=True)
@@ -140,7 +140,7 @@ def train(x: np.ndarray, a0: np.ndarray | None, cfg: ModelConfig, params: ModelP
 
     arrays = params.to_dict()
     trainable = {k: v for k, v in arrays.items() if not is_frozen(cfg, k)}
-    state = ad.adam_init(trainable)
+    state = ad.AdamState(trainable)
 
     def build():
         tape = ad.Tape()
@@ -149,15 +149,8 @@ def train(x: np.ndarray, a0: np.ndarray | None, cfg: ModelConfig, params: ModelP
         pv = wrap_params(tape, params, cfg, trainable=True)
         return build_loss_graph(tape, pv, xv, a0v, cfg)[0], pv
 
-    history = []
-    for epoch in range(1, cfg.train_epochs + 1):
-        terms = _epoch(build, trainable, state, cfg.lr, epoch, "train")
-        history.append({"epoch": epoch, **terms})
-        if cfg.early_stop and epoch > cfg.early_stop_patience:
-            ref = history[-1 - cfg.early_stop_patience]["total"]
-            cur = terms["total"]
-            if abs(ref - cur) / max(abs(ref), 1e-12) < cfg.early_stop_tol:
-                break
+    history = [{"epoch": epoch, **_epoch(build, trainable, state, cfg.lr, epoch, "train")}
+               for epoch in range(1, cfg.train_epochs + 1)]
     return params, history
 
 

@@ -71,15 +71,13 @@ def brute_force_knn_columns(x, k):
     return neighbors
 
 
-def brute_force_knn_adjacency(x, k, symmetrize=True):
+def brute_force_knn_adjacency(x, k):
     n = x.shape[1]
     a = np.zeros((n, n))
     for j, nbrs in enumerate(brute_force_knn_columns(x, k)):
         for i in nbrs:
             a[i, j] = 1.0
-    if symmetrize:
-        a = np.maximum(a, a.T)
-    return a
+    return np.maximum(a, a.T)
 
 
 def gram_leverage_scores(x, rank):

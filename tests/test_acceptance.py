@@ -124,7 +124,7 @@ def test_criterion_4_knn_and_dcs_oracles():
         ok = ok and np.array_equal(got, brute_force_knn_adjacency(x, 3))
     for _ in range(50):
         x = rng.normal(size=(5, 8))
-        got = allg.select_dcs(x, 8, rank=2)
+        got = allg.select_dcs(x, rank=2)
         _, _, vt = np.linalg.svd(x, full_matrices=True)  # dense full-SVD oracle
         scores = np.sum(vt[:2] ** 2, axis=0)
         want = sorted(range(8), key=lambda j: (-scores[j], j))

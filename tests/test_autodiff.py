@@ -324,13 +324,13 @@ class TestBackwardContract:
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
         params = {"w": np.array([[1.0, 2.0]])}
-        state = ad.adam_init(params)
+        state = ad.AdamState(params)
         ad.adam_step(params, {"w": np.zeros((1, 2))}, state, lr=0.1, t=1)
         np.testing.assert_array_equal(params["w"], [[1.0, 2.0]])
 
     def test_first_step_magnitude(self):
         params = {"w": np.array([[0.0]])}
-        state = ad.adam_init(params)
+        state = ad.AdamState(params)
         ad.adam_step(params, {"w": np.array([[1.0]])}, state, lr=0.001, t=1)
         # bias-corrected first step is lr/(1 + eps-ish)
         assert abs(params["w"][0, 0] + 0.001) < 1e-9
@@ -339,7 +339,7 @@ class TestAdam:
         # 10 steps on f(x) = x^2/2 from x=1; oracle recurrence run by hand
         ref = adam_reference(1.0, lambda x: x, lr=0.001, steps=10)
         params = {"x": np.array([[1.0]])}
-        state = ad.adam_init(params)
+        state = ad.AdamState(params)
         xs = [1.0]
         for t in range(1, 11):
             ad.adam_step(params, {"x": params["x"].copy()}, state, lr=0.001, t=t)
@@ -355,7 +355,7 @@ class TestAdam:
         want = {k: v.copy() for k, v in params.items()}
         m = {k: np.zeros(shape) for k, shape in shapes.items()}
         v = {k: np.zeros(shape) for k, shape in shapes.items()}
-        state = ad.adam_init(params)
+        state = ad.AdamState(params)
         lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
         for t in range(1, 5):
             grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
@@ -373,7 +373,7 @@ class TestAdam:
     def test_step_allocates_no_row_block_scratch(self, rng):
         # the row-block scratch belongs to AdamState, so a step allocates nothing
         params = {"w": rng.normal(size=(300, 1000))}
-        state = ad.adam_init(params)
+        state = ad.AdamState(params)
         grads = {"w": rng.normal(size=(300, 1000))}
         tracemalloc.start()
         try:
@@ -385,17 +385,17 @@ class TestAdam:
 
     def test_frozen_params_skipped(self):
         params = {"a": np.ones((1, 1)), "b": np.ones((1, 1))}
-        state = ad.adam_init(params)
+        state = ad.AdamState(params)
         ad.adam_step(params, {"a": np.ones((1, 1))}, state, lr=0.1, t=1)
         assert params["b"][0, 0] == 1.0 and params["a"][0, 0] != 1.0
 
     def test_shape_mismatch(self):
         params = {"a": np.ones((2, 2))}
-        state = ad.adam_init(params)
+        state = ad.AdamState(params)
         with pytest.raises(ValueError, match="shape"):
             ad.adam_step(params, {"a": np.ones((1, 2))}, state, lr=0.1, t=1)
 
     def test_bad_step_count(self):
         params = {"a": np.ones((1, 1))}
         with pytest.raises(ValueError, match=">= 1"):
-            ad.adam_step(params, {"a": np.ones((1, 1))}, ad.adam_init(params), lr=0.1, t=0)
+            ad.adam_step(params, {"a": np.ones((1, 1))}, ad.AdamState(params), lr=0.1, t=0)

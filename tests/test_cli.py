@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 import allg
-from allg.cli import main
+from allg.cli import CONFIG_KEYS, GRID_KEYS, SELECTOR_KEYS, main
+from allg.data import DATASET_KEYS
+from allg.evaluate import SELECTORS
 
 
 @pytest.fixture()
@@ -333,6 +337,11 @@ class TestExitCodes:
         ("evaluate", {"model": {"lam": 0}}, "lam"),
         ("ablate", {"model": {"train_epochs": 0}}, "train_epochs"),
         ("select", {"model": {"prior_normalize": "rows"}}, "prior_normalize"),
+        ("select", {"model": {"early_stop": True}}, "early_stop"),
+        ("evaluate", {"model": {"early_stop": True}}, "early_stop"),
+        ("evaluate", {"protocol": {"candidate_fraction": 1}}, "candidate_fraction"),
+        ("select", {"subsample": 0}, "subsample"),
+        ("select", {"subsample": 1}, "subsample"),
     ], ids=["protocol_key_evaluate", "protocol_key_grid", "protocol_list_evaluate",
             "protocol_list_grid", "model_list_evaluate", "model_list_select",
             "model_list_grid", "selectors_string", "grid_list", "grid_scalar_axis",
@@ -347,7 +356,9 @@ class TestExitCodes:
             "selector_kind_select", "selector_kind_grid", "selector_kind_ablate",
             "grid_repeated_value", "grid_axis_negative", "model_knn_k_zero",
             "model_lam_zero_evaluate", "model_train_epochs_zero_ablate",
-            "model_prior_normalize_unknown"])
+            "model_prior_normalize_unknown", "model_early_stop_select",
+            "model_early_stop_evaluate", "candidate_fraction_one", "subsample_zero",
+            "subsample_one"])
     def test_malformed_config_block(self, tmp_path, blobs_csv, capsys, command, payload,
                                     culprit):
         cfg = _write_config(tmp_path, payload)
@@ -463,3 +474,17 @@ class TestExitCodes:
         allg.save_csv(ds, path)
         assert main(["evaluate", "--dataset", str(path), "--out",
                      str(tmp_path / "o"), "--budgets", "4"]) == 3
+
+
+def test_every_config_key_is_documented():
+    # every key a config file, a registry entry or a selector's params may set
+    # appears in README.md in backticks or double quotes, bare or as `block.key`
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+              encoding="utf-8") as fh:
+        readme = fh.read()
+    keys = {f.name for table in (allg.ModelConfig, allg.Protocol)
+            for f in dataclasses.fields(table)}
+    keys |= {*CONFIG_KEYS, *DATASET_KEYS, *GRID_KEYS, *SELECTOR_KEYS, "name"}
+    keys |= {key for _, params in SELECTORS.values() for key in params}
+    assert sorted(k for k in keys
+                  if not re.search(rf'[`"](\w+\.)?{k}[`"]', readme)) == []

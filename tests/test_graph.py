@@ -27,12 +27,6 @@ class TestKnnGraph:
         g = allg.knn_graph(x, 3)
         np.testing.assert_array_equal(g.adjacency, brute_force_knn_adjacency(x, 3))
 
-    def test_presymmetrized_column_sums(self, rng):
-        x = rng.normal(size=(4, 15))
-        g = allg.knn_graph(x, 4, symmetrize=False)
-        np.testing.assert_array_equal(g.adjacency.sum(axis=0), np.full(15, 4.0))
-        assert set(np.unique(g.adjacency)) <= {0.0, 1.0}
-
     def test_symmetric_zero_diagonal(self, rng):
         x = rng.normal(size=(3, 12))
         g = allg.knn_graph(x, 3)
@@ -49,10 +43,11 @@ class TestKnnGraph:
     def test_duplicate_points_tie_rule(self):
         # column 2 duplicates column 0; ties resolve to the lowest index
         x = np.array([[0.0, 5.0, 0.0, 5.0]])
-        g = allg.knn_graph(x, 1, symmetrize=False)
-        assert g.adjacency[2, 0] == 1.0  # nearest to col 0 is its twin col 2
-        assert g.adjacency[0, 2] == 1.0
-        assert g.adjacency[3, 1] == 1.0
+        g = allg.knn_graph(x, 1)
+        expect = np.zeros((4, 4))
+        expect[0, 2] = expect[2, 0] = 1.0  # each point's nearest is its twin
+        expect[1, 3] = expect[3, 1] = 1.0
+        np.testing.assert_array_equal(g.adjacency, expect)
 
     def test_k_out_of_range(self, rng):
         x = rng.normal(size=(2, 5))

@@ -8,9 +8,21 @@ import pytest
 import allg
 from allg.cli import main
 from allg.errors import NumericalError
-from allg.model import config_to_dict
+from allg.model import config_to_dict, stage2_peak_bytes
 from allg.training import reconstruction_loss
 from oracles import finite_diff, rel_err
+
+
+def _traced_train_peak(x, a0, cfg) -> int:
+    """Peak bytes that allg.train allocates, under tracemalloc, after pretraining."""
+    params = allg.pretrain(x, cfg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        allg.train(x, a0, cfg, params)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestPretrain:
@@ -112,14 +124,6 @@ class TestTrain:
         _, params, _ = allg.run_selection(x, cfg)
         assert np.max(np.abs(params.q)) < 1e-2
 
-    def test_early_stop_breaks_before_limit(self, blobs_std):
-        cfg = allg.ModelConfig(encoder_dims=(4, 6, 3), pretrain_epochs=40,
-                               train_epochs=5000, knn_k=4, seed=3,
-                               early_stop=True, early_stop_tol=0.05,
-                               early_stop_patience=10)
-        _, hist = self._pipeline(blobs_std.features, cfg)
-        assert len(hist) < 5000
-
     def test_prior_shape_mismatch(self, blobs_std, tiny_cfg):
         params = allg.pretrain(blobs_std.features, tiny_cfg)
         with pytest.raises(ValueError, match="candidate"):
@@ -153,16 +157,25 @@ class TestTrain:
         cfg = allg.ModelConfig(encoder_dims=(d, 16, 8), pretrain_epochs=2, train_epochs=3,
                                knn_k=5, seed=1)
         a0 = allg.knn_graph(x, cfg.knn_k).adjacency
-        params = allg.pretrain(x, cfg)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            allg.train(x, a0, cfg, params)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak = _traced_train_peak(x, a0, cfg)
         square, slack = 8 * n * n, 16 * 8 * d * n
         assert peak <= 16 * square + slack, f"{peak / square:.2f} n x n arrays"
+
+    @pytest.mark.parametrize("variant", allg.model.VARIANTS)
+    def test_stage2_estimate_bounds_traced_peak(self, variant):
+        # stage2_peak_bytes never understates stage 2's traced peak plus the
+        # prior A_0 it holds, and overstates it by at most 1.5 n x n arrays
+        n, d = 400, 20
+        x = np.random.default_rng(7).normal(size=(d, n))
+        cfg = allg.ModelConfig(encoder_dims=(d, 16, 8), pretrain_epochs=2, train_epochs=3,
+                               knn_k=5, seed=1, variant=variant, prior_normalize="col")
+        a0 = None
+        if cfg.n_matrices:
+            a0 = allg.normalize_adjacency(allg.knn_graph(x, cfg.knn_k).adjacency, "col")
+        square = 8 * n * n
+        traced = (_traced_train_peak(x, a0, cfg) + (0 if a0 is None else a0.nbytes)) / square
+        estimate = (stage2_peak_bytes(cfg, n) - stage2_peak_bytes(cfg, 0)) / square
+        assert 0 <= estimate - traced <= 1.5, f"estimate {estimate}, traced {traced:.2f}"
 
     def test_run_selection_normalizes_prior_once(self, blobs_std, monkeypatch):
         calls = []
