@@ -12,7 +12,6 @@ from .autodiff import AdamState, Tape, Var, adam_step
 from .baselines import kmeans_fit, select_dcs, select_kmeans, select_random
 from .data import (
     Dataset,
-    SplitSpec,
     apply_standardization,
     load_csv,
     load_registry,
@@ -37,7 +36,6 @@ from .graph import PriorGraph, knn_graph, normalize_adjacency
 from .model import (
     ForwardCache,
     ModelConfig,
-    ModelParams,
     SelectionResult,
     default_encoder_dims,
     forward,
@@ -54,14 +52,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState", "Tape", "Var", "adam_step",
     "kmeans_fit", "select_dcs", "select_kmeans", "select_random",
-    "Dataset", "SplitSpec", "apply_standardization", "load_csv",
-    "load_registry", "make_blobs", "resolve_dataset", "save_csv", "split",
-    "standardize",
+    "Dataset", "apply_standardization", "load_csv", "load_registry",
+    "make_blobs", "resolve_dataset", "save_csv", "split", "standardize",
     "AllgError", "ConfigError", "DataError", "NumericalError",
     "EvalCell", "Protocol", "SelectorSpec", "rank_candidates", "run_protocol",
     "summarize", "train_linear_svm", "train_logreg",
     "PriorGraph", "knn_graph", "normalize_adjacency",
-    "ForwardCache", "ModelConfig", "ModelParams", "SelectionResult",
+    "ForwardCache", "ModelConfig", "SelectionResult",
     "default_encoder_dims", "forward", "init_encoder_decoder",
     "load_checkpoint", "rank", "save_checkpoint",
     "derive_seed", "substream",

@@ -59,22 +59,6 @@ class Dataset:
         return int(self.labels.max()) + 1
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Deterministic candidate/test split: fraction in (0, 1], seeded."""
-
-    candidate_fraction: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.candidate_fraction <= 1.0:
-            raise ConfigError(
-                f"candidate_fraction must be in (0, 1], got {self.candidate_fraction}"
-            )
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-
-
 def _check_ingested(ds: Dataset) -> Dataset:
     # Ingestion-time invariants: n >= 2, and labels (if any) form a dense
     # class range with every class present.
@@ -237,15 +221,16 @@ def candidate_count(n: int, fraction: float) -> int:
     return n_cand
 
 
-def split(ds: Dataset, spec: SplitSpec):
-    """Partition into (candidate, test) deterministically under spec.seed.
+def split(ds: Dataset, fraction: float, seed: int):
+    """Partition into (candidate, test) deterministically under `seed`.
 
-    Candidate size is round(fraction * n); both sides keep the original
-    relative sample order.  Returns (candidate, test, candidate_indices).
+    Candidate size is round(fraction * n), which must leave both sides
+    non-empty (see candidate_count); both sides keep the original relative
+    sample order.  Returns (candidate, test, candidate_indices).
     """
     n = ds.n_samples
-    n_cand = candidate_count(n, spec.candidate_fraction)
-    rng = substream(spec.seed, "split")
+    n_cand = candidate_count(n, fraction)
+    rng = substream(seed, "split")
     perm = rng.permutation(n)
     cand_idx = np.sort(perm[:n_cand])
     test_idx = np.sort(perm[n_cand:])

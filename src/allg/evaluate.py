@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .baselines import select_dcs, select_kmeans, select_random
-from .data import Dataset, SplitSpec, apply_standardization, candidate_count, split, standardize
+from .data import Dataset, apply_standardization, candidate_count, split, standardize
 from .errors import ConfigError, DataError
 from .model import ModelConfig, check_options, config_from_options
 from .rng import derive_seed
@@ -20,6 +20,8 @@ from .training import run_selection
 
 CLASSIFIERS = ("linear_svm", "logistic_regression")
 KMEANS_K = 5  # a kmeans selector's cluster count when its params give no "K"
+_LOGREG_TOL = 1e-6
+_SVM_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -37,10 +39,10 @@ def _softmax_cols(scores: np.ndarray) -> np.ndarray:
 
 
 def train_logreg(x_train, y_train, x_test, y_test, reg: float = 1e-4,
-                 max_iter: int = 5000, tol: float = 1e-6) -> float:
+                 max_iter: int = 5000) -> float:
     """Multinomial softmax regression by full-batch gradient descent.
 
-    Runs until the gradient norm drops below `tol` or `max_iter` sweeps,
+    Runs until the gradient norm drops below _LOGREG_TOL or `max_iter` sweeps,
     with a fixed 1/L step from the spectral norm of the design matrix.
     Returns test accuracy.
     """
@@ -58,14 +60,14 @@ def train_logreg(x_train, y_train, x_test, y_test, reg: float = 1e-4,
     for _ in range(max_iter):
         p = _softmax_cols(w @ xa)
         grad = (p - onehot) @ xa.T / m + reg * w
-        if np.linalg.norm(grad) < tol:
+        if np.linalg.norm(grad) < _LOGREG_TOL:
             break
         w -= step * grad
     pred = classes[np.argmax(w @ _augment(np.asarray(x_test, dtype=np.float64)), axis=0)]
     return float(np.mean(pred == np.asarray(y_test)))
 
 
-def _svm_weights(xa, y_train, classes, C: float, max_sweeps: int, tol: float) -> np.ndarray:
+def _svm_weights(xa, y_train, classes, C: float, max_sweeps: int) -> np.ndarray:
     """One weight row per class: the dual coordinate ascent of `train_linear_svm`.
 
     The scalars live in Python floats and each column is one strided view of
@@ -96,19 +98,19 @@ def _svm_weights(xa, y_train, classes, C: float, max_sweeps: int, tol: float) ->
                     if new != a_i:
                         w += ((new - a_i) * sign[i]) * cols[i]
                         alpha[i] = new
-            if worst < tol:
+            if worst < _SVM_TOL:
                 break
         weights[ci] = w
     return weights
 
 
 def train_linear_svm(x_train, y_train, x_test, y_test, C: float = 100.0,
-                     max_sweeps: int = 1000, tol: float = 1e-8) -> float:
+                     max_sweeps: int = 1000) -> float:
     """One-vs-rest L1-hinge linear SVM by deterministic dual coordinate ascent.
 
     Each binary problem minimizes (1/2)||w||^2 + C * sum hinge in the dual
     (box-constrained QP), sweeping coordinates in a fixed cyclic order until
-    the largest projected gradient falls below `tol`.  The bias rides along
+    the largest projected gradient falls below _SVM_TOL.  The bias rides along
     as an appended constant feature.  Returns test accuracy.
     """
     x_train = np.asarray(x_train, dtype=np.float64)
@@ -116,7 +118,7 @@ def train_linear_svm(x_train, y_train, x_test, y_test, C: float = 100.0,
     classes = np.unique(y_train)
     if classes.size == 1:
         return float(np.mean(np.asarray(y_test) == classes[0]))
-    weights = _svm_weights(_augment(x_train), y_train, classes, float(C), max_sweeps, tol)
+    weights = _svm_weights(_augment(x_train), y_train, classes, float(C), max_sweeps)
     scores = weights @ _augment(np.asarray(x_test, dtype=np.float64))
     pred = classes[np.argmax(scores, axis=0)]
     return float(np.mean(pred == np.asarray(y_test)))
@@ -300,7 +302,7 @@ def run_protocol(ds: Dataset, selectors: list, protocol: Protocol) -> list:
     selectors = check_protocol(ds, selectors, protocol)
     cells = []
     for seed in protocol.seeds:
-        cand, test, _ = split(ds, SplitSpec(protocol.candidate_fraction, seed))
+        cand, test, _ = split(ds, protocol.candidate_fraction, seed)
         cand_std, mu, sd = standardize(cand)
         test_std = apply_standardization(test, mu, sd)
         for spec in selectors:

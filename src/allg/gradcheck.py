@@ -154,15 +154,16 @@ def composite_setup(seed: int = 0):
     x = rng.normal(size=(d, n))
     a0 = knn_graph(x, cfg.knn_k).adjacency
     params = init_encoder_decoder(cfg, rng=rng)
-    params.adjacency = [a0 + 0.1 * rng.normal(size=(n, n)) for _ in range(2)]
-    params.q = 0.1 * rng.normal(size=(n, n))
+    for i in range(2):
+        params[f"adj{i}"] = a0 + 0.1 * rng.normal(size=(n, n))
+    params["q"] = 0.1 * rng.normal(size=(n, n))
     return cfg, params, x, a0
 
 
 def check_composite(seed: int = 0):
     cfg, params, x, a0 = composite_setup(seed=seed)
     build = lambda tape, lv: build_loss_graph(tape, lv, tape.var(x), tape.var(a0), cfg)[0]["total"]
-    return _check("composite_total_loss", build, params.to_dict(), COMPOSITE_TOLERANCE)
+    return _check("composite_total_loss", build, params, COMPOSITE_TOLERANCE)
 
 
 def run_all() -> list:

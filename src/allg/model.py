@@ -20,7 +20,7 @@ import json
 import os
 import types
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -233,58 +233,21 @@ def physical_memory_bytes() -> int | None:
 # Parameters
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ModelParams:
-    """All trainable arrays.  adjacency is empty until stage-2 training."""
+def init_encoder_decoder(cfg: ModelConfig, rng=None) -> dict:
+    """Symmetric-uniform (fan-based) init of encoder and mirrored decoder.
 
-    enc_weights: list = field(default_factory=list)
-    enc_biases: list = field(default_factory=list)
-    dec_weights: list = field(default_factory=list)
-    dec_biases: list = field(default_factory=list)
-    adjacency: list = field(default_factory=list)
-    q: np.ndarray | None = None
-
-    def to_dict(self) -> dict:
-        """Name -> array view of every parameter, in a stable order."""
-        out = {}
-        for i, (w, b) in enumerate(zip(self.enc_weights, self.enc_biases)):
-            out[f"enc_w{i}"] = w
-            out[f"enc_b{i}"] = b
-        for i, (w, b) in enumerate(zip(self.dec_weights, self.dec_biases)):
-            out[f"dec_w{i}"] = w
-            out[f"dec_b{i}"] = b
-        for i, a in enumerate(self.adjacency):
-            out[f"adj{i}"] = a
-        if self.q is not None:
-            out["q"] = self.q
-        return out
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            enc_weights=[w.copy() for w in self.enc_weights],
-            enc_biases=[b.copy() for b in self.enc_biases],
-            dec_weights=[w.copy() for w in self.dec_weights],
-            dec_biases=[b.copy() for b in self.dec_biases],
-            adjacency=[a.copy() for a in self.adjacency],
-            q=None if self.q is None else self.q.copy(),
-        )
-
-
-def init_encoder_decoder(cfg: ModelConfig, rng=None) -> ModelParams:
-    """Symmetric-uniform (fan-based) init of encoder and mirrored decoder."""
+    Returns the parameter dict: name -> float64 array, in the order
+    enc_w0, enc_b0, ..., dec_w0, dec_b0, ...; stage 2 appends adj0, ... and q.
+    """
     if rng is None:
         rng = substream(cfg.seed, "init")
-    params = ModelParams()
+    params = {}
     dims = cfg.encoder_dims
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        params.enc_weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        params.enc_biases.append(np.zeros((fan_out, 1)))
-    rdims = dims[::-1]
-    for fan_in, fan_out in zip(rdims[:-1], rdims[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        params.dec_weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        params.dec_biases.append(np.zeros((fan_out, 1)))
+    for part, layer_dims in (("enc", dims), ("dec", dims[::-1])):
+        for i, (fan_in, fan_out) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            params[f"{part}_w{i}"] = rng.uniform(-limit, limit, size=(fan_out, fan_in))
+            params[f"{part}_b{i}"] = np.zeros((fan_out, 1))
     return params
 
 
@@ -302,11 +265,11 @@ def is_frozen(cfg: ModelConfig, name: str) -> bool:
 # Forward graph (tape), shared by training, evaluation, and gradcheck
 # ---------------------------------------------------------------------------
 
-def wrap_params(tape: ad.Tape, params: ModelParams, cfg: ModelConfig,
+def wrap_params(tape: ad.Tape, params: dict, cfg: ModelConfig,
                 trainable: bool = True) -> dict:
     """Leaf Vars for every parameter array; frozen parameters stay constant."""
     return {name: tape.var(arr, requires_grad=trainable and not is_frozen(cfg, name))
-            for name, arr in params.to_dict().items()}
+            for name, arr in params.items()}
 
 
 def encode_vars(pv: dict, x: ad.Var, cfg: ModelConfig) -> ad.Var:
@@ -398,7 +361,7 @@ class ForwardCache:
     x_hat: np.ndarray
 
 
-def forward(params: ModelParams, x: np.ndarray, cfg: ModelConfig,
+def forward(params: dict, x: np.ndarray, cfg: ModelConfig,
             a0: np.ndarray | None = None):
     """Run the full model without gradients.
 
@@ -406,11 +369,11 @@ def forward(params: ModelParams, x: np.ndarray, cfg: ModelConfig,
     the variant has adjacency layers.
     """
     x = np.asarray(x, dtype=np.float64)
-    if params.q is None:
+    if "q" not in params:
         raise ValueError("selection matrix Q not initialized; run train() first")
-    if x.shape[1] != params.q.shape[0]:
+    if x.shape[1] != params["q"].shape[0]:
         raise ValueError(
-            f"x has {x.shape[1]} columns but Q is {params.q.shape}; "
+            f"x has {x.shape[1]} columns but Q is {params['q'].shape}; "
             "the model is transductive over a fixed candidate set"
         )
     tape = ad.Tape()
@@ -447,11 +410,12 @@ class SelectionResult:
         return self.ranked_indices[:m]
 
 
-def rank(params: ModelParams, final_losses: dict | None = None) -> SelectionResult:
+def rank(params: dict, final_losses: dict | None = None) -> SelectionResult:
     """Rank candidates by the L2 norms of Q's rows, ties by lowest index."""
-    if params.q is None:
+    if "q" not in params:
         raise ValueError("selection matrix Q has not been trained")
-    scores = np.sqrt(np.sum(params.q * params.q, axis=1))
+    q = params["q"]
+    scores = np.sqrt(np.sum(q * q, axis=1))
     order = np.argsort(-scores, kind="stable")
     return SelectionResult(
         ranked_indices=[int(i) for i in order],
@@ -464,38 +428,39 @@ def rank(params: ModelParams, final_losses: dict | None = None) -> SelectionResu
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = 3
 
 
-def save_checkpoint(path, params: ModelParams, cfg: ModelConfig) -> None:
+def _param_names(cfg: ModelConfig) -> list:
+    """Names of a stage-2 model's parameters, in the order init and train add them."""
+    return ([f"{part}_{kind}{i}" for part in ("enc", "dec") for i in range(cfg.n_layers)
+             for kind in ("w", "b")]
+            + [f"adj{i}" for i in range(cfg.n_stored_matrices)] + ["q"])
+
+
+def save_checkpoint(path, params: dict, cfg: ModelConfig) -> None:
     """Binary .npz checkpoint: exact float64 arrays plus the config."""
-    arrays = params.to_dict()
-    meta = {
-        "format_version": _CHECKPOINT_VERSION,
-        "config": config_to_dict(cfg),
-        "n_enc": len(params.enc_weights),
-        "n_dec": len(params.dec_weights),
-        "n_adj": len(params.adjacency),
-        "has_q": params.q is not None,
-    }
-    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+    meta = {"format_version": _CHECKPOINT_VERSION, "config": config_to_dict(cfg)}
+    np.savez(path, __meta__=np.array(json.dumps(meta)), **params)
 
 
 def load_checkpoint(path):
-    """Load (ModelParams, ModelConfig) saved by save_checkpoint."""
+    """Load (params, ModelConfig) saved by save_checkpoint.
+
+    The arrays must be the autoencoder's, or a whole stage-2 model's, that
+    the stored config implies, in the order save_checkpoint wrote them.
+    """
     with np.load(path, allow_pickle=False) as npz:
         meta = json.loads(str(npz["__meta__"][()]))
         if meta.get("format_version") != _CHECKPOINT_VERSION:
             raise ConfigError(
                 f"unsupported checkpoint version {meta.get('format_version')!r}"
             )
-        params = ModelParams(
-            enc_weights=[npz[f"enc_w{i}"] for i in range(meta["n_enc"])],
-            enc_biases=[npz[f"enc_b{i}"] for i in range(meta["n_enc"])],
-            dec_weights=[npz[f"dec_w{i}"] for i in range(meta["n_dec"])],
-            dec_biases=[npz[f"dec_b{i}"] for i in range(meta["n_dec"])],
-            adjacency=[npz[f"adj{i}"] for i in range(meta["n_adj"])],
-            q=npz["q"] if meta["has_q"] else None,
-        )
-    cfg = config_from_dict(meta["config"])
+        cfg = config_from_dict(meta["config"])
+        names = [k for k in npz.files if k != "__meta__"]
+        full = _param_names(cfg)
+        if names not in (full, full[:4 * cfg.n_layers]):
+            raise ConfigError(f"checkpoint arrays {names} are not the {full} its config "
+                              f"implies, nor their first {4 * cfg.n_layers}")
+        params = {k: npz[k] for k in names}
     return params, cfg

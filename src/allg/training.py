@@ -15,7 +15,6 @@ from .errors import NumericalError
 from .graph import knn_graph, normalize_adjacency
 from .model import (
     ModelConfig,
-    ModelParams,
     build_loss_graph,
     decode_vars,
     encode_vars,
@@ -70,7 +69,7 @@ def _epoch(build, trainable: dict, state: ad.AdamState, lr: float, epoch: int,
     return terms
 
 
-def pretrain(x: np.ndarray, cfg: ModelConfig) -> ModelParams:
+def pretrain(x: np.ndarray, cfg: ModelConfig) -> dict:
     """Stage 1: minimize the plain autoencoder reconstruction loss.
 
     Adjacency matrices and Q are untouched; the decoder reads the latent
@@ -80,20 +79,18 @@ def pretrain(x: np.ndarray, cfg: ModelConfig) -> ModelParams:
     if x.shape[0] != cfg.input_dim:
         raise ValueError(f"x has {x.shape[0]} rows but encoder expects {cfg.input_dim}")
     params = init_encoder_decoder(cfg)
-    arrays = {k: v for k, v in params.to_dict().items()
-              if k.startswith("enc_") or k.startswith("dec_")}
-    state = ad.AdamState(arrays)
+    state = ad.AdamState(params)
 
     def build():
         loss, pv = _reconstruction_graph(params, x, cfg, trainable=True)
         return {"total": loss}, pv
 
     for epoch in range(1, cfg.pretrain_epochs + 1):
-        _epoch(build, arrays, state, cfg.lr, epoch, "pretrain")
+        _epoch(build, params, state, cfg.lr, epoch, "pretrain")
     return params
 
 
-def _reconstruction_graph(params: ModelParams, x: np.ndarray, cfg: ModelConfig,
+def _reconstruction_graph(params: dict, x: np.ndarray, cfg: ModelConfig,
                           trainable: bool):
     """Stage-1 loss ||X - decode(encode(X))||_F^2 on a new tape: (loss, leaf Vars)."""
     tape = ad.Tape()
@@ -103,23 +100,25 @@ def _reconstruction_graph(params: ModelParams, x: np.ndarray, cfg: ModelConfig,
     return ad.frob_sq(ad.sub(xv, x_hat)), pv
 
 
-def reconstruction_loss(params: ModelParams, x: np.ndarray, cfg: ModelConfig) -> float:
+def reconstruction_loss(params: dict, x: np.ndarray, cfg: ModelConfig) -> float:
     """Plain autoencoder loss of the current encoder/decoder (no Q, no A)."""
     return _reconstruction_graph(params, x, cfg, trainable=False)[0].item()
 
 
-def train(x: np.ndarray, a0: np.ndarray | None, cfg: ModelConfig, params: ModelParams):
+def train(x: np.ndarray, a0: np.ndarray | None, cfg: ModelConfig, params: dict):
     """Stage 2: joint full-batch Adam on all four loss terms.
 
-    `params` carries the pretrained encoder/decoder.  `a0` is the loss-ready
-    prior A_0, already normalized per cfg.prior_normalize: the same array
-    `forward` takes, and None for the no_graph variant.  Adjacency matrices
-    are initialized to copies of A_0 and Q to zero unless the incoming
-    params already provide them (useful for warm starts).  Returns (params,
-    history), where history holds one {"epoch", "recon", "adjacency",
-    "propagation", "selection", "total"} dict per epoch, recorded before
-    that epoch's update.  On glibc it first fixes the process's heap
-    thresholds (see _hold_heap), so epochs do not fault their arrays in anew.
+    `params` is the name -> array dict of the pretrained encoder/decoder.
+    `a0` is the loss-ready prior A_0, already normalized per
+    cfg.prior_normalize: the same array `forward` takes, and None for the
+    no_graph variant.  Adjacency matrices (adj0, adj1, ...) are initialized
+    to copies of A_0 and Q to zero unless the incoming params already
+    provide them (useful for warm starts); the incoming dict is not
+    modified.  Returns (params, history), where history holds one
+    {"epoch", "recon", "adjacency", "propagation", "selection", "total"}
+    dict per epoch, recorded before that epoch's update.  On glibc it first
+    fixes the process's heap thresholds (see _hold_heap), so epochs do not
+    fault their arrays in anew.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[1]
@@ -132,14 +131,13 @@ def train(x: np.ndarray, a0: np.ndarray | None, cfg: ModelConfig, params: ModelP
             raise ValueError(f"prior graph is {a0_arr.shape} but the candidate set has n={n}")
 
     _hold_heap()
-    params = params.copy()
-    if cfg.n_matrices and not params.adjacency:
-        params.adjacency = [a0_arr.copy() for _ in range(cfg.n_stored_matrices)]
-    if params.q is None:
-        params.q = np.zeros((n, n))
+    params = {k: v.copy() for k, v in params.items()}
+    if cfg.n_matrices and "adj0" not in params:
+        params.update({f"adj{i}": a0_arr.copy() for i in range(cfg.n_stored_matrices)})
+    q = params.pop("q", None)  # q goes last, the order save_checkpoint must write
+    params["q"] = np.zeros((n, n)) if q is None else q
 
-    arrays = params.to_dict()
-    trainable = {k: v for k, v in arrays.items() if not is_frozen(cfg, k)}
+    trainable = {k: v for k, v in params.items() if not is_frozen(cfg, k)}
     state = ad.AdamState(trainable)
 
     def build():

@@ -14,7 +14,9 @@ Every command runs inside DIR with relative paths, so `run.json` records
 no checkout path, and at OPENBLAS_NUM_THREADS=1, where the artifacts are
 byte-identical run to run.  The output is one `sha256  path` line per file,
 sorted by path: evaluate, grid, ablate and select on a 90-row blobs pool,
-plus the stdout of `allg gradcheck`.
+plus the stdout of `allg gradcheck`.  Each `.npz` file is followed by one
+`sha256  path:member` line per member, in archive order, so a diff shows
+which arrays (or only `__meta__`) changed.
 """
 
 import hashlib
@@ -22,6 +24,7 @@ import json
 import os
 import subprocess
 import sys
+import zipfile
 
 CONFIG = {
     "schema_version": 1,
@@ -71,6 +74,11 @@ def main(argv) -> int:
     for path in paths:
         with open(os.path.join(work, path), "rb") as fh:
             print(f"{hashlib.sha256(fh.read()).hexdigest()}  {path}")
+        if path.endswith(".npz"):
+            with zipfile.ZipFile(os.path.join(work, path)) as archive:
+                for name in archive.namelist():
+                    digest = hashlib.sha256(archive.read(name)).hexdigest()
+                    print(f"{digest}  {path}:{name.removesuffix('.npy')}")
     return 0
 
 

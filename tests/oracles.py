@@ -126,13 +126,13 @@ def straight_line_forward(params, x, a0, cfg):
     z = x
     n_layers = len(cfg.encoder_dims) - 1
     for l in range(n_layers):
-        z = params.enc_weights[l] @ z + params.enc_biases[l]
+        z = params[f"enc_w{l}"] @ z + params[f"enc_b{l}"]
         if l < n_layers - 1 or cfg.encoder_final_activation == "relu":
             z = relu(z)
     s_layers = []
     s = z
     for i in range(cfg.n_matrices):
-        a = params.adjacency[0] if cfg.variant == "tied_two" else params.adjacency[i]
+        a = params["adj0"] if cfg.variant == "tied_two" else params[f"adj{i}"]
         s = relu(s @ a)
         s_layers.append(s)
     if not s_layers:
@@ -146,21 +146,21 @@ def straight_line_forward(params, x, a0, cfg):
     else:
         s_out = (cfg.shortcut_weight * s_layers[cfg.shortcut_layer - 1]
                  + (1.0 - cfg.shortcut_weight) * s_layers[-1])
-    dec_in = s_out @ params.q
+    dec_in = s_out @ params["q"]
     y = dec_in
     for l in range(n_layers):
-        y = params.dec_weights[l] @ y + params.dec_biases[l]
+        y = params[f"dec_w{l}"] @ y + params[f"dec_b{l}"]
         if l < n_layers - 1 or cfg.decoder_final_activation == "relu":
             y = relu(y)
     l_r = naive_frob_sq(x - y)
     if s_layers:
-        l_a = naive_loss_adjacency(params.adjacency[0], a0, cfg.alpha, cfg.beta)
+        l_a = naive_loss_adjacency(params["adj0"], a0, cfg.alpha, cfg.beta)
     else:
         l_a = 0.0
-    chain = [params.adjacency[0] if cfg.variant == "tied_two" else params.adjacency[i]
+    chain = [params["adj0"] if cfg.variant == "tied_two" else params[f"adj{i}"]
              for i in range(cfg.n_matrices)]
     l_p = naive_loss_propagation(chain, cfg.alpha_p, cfg.beta_p) if chain else 0.0
-    l_s = naive_loss_selection(s_out, params.q, cfg.lam)
+    l_s = naive_loss_selection(s_out, params["q"], cfg.lam)
     return {
         "latent": z, "s_layers": s_layers, "s_out": s_out,
         "decoder_input": dec_in, "x_hat": y,

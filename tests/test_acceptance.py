@@ -74,8 +74,8 @@ def _random_model(rng, variant, n=6):
     cfg = allg.ModelConfig(encoder_dims=(5, 4, 3), n_adjacency=3, variant=variant,
                            alpha=al, beta=be, lam=lam, alpha_prop=al_p, beta_prop=be_p)
     params = allg.init_encoder_decoder(cfg, rng=rng)
-    params.adjacency = [rng.normal(size=(n, n)) for _ in range(cfg.n_stored_matrices)]
-    params.q = rng.normal(size=(n, n))
+    params.update({f"adj{i}": rng.normal(size=(n, n)) for i in range(cfg.n_stored_matrices)})
+    params["q"] = rng.normal(size=(n, n))
     return cfg, params, rng.normal(size=(5, n)), rng.normal(size=(n, n))
 
 
@@ -104,8 +104,8 @@ def test_criterion_3_shortcut_identities():
     a0 = allg.knn_graph(x, 2).adjacency
     base = allg.ModelConfig(encoder_dims=(5, 4, 3), knn_k=2, seed=4)
     params = allg.init_encoder_decoder(base)
-    params.adjacency = [a0 + 0.3 * rng.normal(size=(7, 7)) for _ in range(2)]
-    params.q = rng.normal(size=(7, 7))
+    params.update({f"adj{i}": a0 + 0.3 * rng.normal(size=(7, 7)) for i in range(2)})
+    params["q"] = rng.normal(size=(7, 7))
     import dataclasses
     cache1, _ = allg.forward(params, x, dataclasses.replace(base, shortcut_weight=1.0), a0)
     cache0, _ = allg.forward(params, x, dataclasses.replace(base, shortcut_weight=0.0), a0)
@@ -218,7 +218,7 @@ def test_criterion_7_splice_reproduction():
 @pytest.mark.splice
 def test_criterion_8_convergence_shape_on_splice():
     ds = _splice_dataset()
-    cand, _, _ = allg.split(ds, allg.SplitSpec(0.5, 0))
+    cand, _, _ = allg.split(ds, 0.5, 0)
     std, _, _ = allg.standardize(cand)
     cfg = allg.ModelConfig(seed=0, **_splice_model(train_epochs=2000))
     _, _, history = allg.run_selection(std.features, cfg)

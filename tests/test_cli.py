@@ -53,7 +53,7 @@ class TestSelect:
         run_meta = json.loads((out / "run.json").read_text())
         assert run_meta["config"]["seed"] == 1
         params, cfg_back = allg.load_checkpoint(out / "checkpoint.npz")
-        assert params.q is not None
+        assert "q" in params
 
     def test_string_dataset_entry_with_flag_overrides(self, tmp_path, blobs_csv):
         out = tmp_path / "run_str"

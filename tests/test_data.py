@@ -127,20 +127,19 @@ class TestStandardize:
 class TestSplit:
     def test_cardinality_and_disjoint(self, rng):
         ds = allg.Dataset(rng.normal(size=(2, 10)))
-        cand, test, idx = allg.split(ds, allg.SplitSpec(0.5, 7))
+        cand, test, idx = allg.split(ds, 0.5, 7)
         assert cand.n_samples == 5 and test.n_samples == 5
         assert len(set(idx)) == 5
 
     def test_determinism(self, rng):
         ds = allg.Dataset(rng.normal(size=(2, 20)))
-        spec = allg.SplitSpec(0.5, 7)
-        _, _, idx1 = allg.split(ds, spec)
-        _, _, idx2 = allg.split(ds, spec)
+        _, _, idx1 = allg.split(ds, 0.5, 7)
+        _, _, idx2 = allg.split(ds, 0.5, 7)
         assert idx1 == idx2
 
     def test_partition(self, rng):
         ds = allg.Dataset(rng.normal(size=(2, 11)), labels=None)
-        cand, test, idx = allg.split(ds, allg.SplitSpec(0.4, 1))
+        cand, test, idx = allg.split(ds, 0.4, 1)
         rest = [i for i in range(11) if i not in idx]
         recon = np.empty_like(ds.features)
         recon[:, idx] = cand.features
@@ -149,16 +148,16 @@ class TestSplit:
 
     def test_protocol_scale(self, rng):
         ds = allg.Dataset(rng.normal(size=(3, 1000)))
-        cand, test, _ = allg.split(ds, allg.SplitSpec(0.5, 0))
+        cand, test, _ = allg.split(ds, 0.5, 0)
         assert cand.n_samples == 500 and test.n_samples == 500
 
     def test_empty_side_errors(self, rng):
         ds = allg.Dataset(rng.normal(size=(2, 4)))
         with pytest.raises(DataError, match="empty side"):
-            allg.split(ds, allg.SplitSpec(1.0, 0))
+            allg.split(ds, 1.0, 0)
 
     def test_labels_travel_with_samples(self, blobs_small):
-        cand, test, idx = allg.split(blobs_small, allg.SplitSpec(0.5, 2))
+        cand, test, idx = allg.split(blobs_small, 0.5, 2)
         np.testing.assert_array_equal(cand.labels, blobs_small.labels[idx])
 
 

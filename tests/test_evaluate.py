@@ -124,7 +124,7 @@ class TestSvmWeightsBitwise:
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_numpy_scalar_loop(self, seed):
         xa, y, classes, C, cap = _svm_problem(seed)
-        ours = _svm_weights(xa, y, classes, C, cap, 1e-8)
+        ours = _svm_weights(xa, y, classes, C, cap)
         assert np.array_equal(ours, svm_weights_reference(xa, y, classes, C, cap, 1e-8))
 
     def test_problem_set_ends_fits_both_ways(self):

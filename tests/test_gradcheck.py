@@ -29,4 +29,4 @@ def test_composite_uses_toy_dimensions():
     cfg, params, x, a0 = gc.composite_setup()
     assert x.shape == (8, 12)
     assert cfg.latent_dim == 4 and cfg.n_matrices == 2
-    assert params.q.shape == (12, 12)
+    assert params["q"].shape == (12, 12)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -22,9 +23,9 @@ def _toy_model(rng, n=6, d=5, latent=3, variant="full", r=0.3, k=1):
     x = rng.normal(size=(d, n))
     a0 = allg.knn_graph(x, cfg.knn_k).adjacency
     params = allg.init_encoder_decoder(cfg)
-    params.adjacency = [a0 + 0.2 * rng.normal(size=(n, n))
-                        for _ in range(cfg.n_stored_matrices)]
-    params.q = 0.3 * rng.normal(size=(n, n))
+    params.update({f"adj{i}": a0 + 0.2 * rng.normal(size=(n, n))
+                   for i in range(cfg.n_stored_matrices)})
+    params["q"] = 0.3 * rng.normal(size=(n, n))
     return cfg, params, x, a0
 
 
@@ -127,7 +128,7 @@ class TestForward:
 
     def test_identity_q_passes_s_out_through(self, rng):
         cfg, params, x, a0 = _toy_model(rng)
-        params.q = np.eye(params.q.shape[0])
+        params["q"] = np.eye(params["q"].shape[0])
         cache, _ = allg.forward(params, x, cfg, a0)
         assert np.array_equal(cache.decoder_input, cache.s_out)
 
@@ -144,7 +145,7 @@ class TestForward:
 
     def test_no_graph_has_no_propagated_layers(self, rng):
         cfg, params, x, _ = _toy_model(rng, variant="no_graph")
-        params.adjacency = []
+        params = {k: v for k, v in params.items() if not k.startswith("adj")}
         cache, _ = allg.forward(params, x, cfg)
         assert cache.s_layers == []
         assert np.array_equal(cache.s_out, cache.latent)
@@ -166,32 +167,32 @@ class TestLossTerms:
 
 class TestRank:
     def test_simple_ordering(self):
-        params = allg.ModelParams(q=np.diag([0.1, 0.9, 0.5]))
+        params = {"q": np.diag([0.1, 0.9, 0.5])}
         result = allg.rank(params)
         assert result.ranked_indices == [1, 2, 0]
         assert result.scores == sorted(result.scores, reverse=True)
 
     def test_zero_q_ties_by_index(self):
-        params = allg.ModelParams(q=np.zeros((4, 4)))
+        params = {"q": np.zeros((4, 4))}
         result = allg.rank(params)
         assert result.ranked_indices == [0, 1, 2, 3]
 
     def test_matches_norm_sort_oracle(self, rng):
         q = rng.normal(size=(8, 8))
-        result = allg.rank(allg.ModelParams(q=q))
+        result = allg.rank({"q": q})
         norms = [float(np.sqrt((q[i] ** 2).sum())) for i in range(8)]
         expect = sorted(range(8), key=lambda i: (-norms[i], i))
         assert result.ranked_indices == expect
 
     def test_top_m(self, rng):
-        result = allg.rank(allg.ModelParams(q=rng.normal(size=(5, 5))))
+        result = allg.rank({"q": rng.normal(size=(5, 5))})
         assert len(result.top(3)) == 3
         with pytest.raises(ValueError):
             result.top(6)
 
     def test_requires_trained_q(self):
         with pytest.raises(ValueError, match="Q"):
-            allg.rank(allg.ModelParams())
+            allg.rank({})
 
 
 class TestCheckpoint:
@@ -201,8 +202,9 @@ class TestCheckpoint:
         allg.save_checkpoint(path, params, cfg)
         params2, cfg2 = allg.load_checkpoint(path)
         assert cfg2 == cfg
-        for key, arr in params.to_dict().items():
-            assert np.array_equal(params2.to_dict()[key], arr), key
+        assert list(params2) == list(params)
+        for key, arr in params.items():
+            assert np.array_equal(params2[key], arr), key
 
     def test_pre_stage2_checkpoint(self, tmp_path):
         cfg = allg.ModelConfig(encoder_dims=(4, 3, 2))
@@ -210,4 +212,22 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.npz"
         allg.save_checkpoint(path, params, cfg)
         params2, _ = allg.load_checkpoint(path)
-        assert params2.q is None and params2.adjacency == []
+        assert "q" not in params2 and not [k for k in params2 if k.startswith("adj")]
+
+    @pytest.mark.parametrize("change", ["missing", "extra", "version_2"])
+    def test_malformed_file_refused(self, tmp_path, rng, change):
+        cfg, params, _, _ = _toy_model(rng)
+        path = tmp_path / "ckpt.npz"
+        allg.save_checkpoint(path, params, cfg)
+        with np.load(path) as npz:
+            members = {k: npz[k] for k in npz.files}
+        if change == "missing":
+            del members["adj1"]
+        elif change == "extra":
+            members["adj2"] = members["adj1"]
+        else:
+            meta = json.loads(str(members["__meta__"][()]))
+            members["__meta__"] = np.array(json.dumps({**meta, "format_version": 2}))
+        np.savez(path, **members)
+        with pytest.raises(ConfigError, match="version 2" if change == "version_2" else "config"):
+            allg.load_checkpoint(path)

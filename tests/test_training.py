@@ -38,12 +38,12 @@ class TestPretrain:
         x = blobs_std.features
         p1 = allg.pretrain(x, tiny_cfg)
         p2 = allg.pretrain(x, tiny_cfg)
-        for key, arr in p1.to_dict().items():
-            assert np.array_equal(arr, p2.to_dict()[key]), key
+        for key, arr in p1.items():
+            assert np.array_equal(arr, p2[key]), key
 
     def test_leaves_stage2_params_untouched(self, blobs_std, tiny_cfg):
         params = allg.pretrain(blobs_std.features, tiny_cfg)
-        assert params.adjacency == [] and params.q is None
+        assert not [k for k in params if k.startswith("adj")] and "q" not in params
 
     def test_nonfinite_input_reported_with_epoch(self, tiny_cfg):
         x = np.full((4, 6), 1e200)
@@ -88,14 +88,14 @@ class TestTrain:
         prior = allg.knn_graph(x, cfg.knn_k)
         params = allg.pretrain(x, cfg)
         trained, _ = allg.train(x, prior.adjacency, cfg, params)
-        assert np.array_equal(trained.adjacency[0], prior.adjacency)
+        assert np.array_equal(trained["adj0"], prior.adjacency)
 
     def test_tied_two_shares_matrix(self, blobs_std):
         cfg = allg.ModelConfig(encoder_dims=(4, 6, 3), pretrain_epochs=30,
                                train_epochs=50, knn_k=4, seed=3, variant="tied_two")
         x = blobs_std.features
         trained, _ = allg.train(x, allg.knn_graph(x, 4).adjacency, cfg, allg.pretrain(x, cfg))
-        assert len(trained.adjacency) == 1
+        assert len([k for k in trained if k.startswith("adj")]) == 1
         cache, _ = allg.forward(params=trained, x=x, cfg=cfg,
                                 a0=allg.knn_graph(x, 4).adjacency)
         assert len(cache.s_layers) == 2
@@ -111,9 +111,9 @@ class TestTrain:
         perturbed = [prior.adjacency + 0.05 * rng.normal(size=(n, n))
                      for _ in range(cfg.n_stored_matrices)]
         init_dist = np.linalg.norm(perturbed[0] - prior.adjacency)
-        params.adjacency = [a.copy() for a in perturbed]
+        params.update({f"adj{i}": a.copy() for i, a in enumerate(perturbed)})
         trained, _ = allg.train(x, prior.adjacency, cfg, params)
-        final_dist = np.linalg.norm(trained.adjacency[0] - prior.adjacency)
+        final_dist = np.linalg.norm(trained["adj0"] - prior.adjacency)
         assert final_dist < init_dist
         assert final_dist < 0.02 * np.linalg.norm(prior.adjacency)
 
@@ -122,7 +122,7 @@ class TestTrain:
         cfg = allg.ModelConfig(encoder_dims=(4, 6, 3), pretrain_epochs=60,
                                train_epochs=400, knn_k=4, seed=3, lam=1e9)
         _, params, _ = allg.run_selection(x, cfg)
-        assert np.max(np.abs(params.q)) < 1e-2
+        assert np.max(np.abs(params["q"])) < 1e-2
 
     def test_prior_shape_mismatch(self, blobs_std, tiny_cfg):
         params = allg.pretrain(blobs_std.features, tiny_cfg)
@@ -200,15 +200,25 @@ class TestTrain:
         a0 = allg.normalize_adjacency(allg.knn_graph(x, cfg.knn_k).adjacency, "col")
         trained, _ = allg.train(x, a0, cfg, allg.pretrain(x, cfg))
         params = allg.run_selection(x, cfg)[1]
-        for key, arr in params.to_dict().items():
-            assert np.array_equal(trained.to_dict()[key], arr), key
+        for key, arr in params.items():
+            assert np.array_equal(trained[key], arr), key
+
+    def test_warm_q_alone_keeps_checkpoint_order(self, tmp_path, blobs_std, tiny_cfg):
+        x = blobs_std.features
+        params = allg.pretrain(x, tiny_cfg)
+        params["q"] = np.eye(x.shape[1])
+        trained, _ = allg.train(x, allg.knn_graph(x, tiny_cfg.knn_k).adjacency, tiny_cfg, params)
+        allg.save_checkpoint(tmp_path / "ckpt.npz", trained, tiny_cfg)
+        loaded, _ = allg.load_checkpoint(tmp_path / "ckpt.npz")
+        assert list(loaded) == list(trained)
+        assert list(trained)[-3:] == ["adj0", "adj1", "q"]
 
     def test_incoming_params_not_mutated(self, blobs_std, tiny_cfg):
         x = blobs_std.features
         params = allg.pretrain(x, tiny_cfg)
-        snapshot = {k: v.copy() for k, v in params.to_dict().items()}
+        snapshot = {k: v.copy() for k, v in params.items()}
         allg.train(x, allg.knn_graph(x, tiny_cfg.knn_k).adjacency, tiny_cfg, params)
-        for key, arr in params.to_dict().items():
+        for key, arr in params.items():
             assert np.array_equal(arr, snapshot[key]), key
 
 
@@ -248,14 +258,13 @@ class TestCompositeGradient:
         x = rng.normal(size=(5, 8))
         a0 = normalize_adjacency(allg.knn_graph(x, 2).adjacency, "col")
         params = init_encoder_decoder(cfg)
-        params.adjacency = [a0 + 0.1 * rng.normal(size=(8, 8)) for _ in range(2)]
+        params.update({f"adj{i}": a0 + 0.1 * rng.normal(size=(8, 8)) for i in range(2)})
         q = 0.2 * rng.normal(size=(8, 8))
         # keep each row's sup-norm argmax unique so the point is smooth
         for i in range(8):
             j = np.argmax(np.abs(q[i]))
             q[i, j] += np.sign(q[i, j]) * 0.2
-        params.q = q
-        arrays = params.to_dict()
+        params["q"] = q
 
         def total(arrs):
             tape = ad.Tape()
@@ -267,8 +276,8 @@ class TestCompositeGradient:
         pv = wrap_params(tape, params, cfg)
         losses, _ = build_loss_graph(tape, pv, tape.var(x), tape.var(a0), cfg)
         tape.backward(losses["total"])
-        fd = finite_diff(total, arrays)
-        worst = max(rel_err(pv[k].grad, fd[k]) for k in arrays)
+        fd = finite_diff(total, params)
+        worst = max(rel_err(pv[k].grad, fd[k]) for k in params)
         assert worst < 1e-4
 
 
