@@ -14,9 +14,7 @@ from .data import (
     Dataset,
     apply_standardization,
     load_csv,
-    load_registry,
     make_blobs,
-    resolve_dataset,
     save_csv,
     split,
     standardize,
@@ -52,8 +50,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState", "Tape", "Var", "adam_step",
     "kmeans_fit", "select_dcs", "select_kmeans", "select_random",
-    "Dataset", "apply_standardization", "load_csv", "load_registry",
-    "make_blobs", "resolve_dataset", "save_csv", "split", "standardize",
+    "Dataset", "apply_standardization", "load_csv", "make_blobs", "save_csv", "split",
+    "standardize",
     "AllgError", "ConfigError", "DataError", "NumericalError",
     "EvalCell", "Protocol", "SelectorSpec", "rank_candidates", "run_protocol",
     "summarize", "train_linear_svm", "train_logreg",

@@ -6,14 +6,12 @@ transposed at load time.
 """
 
 import csv
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .model import check_options
 from .rng import substream
 
 
@@ -24,7 +22,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray | None = None
     name: str = "unnamed"
-    feature_names: list[str] | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -74,9 +71,8 @@ def _check_ingested(ds: Dataset) -> Dataset:
     return ds
 
 
-def load_csv(path, label_column=None, delimiter: str = ",", header="auto",
-             name: str | None = None) -> Dataset:
-    """Load a CSV with one sample per row into a column-major Dataset.
+def load_csv(path, label_column=None, delimiter: str = ",", header="auto") -> Dataset:
+    """Load a CSV with one sample per row into a column-major Dataset named after its stem.
 
     label_column may be a header name (requires a header row) or an integer
     column index.  header is True, False, or "auto"; auto treats the first
@@ -161,28 +157,22 @@ def load_csv(path, label_column=None, delimiter: str = ",", header="auto",
                 class_ids[raw] = len(class_ids)
             labels[i] = class_ids[raw]
 
-    feature_names = None
-    if column_names is not None:
-        feature_names = [c for j, c in enumerate(column_names) if j != label_idx]
-
-    ds_name = name if name is not None else os.path.splitext(os.path.basename(path))[0]
-    return _check_ingested(
-        Dataset(features=features, labels=labels, name=ds_name, feature_names=feature_names)
-    )
+    name = os.path.splitext(os.path.basename(path))[0]
+    return _check_ingested(Dataset(features=features, labels=labels, name=name))
 
 
 def save_csv(ds: Dataset, path) -> None:
     """Write a Dataset back to CSV (one sample per row, header included).
 
-    Columns are comma-separated and the labels, if any, come last under
-    the header `label`.  Feature values are written with repr-exact
-    precision so a reload reproduces them bit for bit.
+    Columns are comma-separated under the headers `f0, f1, ...`, and the
+    labels, if any, come last under the header `label`.  Feature values
+    are written with repr-exact precision so a reload reproduces them bit
+    for bit.
     """
     d, n = ds.features.shape
-    names = ds.feature_names or [f"f{j}" for j in range(d)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        head = list(names) + (["label"] if ds.labels is not None else [])
+        head = [f"f{j}" for j in range(d)] + (["label"] if ds.labels is not None else [])
         writer.writerow(head)
         for i in range(n):
             row = [repr(float(v)) for v in ds.features[:, i]]
@@ -209,8 +199,7 @@ def standardize(ds: Dataset):
 def apply_standardization(ds: Dataset, mean: np.ndarray, std: np.ndarray) -> Dataset:
     """Apply previously fitted per-feature (mean, std) to a dataset."""
     feats = (ds.features - mean[:, None]) / std[:, None]
-    return Dataset(features=feats, labels=ds.labels, name=ds.name,
-                   feature_names=ds.feature_names)
+    return Dataset(features=feats, labels=ds.labels, name=ds.name)
 
 
 def candidate_count(n: int, fraction: float) -> int:
@@ -235,15 +224,15 @@ def split(ds: Dataset, fraction: float, seed: int):
     cand_idx = np.sort(perm[:n_cand])
     test_idx = np.sort(perm[n_cand:])
 
-    def _take(idx, suffix):
-        return Dataset(
-            features=ds.features[:, idx],
-            labels=None if ds.labels is None else ds.labels[idx],
-            name=f"{ds.name}/{suffix}",
-            feature_names=ds.feature_names,
-        )
+    return (take(ds, cand_idx, "candidate"), take(ds, test_idx, "test"),
+            [int(i) for i in cand_idx])
 
-    return _take(cand_idx, "candidate"), _take(test_idx, "test"), [int(i) for i in cand_idx]
+
+def take(ds: Dataset, idx, suffix: str) -> Dataset:
+    """The samples `idx` of `ds` (features and labels), named `<ds.name>/<suffix>`."""
+    return Dataset(features=ds.features[:, idx],
+                   labels=None if ds.labels is None else ds.labels[idx],
+                   name=f"{ds.name}/{suffix}")
 
 
 def make_blobs(n_per_class: int, classes: int, d: int, spread: float = 1.0,
@@ -272,45 +261,5 @@ def make_blobs(n_per_class: int, classes: int, d: int, spread: float = 1.0,
     )
 
 
-# Key -> annotation table of a dataset entry, in the config file or a registry.
+# Key -> annotation table of the config's `dataset` block: load_csv's parameters.
 DATASET_KEYS = {"path": str, "label_column": str | int, "delimiter": str, "header": bool | str}
-
-
-def load_registry(path) -> dict:
-    """Read a dataset manifest: {name: {path, label_column, delimiter, header}}."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read dataset registry {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"dataset registry {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ConfigError(f"dataset registry {path!r} must be a JSON object")
-    for key, entry in manifest.items():
-        check_options(DATASET_KEYS, entry, f"registry entry {key!r}")
-        if "path" not in entry:
-            raise ConfigError(f"registry entry {key!r} must have a 'path' field")
-    return manifest
-
-
-def resolve_dataset(ref: str, registry: dict | None = None, label_column=None,
-                    delimiter: str = ",", header="auto") -> Dataset:
-    """Load a dataset given a CSV path or a registry name.
-
-    A registry entry's own keys win over the arguments.  A digit-string
-    label column, from either, is a column index.
-    """
-    name = None
-    if registry is not None and ref in registry:
-        entry, name = registry[ref], ref
-        ref = entry["path"]
-        label_column = entry.get("label_column", label_column)
-        delimiter = entry.get("delimiter", delimiter)
-        header = entry.get("header", header)
-    elif not os.path.exists(ref):
-        raise DataError(f"dataset {ref!r} is neither a file nor a registry entry")
-    if isinstance(label_column, str) and label_column.isdigit():
-        label_column = int(label_column)
-    return load_csv(ref, label_column=label_column, delimiter=delimiter, header=header,
-                    name=name)

@@ -135,7 +135,7 @@ class Protocol:
     budgets: tuple[int, ...] = tuple(range(25, 226, 25))
     runs: int = 5
     candidate_fraction: float = 0.5
-    classifiers: tuple = CLASSIFIERS
+    classifiers: tuple[str, ...] = CLASSIFIERS
     seeds: tuple[int, ...] | None = None
     svm_c: float = 100.0
     logreg_reg: float = 1e-4
@@ -164,9 +164,10 @@ class Protocol:
                                ">= 0 throughout, without repeats")):
             if not ok:
                 raise ConfigError(f"protocol key {key!r} must be {rule}, got {getattr(self, key)!r}")
-        for c in self.classifiers:
-            if c not in CLASSIFIERS:
-                raise ConfigError(f"unknown classifier {c!r}; expected subset of {CLASSIFIERS}")
+        if (not self.classifiers or len(set(self.classifiers)) != len(self.classifiers)
+                or not set(self.classifiers) <= set(CLASSIFIERS)):
+            raise ConfigError(f"protocol key 'classifiers' must list distinct entries of "
+                              f"{CLASSIFIERS}, got {list(self.classifiers)}")
         if len(self.seeds) != self.runs:
             raise ConfigError(f"runs={self.runs} but {len(self.seeds)} seeds given")
 

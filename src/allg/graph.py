@@ -12,7 +12,6 @@ class PriorGraph:
     """Binary adjacency over samples; symmetric with zero diagonal."""
 
     adjacency: np.ndarray
-    k: int
 
 
 def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
@@ -40,7 +39,7 @@ def knn_graph(x: np.ndarray, k: int) -> PriorGraph:
         order = np.lexsort((idx, dist[:, j]))  # by distance, ties by index
         neighbors = order[order != j][:k]
         adjacency[neighbors, j] = 1.0
-    return PriorGraph(adjacency=np.maximum(adjacency, adjacency.T), k=k)
+    return PriorGraph(adjacency=np.maximum(adjacency, adjacency.T))
 
 
 def normalize_adjacency(a: np.ndarray, mode: str) -> np.ndarray:

@@ -29,7 +29,6 @@ from .errors import ConfigError
 from .rng import substream
 
 VARIANTS = ("full", "no_graph", "knn_only", "one_matrix", "tied_two", "distinct_two")
-_VARIANT_ALIASES = {"no_shortcut": "distinct_two"}
 
 _ACTIVATIONS = ("relu", "linear")
 
@@ -68,9 +67,7 @@ class ModelConfig:
         if len(self.encoder_dims) < 2 or any(v < 1 for v in self.encoder_dims):
             raise ConfigError(f"model key 'encoder_dims' needs >= 2 positive entries, "
                               f"got {self.encoder_dims}")
-        variant = _VARIANT_ALIASES.get(self.variant, self.variant)
-        object.__setattr__(self, "variant", variant)
-        if variant not in VARIANTS:
+        if self.variant not in VARIANTS:
             raise ConfigError(f"model key 'variant' must be one of {VARIANTS}, "
                               f"got {self.variant!r}")
         if self.variant == "full":

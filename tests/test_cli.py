@@ -63,6 +63,21 @@ class TestSelect:
         assert code == 0
         assert len((out / "ranking.csv").read_text().splitlines()) == 6
 
+    def test_reads_the_csv_through_data_load_csv(self, tmp_path, blobs_csv, monkeypatch):
+        # The benchmark's tracer times the read by patching allg.data.load_csv.
+        calls = []
+        real = allg.data.load_csv
+
+        def counting_load_csv(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(allg.data, "load_csv", counting_load_csv)
+        cfg = _write_config(tmp_path, {"model": _model_json()})
+        assert main(["select", "--config", cfg, "--dataset", blobs_csv,
+                     "--label-column", "label", "--out", str(tmp_path / "o")]) == 0
+        assert calls == [1]
+
     def test_byte_identical_reruns(self, tmp_path, blobs_csv):
         cfg = _write_config(tmp_path, {"model": _model_json()})
         outs = []
@@ -311,6 +326,7 @@ class TestExitCodes:
         ("select", {"subsample": 5.5}, "subsample"),
         ("evaluate", {"out": 5}, "out"),
         ("evaluate", {"registry": 3}, "registry"),
+        ("evaluate", {"registry": "reg.json"}, "registry"),
         ("evaluate", {"bogus": 1}, "bogus"),
         ("evaluate", {"dataset": {"label_colum": "label"}}, "label_colum"),
         ("evaluate", {"selectors": [{"kind": "random", "param": {}}]}, "param"),
@@ -342,12 +358,26 @@ class TestExitCodes:
         ("evaluate", {"protocol": {"candidate_fraction": 1}}, "candidate_fraction"),
         ("select", {"subsample": 0}, "subsample"),
         ("select", {"subsample": 1}, "subsample"),
+        ("evaluate", {"selectors": []}, "selectors"),
+        ("select", {"selectors": []}, "selectors"),
+        ("evaluate", {"selectors": ["random", "random"]}, "selectors"),
+        ("evaluate", {"selectors": ["kmeans", {"kind": "kmeans", "params": {"K": 2}}]},
+         "selectors"),
+        ("evaluate", {"selectors": [1]}, "selectors"),
+        ("evaluate", {"protocol": {"classifiers": []}}, "classifiers"),
+        ("evaluate", {"protocol": {"classifiers": ["linear_svm", "linear_svm"]}},
+         "classifiers"),
+        ("grid", {"protocol": {"classifiers": []}}, "classifiers"),
+        ("evaluate", {"protocol": {"classifiers": [1]}}, "classifiers"),
+        ("evaluate", {"protocol": {"classifiers": ["svm"]}}, "classifiers"),
+        ("select", {"model": {"variant": "no_shortcut"}}, "variant"),
     ], ids=["protocol_key_evaluate", "protocol_key_grid", "protocol_list_evaluate",
             "protocol_list_grid", "model_list_evaluate", "model_list_select",
             "model_list_grid", "selectors_string", "grid_list", "grid_scalar_axis",
             "dataset_list", "budgets_scalar", "runs_string", "classifiers_string",
             "model_alpha_string", "budgets_string_entry", "encoder_dims_string_entry",
             "seed_string", "subsample_float", "out_integer", "registry_integer",
+            "registry_string",
             "top_level_key", "dataset_key", "selector_entry_key", "kmeans_params_key",
             "encoder_dims_width_select", "encoder_dims_width_evaluate", "grid_empty_axis",
             "svm_c_negative", "svm_c_zero_grid", "logreg_reg_negative", "svm_sweeps_zero",
@@ -358,7 +388,10 @@ class TestExitCodes:
             "model_lam_zero_evaluate", "model_train_epochs_zero_ablate",
             "model_prior_normalize_unknown", "model_early_stop_select",
             "model_early_stop_evaluate", "candidate_fraction_one", "subsample_zero",
-            "subsample_one"])
+            "subsample_one", "selectors_empty", "selectors_empty_select",
+            "selectors_repeated", "selectors_repeated_label", "selectors_integer_entry",
+            "classifiers_empty", "classifiers_repeated", "classifiers_empty_grid",
+            "classifiers_integer_entry", "classifiers_unknown", "model_variant_alias"])
     def test_malformed_config_block(self, tmp_path, blobs_csv, capsys, command, payload,
                                     culprit):
         cfg = _write_config(tmp_path, payload)
@@ -366,21 +399,10 @@ class TestExitCodes:
                      "--label-column", "label", "--out", str(tmp_path / "o")]) == 2
         assert f"'{culprit}'" in capsys.readouterr().err
 
-    def test_bad_registry_entry(self, tmp_path, blobs_csv, capsys):
-        registry = tmp_path / "reg.json"
-        registry.write_text(json.dumps({"x": {"path": blobs_csv, "delimiter": 5}}),
-                            encoding="utf-8")
-        assert main(["select", "--registry", str(registry), "--dataset", "x",
-                     "--out", str(tmp_path / "o")]) == 2
-        assert "'delimiter'" in capsys.readouterr().err
-
-    def test_registry_digit_label_column_is_an_index(self, tmp_path, blobs_csv):
+    def test_dataset_block_digit_label_column_is_an_index(self, tmp_path, blobs_csv):
         # blobs.csv holds four feature columns and then the label, column 4.
-        registry = tmp_path / "reg.json"
-        registry.write_text(json.dumps({"x": {"path": blobs_csv, "label_column": "4"}}),
-                            encoding="utf-8")
-        assert main(["evaluate", "--registry", str(registry), "--dataset", "x",
-                     "--selector", "random", "--budgets", "4",
+        cfg = _write_config(tmp_path, {"dataset": {"path": blobs_csv, "label_column": "4"}})
+        assert main(["evaluate", "--config", cfg, "--selector", "random", "--budgets", "4",
                      "--out", str(tmp_path / "o")]) == 0
 
     @pytest.fixture()
@@ -400,7 +422,8 @@ class TestExitCodes:
         ({"alpha": "x"}, "random,kmeans,dcs,allg", False, "alpha"),
         (_model_json(), "random,kmeans,dcs,allg", True, "out"),
         (_model_json(), "random,mystery", False, "mystery"),
-    ], ids=["model_value", "out_is_file", "unknown_kind"])
+        (_model_json(), ",", False, "selectors"),
+    ], ids=["model_value", "out_is_file", "unknown_kind", "empty_selector_flag"])
     def test_bad_allg_model_fails_before_any_fit(self, tmp_path, blobs_csv, capsys, fits,
                                                  model, selector, out_is_file, culprit):
         cfg = _write_config(tmp_path, {"model": model,
@@ -477,7 +500,7 @@ class TestExitCodes:
 
 
 def test_every_config_key_is_documented():
-    # every key a config file, a registry entry or a selector's params may set
+    # every key a config file or a selector's params may set
     # appears in README.md in backticks or double quotes, bare or as `block.key`
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
               encoding="utf-8") as fh:

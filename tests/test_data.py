@@ -1,7 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
 import allg
+from allg.data import DATASET_KEYS
 from allg.errors import ConfigError, DataError
 
 
@@ -16,7 +19,6 @@ class TestLoadCsv:
         ds = allg.load_csv(p)
         assert ds.dim == 2 and ds.n_samples == 3
         assert ds.labels is None
-        assert ds.feature_names == ["a", "b"]
         np.testing.assert_array_equal(ds.features, [[1, 3, 5], [2, 4, 6]])
 
     def test_label_column_by_name(self, tmp_path):
@@ -25,7 +27,6 @@ class TestLoadCsv:
         assert ds.dim == 2 and ds.n_samples == 3
         # first occurrence defines class ids
         np.testing.assert_array_equal(ds.labels, [0, 1, 0])
-        assert ds.feature_names == ["x", "y"]
 
     def test_label_column_by_index_no_header(self, tmp_path):
         p = _write(tmp_path / "t.csv", "1,2,7\n3,4,9\n5,6,7\n")
@@ -74,6 +75,10 @@ class TestLoadCsv:
         p = _write(tmp_path / "t.csv", "a;b\n1;2\n3;4\n")
         ds = allg.load_csv(p, delimiter=";")
         assert ds.dim == 2 and ds.n_samples == 2
+
+    def test_dataset_block_keys_are_its_parameters(self):
+        # The config's `dataset` block is passed to load_csv as keyword arguments.
+        assert list(DATASET_KEYS) == list(inspect.signature(allg.load_csv).parameters)
 
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -183,29 +188,6 @@ class TestMakeBlobs:
     def test_bad_counts(self):
         with pytest.raises(ConfigError):
             allg.make_blobs(0, 3, d=2)
-
-
-class TestRegistry:
-    def test_resolve_by_name(self, tmp_path):
-        csv = tmp_path / "toy.csv"
-        allg.save_csv(allg.make_blobs(5, 2, d=2, seed=0), csv)
-        manifest = tmp_path / "reg.json"
-        manifest.write_text(
-            '{"toy": {"path": "%s", "label_column": "label"}}' % csv, encoding="utf-8"
-        )
-        reg = allg.load_registry(str(manifest))
-        ds = allg.resolve_dataset("toy", registry=reg)
-        assert ds.n_samples == 10 and ds.n_classes == 2
-
-    def test_unknown_ref(self):
-        with pytest.raises(DataError):
-            allg.resolve_dataset("nope_such_dataset")
-
-    def test_bad_manifest(self, tmp_path):
-        p = tmp_path / "reg.json"
-        p.write_text('{"toy": {"nopath": 1}}', encoding="utf-8")
-        with pytest.raises(ConfigError):
-            allg.load_registry(str(p))
 
 
 class TestDatasetInvariants:

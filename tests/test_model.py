@@ -105,10 +105,6 @@ class TestAblationVariants:
         assert cfg.n_stored_matrices == 1
         assert adjacency_key(cfg, 0) == adjacency_key(cfg, 1) == "adj0"
 
-    def test_no_shortcut_alias(self):
-        base = allg.ModelConfig(encoder_dims=(5, 4, 3))
-        assert dataclasses.replace(base, variant="no_shortcut").variant == "distinct_two"
-
     def test_unknown_variant(self):
         base = allg.ModelConfig(encoder_dims=(5, 4, 3))
         with pytest.raises(ConfigError):
