@@ -61,30 +61,34 @@ def _parse_int_list(text: str) -> list:
         raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
-def _gather(args) -> dict:
-    """Merge config file values with CLI overrides (flags win) and check each block."""
+def _gather(args) -> tuple:
+    """Merge config file values with CLI overrides (flags win) and check every block.
+
+    Returns (merged config dict, selector specs, Protocol, grid points), so
+    every command refuses the same bad values before it reads the data.
+    """
     cfg = _load_config_file(args.config) if args.config else {}
     if isinstance(cfg.get("dataset"), str):
         cfg["dataset"] = {"path": cfg["dataset"]}
     for flag, key in (("dataset", "path"), ("label_column", "label_column")):
-        if getattr(args, flag, None) is not None:
+        if getattr(args, flag) is not None:
             cfg.setdefault("dataset", {})[key] = getattr(args, flag)
     for key in ("seed", "out", "subsample"):
-        if getattr(args, key, None) is not None:
+        if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
-    if getattr(args, "budgets", None):
+    if getattr(args, "budgets", None) is not None:
         cfg.setdefault("protocol", {})["budgets"] = _parse_int_list(args.budgets)
-    if getattr(args, "selector", None):
+    if getattr(args, "selector", None) is not None:
         cfg["selectors"] = [{"kind": k.strip()} for k in args.selector.split(",") if k.strip()]
     if cfg.get("subsample", 2) < 2:
         raise ConfigError(f"config key 'subsample' must be >= 2, got {cfg['subsample']}")
-    cfg.setdefault("seed", 0)
+    if cfg.setdefault("seed", 0) < 0:
+        raise ConfigError(f"config key 'seed' must be >= 0, got {cfg['seed']}")
     cfg.setdefault("out", "allg_out")
     for block, table in (("dataset", DATASET_KEYS), ("model", ModelConfig),
                          ("protocol", Protocol), ("grid", GRID_KEYS)):
         check_options(table, cfg.get(block, {}), block)
-    _selector_specs(cfg)
-    return cfg
+    return cfg, _selector_specs(cfg), Protocol(**cfg.get("protocol", {})), _grid_points(cfg)
 
 
 def _load_dataset(cfg: dict):
@@ -111,15 +115,6 @@ def _maybe_subsample(ds, cfg: dict):
     return data.take(ds, keep, f"sub{size}")
 
 
-def _protocol(cfg: dict) -> Protocol:
-    opts = dict(cfg.get("protocol", {}))
-    if opts.get("seeds") is not None:
-        opts.setdefault("runs", len(opts["seeds"]))
-    else:
-        opts["seeds"] = [cfg["seed"] + i for i in range(opts.get("runs", Protocol.runs))]
-    return Protocol(**opts)
-
-
 def _selector_specs(cfg: dict) -> list:
     specs = []
     for entry in cfg.get("selectors", ["random", "kmeans", "dcs", "allg"]):
@@ -134,6 +129,17 @@ def _selector_specs(cfg: dict) -> list:
         raise ConfigError(f"config key 'selectors' must be a non-empty list without repeated "
                           f"labels (params 'name' tells two of one kind apart), got {labels}")
     return specs
+
+
+def _grid_points(cfg: dict) -> list:
+    """Every (alpha, beta, lambda) of the `grid` block's axes, each axis sorted."""
+    grid = cfg.get("grid", {})
+    axes = [grid.get(name, [0.1, 1.0, 10.0]) for name in GRID_AXES]
+    for name, values in zip(GRID_AXES, axes):
+        if not values or len(set(values)) != len(values) or min(values) <= 0:
+            raise ConfigError(f"grid key {name!r} must list distinct positive values, "
+                              f"got {values}")
+    return list(itertools.product(*(sorted(v) for v in axes)))
 
 
 def _out_dir(cfg: dict) -> str:
@@ -164,7 +170,7 @@ def _write_report(path, cells) -> None:
 
 
 def cmd_select(args) -> int:
-    cfg = _gather(args)
+    cfg, *_ = _gather(args)
     ds = _load_dataset(cfg)
     if args.m is not None and not 1 <= args.m <= ds.n_samples:
         raise ConfigError(f"--m {args.m} must lie in 1..{ds.n_samples} for this pool")
@@ -196,12 +202,11 @@ def _snapshot(out: str, command: str, cfg: dict, dataset_name: str) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _gather(args)
-    specs, protocol = _selector_specs(cfg), _protocol(cfg)
+    cfg, specs, protocol, _ = _gather(args)
     ds = _load_dataset(cfg)
     check_protocol(ds, specs, protocol)
     out = _out_dir(cfg)
-    cells = run_protocol(ds, specs, protocol)
+    cells = run_protocol(ds, specs, protocol, cfg["seed"])
     summary = summarize(cells)
     _write_report(os.path.join(out, "report.csv"), cells)
     _write_csv(os.path.join(out, "means.csv"),
@@ -217,16 +222,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    cfg = _gather(args)
-    grid = cfg.get("grid", {})
-    axes = [grid.get(name, [0.1, 1.0, 10.0]) for name in GRID_AXES]
-    for name, values in zip(GRID_AXES, axes):
-        if not values or len(set(values)) != len(values) or min(values) <= 0:
-            raise ConfigError(f"grid key {name!r} must list distinct positive values, "
-                              f"got {values}")
+    cfg, _, protocol, points = _gather(args)
     # One fixed validation seed for the whole sweep.
-    protocol = dataclasses.replace(_protocol(cfg), runs=1, seeds=(cfg["seed"],))
-    points = list(itertools.product(*(sorted(v) for v in axes)))
+    protocol = dataclasses.replace(protocol, runs=1)
     specs = [SelectorSpec("allg", {**cfg.get("model", {}), "alpha": alpha, "beta": beta,
                                    "lam": lam}) for alpha, beta, lam in points]
     ds = _load_dataset(cfg)
@@ -235,8 +233,8 @@ def cmd_grid(args) -> int:
     out = _out_dir(cfg)
     rows = []
     for (alpha, beta, lam), spec in zip(points, specs):
-        averages = [means["average"]
-                    for means in summarize(run_protocol(ds, [spec], protocol))["allg"].values()]
+        cells = run_protocol(ds, [spec], protocol, cfg["seed"])
+        averages = [means["average"] for means in summarize(cells)["allg"].values()]
         mean = float(sum(averages) / len(averages))
         rows.append((alpha, beta, lam, mean))
         print(f"alpha={alpha} beta={beta} lambda={lam}: mean accuracy {mean:.4f}")
@@ -251,14 +249,13 @@ def cmd_grid(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = _gather(args)
+    cfg, _, protocol, _ = _gather(args)
     model = cfg.get("model", {})
     specs = [SelectorSpec("allg", {**model, "variant": v, "name": v}) for v in ABLATION_ORDER]
-    protocol = _protocol(cfg)
     ds = _load_dataset(cfg)
     check_protocol(ds, specs, protocol)
     out = _out_dir(cfg)
-    cells = run_protocol(ds, specs, protocol)
+    cells = run_protocol(ds, specs, protocol, cfg["seed"])
     summary = summarize(cells)
     _write_report(os.path.join(out, "ablation_report.csv"), cells)
     _write_csv(os.path.join(out, "ablation.csv"),
@@ -299,16 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset=True, budgets=False):
+    def common(p, budgets=False):
         p.add_argument("--config", help="JSON config file (schema_version 1)")
         p.add_argument("--seed", type=int, default=None, help="root random seed")
         p.add_argument("--out", default=None, help="output directory")
-        if dataset:
-            p.add_argument("--dataset", default=None, help="CSV path")
-            p.add_argument("--label-column", dest="label_column", default=None,
-                           help="label column name or index")
-            p.add_argument("--subsample", type=int, default=None,
-                           help="uniformly subsample the dataset to N rows (smoke tests)")
+        p.add_argument("--dataset", default=None, help="CSV path")
+        p.add_argument("--label-column", dest="label_column", default=None,
+                       help="label column name or index")
+        p.add_argument("--subsample", type=int, default=None,
+                       help="uniformly subsample the dataset to N rows (smoke tests)")
         if budgets:
             p.add_argument("--budgets", default=None, help="comma-separated query budgets")
 
@@ -331,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    common(p, dataset=False)
+    p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -136,7 +136,6 @@ class Protocol:
     runs: int = 5
     candidate_fraction: float = 0.5
     classifiers: tuple[str, ...] = CLASSIFIERS
-    seeds: tuple[int, ...] | None = None
     svm_c: float = 100.0
     logreg_reg: float = 1e-4
     logreg_max_iter: int = 5000
@@ -145,31 +144,25 @@ class Protocol:
     def __post_init__(self):
         object.__setattr__(self, "budgets", tuple(int(b) for b in self.budgets))
         object.__setattr__(self, "classifiers", tuple(self.classifiers))
-        seeds = range(self.runs) if self.seeds is None else self.seeds
-        object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
         if not self.budgets or list(self.budgets) != sorted(set(self.budgets)):
-            raise ConfigError(f"budgets must be non-empty and strictly ascending, "
-                              f"got {self.budgets}")
+            raise ConfigError(f"protocol key 'budgets' must be non-empty and strictly "
+                              f"ascending, got {list(self.budgets)}")
         if self.budgets[0] < 1:
-            raise ConfigError("budgets must be positive")
+            raise ConfigError(f"protocol key 'budgets' must be positive, "
+                              f"got {list(self.budgets)}")
         for key, ok, rule in (("svm_c", self.svm_c > 0, "> 0"),
                               ("logreg_reg", self.logreg_reg >= 0, ">= 0"),
                               ("svm_sweeps", self.svm_sweeps >= 1, ">= 1"),
                               ("logreg_max_iter", self.logreg_max_iter >= 1, ">= 1"),
                               ("runs", self.runs >= 1, ">= 1"),
                               ("candidate_fraction", 0 < self.candidate_fraction < 1,
-                               "in (0, 1)"),
-                              ("seeds", min(self.seeds, default=0) >= 0
-                               and len(set(self.seeds)) == len(self.seeds),
-                               ">= 0 throughout, without repeats")):
+                               "in (0, 1)")):
             if not ok:
                 raise ConfigError(f"protocol key {key!r} must be {rule}, got {getattr(self, key)!r}")
         if (not self.classifiers or len(set(self.classifiers)) != len(self.classifiers)
                 or not set(self.classifiers) <= set(CLASSIFIERS)):
             raise ConfigError(f"protocol key 'classifiers' must list distinct entries of "
                               f"{CLASSIFIERS}, got {list(self.classifiers)}")
-        if len(self.seeds) != self.runs:
-            raise ConfigError(f"runs={self.runs} but {len(self.seeds)} seeds given")
 
     def classify(self, name: str, x_train, y_train, x_test, y_test) -> float:
         if name == "logistic_regression":
@@ -294,25 +287,26 @@ def check_protocol(ds: Dataset, selectors: list, protocol: Protocol) -> list:
     return selectors
 
 
-def run_protocol(ds: Dataset, selectors: list, protocol: Protocol) -> list:
+def run_protocol(ds: Dataset, selectors: list, protocol: Protocol, seed: int = 0) -> list:
     """Run the full benchmark; returns its EvalCells (see `summarize`).
 
-    Selector randomness is derived per (run seed, selector label), so the
-    cells of one selector are unaffected by adding another.
+    The runs use the seeds seed, seed + 1, ..., seed + runs - 1.  Selector
+    randomness is derived per (run seed, selector label), so the cells of
+    one selector are unaffected by adding another.
     """
     selectors = check_protocol(ds, selectors, protocol)
     cells = []
-    for seed in protocol.seeds:
-        cand, test, _ = split(ds, protocol.candidate_fraction, seed)
+    for run_seed in range(seed, seed + protocol.runs):
+        cand, test, _ = split(ds, protocol.candidate_fraction, run_seed)
         cand_std, mu, sd = standardize(cand)
         test_std = apply_standardization(test, mu, sd)
         for spec in selectors:
             ranking = rank_candidates(cand_std.features, spec,
-                                      derive_seed(seed, f"selector:{spec.label}"))
+                                      derive_seed(run_seed, f"selector:{spec.label}"))
             for budget in protocol.budgets:
                 chosen = sorted(ranking[:budget])
                 x_train, y_train = cand_std.features[:, chosen], cand.labels[chosen]
                 for clf in protocol.classifiers:
                     acc = protocol.classify(clf, x_train, y_train, test_std.features, test.labels)
-                    cells.append(EvalCell(spec.label, clf, budget, seed, acc))
+                    cells.append(EvalCell(spec.label, clf, budget, run_seed, acc))
     return cells

@@ -164,8 +164,7 @@ def test_criterion_6_selection_beats_random_on_blobs():
              "train_epochs": 1500, "knn_k": 5, "alpha": 10.0, "beta": 10.0,
              "lam": 10.0, "encoder_final_activation": "linear",
              "prior_normalize": "col"}
-    proto = Protocol(budgets=(15,), runs=5, classifiers=("logistic_regression",),
-                     seeds=(0, 1, 2, 3, 4))
+    proto = Protocol(budgets=(15,), runs=5, classifiers=("logistic_regression",))
     summary = summarize(run_protocol(ds, [allg.SelectorSpec("random"),
                                           allg.SelectorSpec("allg", params=model)], proto))
     ours = summary["allg"]["logistic_regression"]["budgets"]["15"]
@@ -179,8 +178,7 @@ def test_criterion_7_splice_reproduction():
     ds = _splice_dataset()
     budgets = tuple(range(25, 226, 25))
     # hyperparameter grid on one fixed validation seed, coarse budget subset
-    grid_proto = Protocol(budgets=(25, 125, 225), runs=1, seeds=(0,),
-                          classifiers=("logistic_regression",))
+    grid_proto = Protocol(budgets=(25, 125, 225), runs=1, classifiers=("logistic_regression",))
     best, best_mean = None, -1.0
     for alpha, beta, lam in itertools.product((0.1, 1.0, 10.0), repeat=3):
         spec = allg.SelectorSpec("allg", params=_splice_model(alpha, beta, lam,
@@ -191,8 +189,7 @@ def test_criterion_7_splice_reproduction():
             best, best_mean = (alpha, beta, lam), mean
     print(f"grid best (alpha, beta, lambda) = {best} at {best_mean:.4f}")
 
-    proto = Protocol(budgets=budgets, runs=5, seeds=(0, 1, 2, 3, 4),
-                     classifiers=("logistic_regression",))
+    proto = Protocol(budgets=budgets, runs=5, classifiers=("logistic_regression",))
     spec = allg.SelectorSpec("allg", params=_splice_model(*best))
     allg_means = summarize(run_protocol(ds, [spec], proto))["allg"]["logistic_regression"]
     grand = allg_means["average"]

@@ -114,7 +114,7 @@ class TestEvaluate:
     def test_three_selector_report(self, tmp_path, blobs_csv):
         out = tmp_path / "eval"
         cfg = _write_config(tmp_path, {
-            "protocol": {"budgets": [4, 8], "runs": 2, "seeds": [0, 1],
+            "protocol": {"budgets": [4, 8], "runs": 2,
                          "classifiers": ["logistic_regression"],
                          "logreg_max_iter": 300},
         })
@@ -140,20 +140,17 @@ class TestEvaluate:
         assert snapshot["config"]["seed"] == 0
 
     def test_accuracy_cells_in_unit_interval(self, tmp_path, blobs_csv):
-        protocols = [
-            {"budgets": [6], "runs": 1, "seeds": [4],
-             "classifiers": ["linear_svm"], "svm_sweeps": 100},
-            # seeds alone set the run count
-            {"budgets": [6], "seeds": [4, 5],
-             "classifiers": ["linear_svm"], "svm_sweeps": 100},
-        ]
-        for i, protocol in enumerate(protocols):
-            out = tmp_path / f"eval{i}"
-            cfg = _write_config(tmp_path, {"protocol": protocol}, name=f"cfg{i}.json")
+        # the runs use the seeds seed, seed + 1, ..., seed + runs - 1
+        for runs, seeds in ((1, {"4"}), (2, {"4", "5"})):
+            out = tmp_path / f"eval{runs}"
+            protocol = {"budgets": [6], "runs": runs, "classifiers": ["linear_svm"],
+                        "svm_sweeps": 100}
+            cfg = _write_config(tmp_path, {"protocol": protocol}, name=f"cfg{runs}.json")
             assert main(["evaluate", "--config", cfg, "--dataset", blobs_csv,
                          "--label-column", "label", "--out", str(out),
-                         "--selector", "random"]) == 0
+                         "--selector", "random", "--seed", "4"]) == 0
             rows = (out / "report.csv").read_text().splitlines()[1:]
+            assert {row.split(",")[3] for row in rows} == seeds
             for row in rows:
                 acc = float(row.split(",")[-1])
                 assert 0.0 <= acc <= 1.0
@@ -197,12 +194,12 @@ class TestAblate:
         out = tmp_path / "ablate"
         cfg = _write_config(tmp_path, {
             "model": _model_json(pretrain_epochs=5, train_epochs=8),
-            "protocol": {"budgets": [4], "runs": 2, "seeds": [0, 1],
+            "protocol": {"budgets": [4], "runs": 2,
                          "classifiers": ["logistic_regression"],
                          "logreg_max_iter": 100},
         })
         assert main(["ablate", "--config", cfg, "--dataset", blobs_csv,
-                     "--label-column", "label", "--out", str(out)]) == 0
+                     "--label-column", "label", "--out", str(out), "--seed", "3"]) == 0
         rows = (out / "ablation.csv").read_text().splitlines()
         assert rows[0].startswith("variant,classifier,")
         assert rows[0].endswith(",average")
@@ -212,7 +209,7 @@ class TestAblate:
         # every variant evaluated for every seed on the shared protocol
         report = (out / "ablation_report.csv").read_text().splitlines()[1:]
         seen = {(r.split(",")[0], r.split(",")[3]) for r in report}
-        assert seen == {(v, s) for v in variants for s in ("0", "1")}
+        assert seen == {(v, s) for v in variants for s in ("3", "4")}
 
     def test_full_variant_beats_no_graph_on_noisy_blobs(self):
         # property mirroring the ablation table's ordering on a fixture
@@ -223,8 +220,7 @@ class TestAblate:
                  "train_epochs": 1000, "knn_k": 5, "alpha": 10.0, "beta": 10.0,
                  "lam": 10.0, "encoder_final_activation": "linear",
                  "prior_normalize": "col"}
-        proto = Protocol(budgets=(15,), runs=5, classifiers=("logistic_regression",),
-                         seeds=(0, 1, 2, 3, 4))
+        proto = Protocol(budgets=(15,), runs=5, classifiers=("logistic_regression",))
         specs = [allg.SelectorSpec("allg", params={**model, "variant": v, "name": v})
                  for v in ("no_graph", "full")]
         summary = summarize(run_protocol(ds, specs, proto))
@@ -253,6 +249,13 @@ class TestGradcheckCommand:
         out.write_text("", encoding="utf-8")
         assert main(["gradcheck", "--out", str(out)]) == 2
         assert "'out'" in capsys.readouterr().err
+
+    def test_takes_no_config_or_seed(self):
+        # gradcheck reads neither, so argparse refuses them (exit 2)
+        for flags in (["--seed", "3"], ["--config", "missing.json"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["gradcheck", *flags])
+            assert exc.value.code == 2
 
 
 class TestSubsample:
@@ -342,8 +345,11 @@ class TestExitCodes:
         ("evaluate", {"protocol": {"runs": 0}}, "runs"),
         ("ablate", {"protocol": {"runs": 0}}, "runs"),
         ("evaluate", {"protocol": {"candidate_fraction": 2}}, "candidate_fraction"),
-        ("evaluate", {"protocol": {"seeds": [-1], "runs": 1}}, "seeds"),
-        ("evaluate", {"protocol": {"seeds": [1, 1]}}, "seeds"),
+        ("evaluate", {"protocol": {"seeds": [0, 1]}}, "seeds"),
+        ("evaluate", {"protocol": {"budgets": [8, 4]}}, "budgets"),
+        ("evaluate", {"protocol": {"budgets": [0, 4]}}, "budgets"),
+        ("select", {"seed": -1, "subsample": 10}, "seed"),
+        ("evaluate", {"seed": -1}, "seed"),
         ("select", {"selectors": [{"kind": "bogus"}]}, "bogus"),
         ("grid", {"selectors": [{"kind": "bogus"}]}, "bogus"),
         ("ablate", {"selectors": [{"kind": "bogus"}]}, "bogus"),
@@ -382,7 +388,8 @@ class TestExitCodes:
             "encoder_dims_width_select", "encoder_dims_width_evaluate", "grid_empty_axis",
             "svm_c_negative", "svm_c_zero_grid", "logreg_reg_negative", "svm_sweeps_zero",
             "logreg_max_iter_zero", "runs_zero", "runs_zero_ablate",
-            "candidate_fraction_above_one", "seeds_negative", "seeds_repeated",
+            "candidate_fraction_above_one", "seeds_key", "budgets_descending",
+            "budgets_zero", "seed_negative_subsample", "seed_negative_evaluate",
             "selector_kind_select", "selector_kind_grid", "selector_kind_ablate",
             "grid_repeated_value", "grid_axis_negative", "model_knn_k_zero",
             "model_lam_zero_evaluate", "model_train_epochs_zero_ablate",
@@ -398,6 +405,38 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--dataset", blobs_csv,
                      "--label-column", "label", "--out", str(tmp_path / "o")]) == 2
         assert f"'{culprit}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["select", "evaluate", "grid", "ablate"])
+    @pytest.mark.parametrize("payload, culprit", [
+        ({"protocol": {"runs": 0}}, "runs"),
+        ({"protocol": {"classifiers": []}}, "classifiers"),
+        ({"grid": {"alpha": [-1]}}, "alpha"),
+        ({"grid": {"beta": [1, 1]}}, "beta"),
+        ({"protocol": {"classifiers": [], "runs": 0}, "grid": {"alpha": []}}, "runs"),
+    ], ids=["runs_zero", "classifiers_empty", "grid_axis_negative", "grid_axis_repeated",
+            "protocol_and_grid"])
+    def test_every_command_checks_every_block(self, tmp_path, blobs_csv, capsys, monkeypatch,
+                                              command, payload, culprit):
+        monkeypatch.setattr(allg.data, "load_csv", lambda **kw: pytest.fail("read the CSV"))
+        cfg = _write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--dataset", blobs_csv,
+                     "--label-column", "label", "--out", str(tmp_path / "o")]) == 2
+        assert f"'{culprit}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, culprit", [("--selector", "selectors"),
+                                               ("--budgets", "budgets")])
+    def test_empty_flag_is_an_empty_list(self, tmp_path, blobs_csv, capsys, fits, flag,
+                                         culprit):
+        # an empty flag overrides the config's list; it does not fall back to it
+        cfg = _write_config(tmp_path, {"selectors": ["random"],
+                                       "protocol": {"budgets": [3], "runs": 1}})
+        assert main(["evaluate", "--config", cfg, "--dataset", blobs_csv,
+                     "--label-column", "label", "--out", str(tmp_path / "o"), flag, ""]) == 2
+        assert f"'{culprit}'" in capsys.readouterr().err
+        assert fits == []
+        assert not (tmp_path / "o").exists()
 
     def test_dataset_block_digit_label_column_is_an_index(self, tmp_path, blobs_csv):
         # blobs.csv holds four feature columns and then the label, column 4.

@@ -138,14 +138,6 @@ class TestSvmWeightsBitwise:
 
 
 class TestProtocolConfig:
-    def test_default_seeds_match_runs(self):
-        p = Protocol(runs=3)
-        assert p.seeds == (0, 1, 2)
-
-    def test_mismatched_seed_count(self):
-        with pytest.raises(ConfigError):
-            Protocol(runs=2, seeds=(1, 2, 3))
-
     def test_budgets_must_ascend(self):
         with pytest.raises(ConfigError):
             Protocol(budgets=(50, 25))
@@ -189,7 +181,7 @@ class TestSummarize:
     def test_csv_and_summary_files(self, tmp_path, monkeypatch):
         """`allg evaluate` writes its cells, means and summary."""
         cells = [EvalCell("s", "c", 5, 0, 0.5)]
-        monkeypatch.setattr(allg.cli, "run_protocol", lambda ds, specs, protocol: cells)
+        monkeypatch.setattr(allg.cli, "run_protocol", lambda ds, specs, protocol, seed: cells)
         monkeypatch.setattr(allg.cli, "check_protocol", lambda ds, specs, protocol: specs)
         data, out = tmp_path / "pool.csv", tmp_path / "out"
         allg.save_csv(allg.make_blobs(5, 2, d=2, seed=0), data)
@@ -210,7 +202,7 @@ def labeled():
 class TestRunProtocol:
     def test_cell_count(self, labeled):
         proto = Protocol(budgets=(5, 10), runs=2, classifiers=("logistic_regression",),
-                         logreg_max_iter=300, seeds=(0, 1))
+                         logreg_max_iter=300)
         specs = [allg.SelectorSpec("random"), allg.SelectorSpec("kmeans", params={"K": 3})]
         cells = run_protocol(labeled, specs, proto)
         assert len(cells) == 2 * 2 * 1 * 2  # selectors x budgets x classifiers x runs
@@ -218,7 +210,7 @@ class TestRunProtocol:
     def test_saturated_budget_equalizes_selectors(self, labeled):
         # with m = full candidate set every selector trains on the same data
         proto = Protocol(budgets=(30,), runs=2, classifiers=("logistic_regression",),
-                         logreg_max_iter=500, seeds=(0, 1))
+                         logreg_max_iter=500)
         specs = [allg.SelectorSpec("random"), allg.SelectorSpec("kmeans", params={"K": 3}),
                  allg.SelectorSpec("dcs")]
         cells = run_protocol(labeled, specs, proto)
@@ -228,7 +220,7 @@ class TestRunProtocol:
 
     def test_bitwise_deterministic(self, labeled):
         proto = Protocol(budgets=(6,), runs=2, classifiers=("linear_svm",),
-                         svm_sweeps=200, seeds=(0, 1))
+                         svm_sweeps=200)
         specs = [allg.SelectorSpec("random")]
         r1 = run_protocol(labeled, specs, proto)
         r2 = run_protocol(labeled, specs, proto)
@@ -236,7 +228,7 @@ class TestRunProtocol:
 
     def test_monotone_trend_small_to_large_budget(self, labeled):
         proto = Protocol(budgets=(4, 24), runs=3, classifiers=("logistic_regression",),
-                         logreg_max_iter=500, seeds=(0, 1, 2))
+                         logreg_max_iter=500)
         specs = [allg.SelectorSpec("random"), allg.SelectorSpec("kmeans", params={"K": 3})]
         summary = summarize(run_protocol(labeled, specs, proto))
         for spec in specs:
@@ -250,20 +242,20 @@ class TestRunProtocol:
             run_protocol(ds, [allg.SelectorSpec("random")], Protocol(budgets=(2,), runs=1))
 
     def test_budget_beyond_candidates_rejected(self, labeled):
-        proto = Protocol(budgets=(31,), runs=1, seeds=(0,))
+        proto = Protocol(budgets=(31,), runs=1)
         with pytest.raises(ConfigError, match="budget"):
             run_protocol(labeled, [allg.SelectorSpec("random")], proto)
 
     def test_duplicate_selector_labels_rejected(self, labeled):
         specs = [allg.SelectorSpec("random"), allg.SelectorSpec("random")]
         with pytest.raises(ConfigError, match="unique"):
-            run_protocol(labeled, specs, Protocol(budgets=(2,), runs=1, seeds=(0,)))
+            run_protocol(labeled, specs, Protocol(budgets=(2,), runs=1))
 
     def test_allg_selector_with_representation(self, labeled):
         model = {"encoder_dims": (4, 4, 3), "pretrain_epochs": 15, "train_epochs": 15,
                  "knn_k": 3}
         proto = Protocol(budgets=(6,), runs=1, classifiers=("logistic_regression",),
-                         logreg_max_iter=300, seeds=(0,))
+                         logreg_max_iter=300)
         specs = [
             allg.SelectorSpec("allg", params=dict(model)),
             allg.SelectorSpec("allg", params={**model, "name": "allg_latent"}),

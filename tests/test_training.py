@@ -8,7 +8,7 @@ import pytest
 import allg
 from allg.cli import main
 from allg.errors import NumericalError
-from allg.model import config_to_dict, stage2_peak_bytes
+from allg.model import VARIANTS, config_to_dict, stage2_peak_bytes
 from allg.training import reconstruction_loss
 from oracles import finite_diff, rel_err
 
@@ -245,40 +245,66 @@ class TestCompositeGradient:
         report = check_composite()
         assert report.max_rel_err < 1e-4
 
-    def test_normalized_prior_gradients(self):
-        # same composite check but through the degree-normalized prior path
+    @pytest.mark.parametrize("prior", ["none", "col", "sym"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_normalized_prior_gradients(self, variant, prior):
+        # the composite check for every variant's graph and every prior normalization,
+        # on n = 9 candidates with N = 3 adjacency layers and the shortcut at layer 2
         from allg import autodiff as ad
-        from allg.graph import normalize_adjacency
-        from allg.model import build_loss_graph, init_encoder_decoder, wrap_params
-        from allg.rng import substream
+        from allg.model import build_loss_graph, forward, is_frozen, wrap_params
 
-        rng = substream(17, "normalized_prior_gradcheck")
-        cfg = allg.ModelConfig(encoder_dims=(5, 4, 3), lam=0.6, alpha=0.5,
-                               beta=2.0, knn_k=2, seed=1, prior_normalize="col")
-        x = rng.normal(size=(5, 8))
-        a0 = normalize_adjacency(allg.knn_graph(x, 2).adjacency, "col")
-        params = init_encoder_decoder(cfg)
-        params.update({f"adj{i}": a0 + 0.1 * rng.normal(size=(8, 8)) for i in range(2)})
-        q = 0.2 * rng.normal(size=(8, 8))
-        # keep each row's sup-norm argmax unique so the point is smooth
-        for i in range(8):
-            j = np.argmax(np.abs(q[i]))
-            q[i, j] += np.sign(q[i, j]) * 0.2
-        params["q"] = q
-
-        def total(arrs):
-            tape = ad.Tape()
-            pv = {k: tape.var(v, requires_grad=True) for k, v in arrs.items()}
-            losses, _ = build_loss_graph(tape, pv, tape.var(x), tape.var(a0), cfg)
-            return losses["total"].item()
-
+        cfg = allg.ModelConfig(encoder_dims=(4, 3, 2), n_adjacency=3, shortcut_layer=2,
+                               lam=0.6, alpha=0.5, beta=2.0, knn_k=2, seed=1,
+                               prior_normalize=prior, variant=variant)
+        params, x, a0 = _smooth_point(cfg, f"variant_gradcheck:{variant}:{prior}")
         tape = ad.Tape()
         pv = wrap_params(tape, params, cfg)
         losses, _ = build_loss_graph(tape, pv, tape.var(x), tape.var(a0), cfg)
         tape.backward(losses["total"])
-        fd = finite_diff(total, params)
-        worst = max(rel_err(pv[k].grad, fd[k]) for k in params)
+        # every trainable parameter: knn_only's adjacency is frozen, tied_two stores one
+        trainable = {k: v for k, v in params.items() if not is_frozen(cfg, k)}
+        assert len(trainable) == 8 + 1 + cfg.n_stored_matrices - (variant == "knn_only")
+        fd = finite_diff(lambda arrs: forward({**params, **arrs}, x, cfg, a0)[1]["total"],
+                         trainable)
+        worst = max(rel_err(pv[k].grad, fd[k]) for k in trainable)
         assert worst < 1e-4
+
+
+def _smooth_point(cfg, name: str):
+    """(params, x, a0) for a stage-2 model on 9 candidates at which the loss is smooth.
+
+    Biases are nonzero, each row of Q has one sup-norm argmax, and every ReLU
+    input lies at least 1e-3 from the kink, far beyond the finite-difference
+    step; draws from the substreams `name:0`, `name:1`, ... until one point
+    has all three.
+    """
+    from allg import autodiff as ad
+    from allg.graph import normalize_adjacency
+    from allg.model import forward, init_encoder_decoder
+    from allg.rng import substream
+
+    relu, n = ad.relu, 9
+    for attempt in range(20):
+        rng = substream(17, f"{name}:{attempt}")
+        x = rng.normal(size=(cfg.input_dim, n))
+        a0 = normalize_adjacency(allg.knn_graph(x, cfg.knn_k).adjacency, cfg.prior_normalize)
+        params = init_encoder_decoder(cfg, rng)
+        params.update({k: rng.uniform(0.2, 0.5, v.shape) * rng.choice([-1.0, 1.0], v.shape)
+                       for k, v in params.items() if "_b" in k})
+        params.update({f"adj{i}": a0 + 0.1 * rng.normal(size=(n, n))
+                       for i in range(cfg.n_stored_matrices)})
+        q = 0.2 * rng.normal(size=(n, n))
+        for i in range(n):
+            j = np.argmax(np.abs(q[i]))
+            q[i, j] += np.sign(q[i, j]) * 0.2
+        params["q"] = q
+        relu_inputs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ad, "relu", lambda v: relu_inputs.append(v.value) or relu(v))
+            forward(params, x, cfg, a0)
+        if min(np.abs(v).min() for v in relu_inputs) >= 1e-3:
+            return params, x, a0
+    raise AssertionError(f"no smooth point in 20 draws of {name}")
 
 
 class TestLossHistoryCsv:
