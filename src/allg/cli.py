@@ -22,7 +22,8 @@ from .data import DATASET_KEYS, standardize
 from .errors import AllgError, ConfigError, DataError, NumericalError
 from .evaluate import Protocol, SelectorSpec, check_protocol, run_protocol, summarize
 from .gradcheck import run_all
-from .model import ModelConfig, check_options, config_from_options, config_to_dict, save_checkpoint
+from .model import (NON_NEGATIVE, POSITIVE, ModelConfig, check_options, config_from_options,
+                    distinct_list, rule, save_checkpoint)
 from .rng import substream
 from .training import run_selection
 
@@ -32,11 +33,11 @@ GRID_AXES = ("alpha", "beta", "lambda")
 LOSS_COLUMNS = ("epoch", "recon", "adjacency", "propagation", "selection", "total")
 
 # Key -> annotation tables of the config file's blocks, checked by check_options.
-CONFIG_KEYS = {"schema_version": int, "dataset": str | dict, "seed": int, "out": str,
-               "subsample": int, "model": dict, "protocol": dict, "grid": dict,
-               "selectors": tuple[str | dict, ...]}
+CONFIG_KEYS = {"schema_version": int, "dataset": str | dict, "seed": NON_NEGATIVE, "out": str,
+               "subsample": rule(int, ">= 2", lambda v: v >= 2), "model": dict,
+               "protocol": dict, "grid": dict, "selectors": tuple[str | dict, ...]}
 SELECTOR_KEYS = {"kind": str, "params": dict}
-GRID_KEYS = dict.fromkeys(GRID_AXES, tuple[float, ...])
+GRID_KEYS = dict.fromkeys(GRID_AXES, distinct_list(POSITIVE))
 
 
 def _load_config_file(path) -> dict:
@@ -80,11 +81,9 @@ def _gather(args) -> tuple:
         cfg.setdefault("protocol", {})["budgets"] = _parse_int_list(args.budgets)
     if getattr(args, "selector", None) is not None:
         cfg["selectors"] = [{"kind": k.strip()} for k in args.selector.split(",") if k.strip()]
-    if cfg.get("subsample", 2) < 2:
-        raise ConfigError(f"config key 'subsample' must be >= 2, got {cfg['subsample']}")
-    if cfg.setdefault("seed", 0) < 0:
-        raise ConfigError(f"config key 'seed' must be >= 0, got {cfg['seed']}")
+    cfg.setdefault("seed", 0)
     cfg.setdefault("out", "allg_out")
+    check_options(CONFIG_KEYS, cfg, "config")
     for block, table in (("dataset", DATASET_KEYS), ("model", ModelConfig),
                          ("protocol", Protocol), ("grid", GRID_KEYS)):
         check_options(table, cfg.get(block, {}), block)
@@ -134,12 +133,8 @@ def _selector_specs(cfg: dict) -> list:
 def _grid_points(cfg: dict) -> list:
     """Every (alpha, beta, lambda) of the `grid` block's axes, each axis sorted."""
     grid = cfg.get("grid", {})
-    axes = [grid.get(name, [0.1, 1.0, 10.0]) for name in GRID_AXES]
-    for name, values in zip(GRID_AXES, axes):
-        if not values or len(set(values)) != len(values) or min(values) <= 0:
-            raise ConfigError(f"grid key {name!r} must list distinct positive values, "
-                              f"got {values}")
-    return list(itertools.product(*(sorted(v) for v in axes)))
+    return list(itertools.product(*(sorted(grid.get(name, [0.1, 1.0, 10.0]))
+                                    for name in GRID_AXES)))
 
 
 def _out_dir(cfg: dict) -> str:
@@ -189,7 +184,7 @@ def cmd_select(args) -> int:
         "command": "select",
         "dataset": ds.name,
         "n_candidates": ds.n_samples,
-        "config": config_to_dict(mcfg),
+        "config": dataclasses.asdict(mcfg),
         "final_losses": result.final_losses,
     })
     print(f"wrote ranking for {ds.n_samples} candidates to {out}/ranking.csv")

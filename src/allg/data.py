@@ -8,10 +8,12 @@ transposed at load time.
 import csv
 import os
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .model import NON_NEGATIVE, check_options, rule
 from .rng import substream
 
 
@@ -57,17 +59,9 @@ class Dataset:
 
 
 def _check_ingested(ds: Dataset) -> Dataset:
-    # Ingestion-time invariants: n >= 2, and labels (if any) form a dense
-    # class range with every class present.
+    # Ingested data holds n >= 2 samples; its labels are dense by construction.
     if ds.n_samples < 2:
         raise DataError(f"dataset '{ds.name}' needs at least 2 samples, got {ds.n_samples}")
-    if ds.labels is not None:
-        present = np.unique(ds.labels)
-        expected = np.arange(int(ds.labels.max()) + 1)
-        if not np.array_equal(present, expected):
-            raise DataError(
-                f"labels must cover 0..C-1 with every class nonempty, got classes {present}"
-            )
     return ds
 
 
@@ -79,8 +73,7 @@ def load_csv(path, label_column=None, delimiter: str = ",", header="auto") -> Da
     row as a header when any of its cells fails to parse as a float.  Label
     values are mapped to dense class ids in order of first occurrence.
     """
-    if header is not True and header is not False and header != "auto":
-        raise ConfigError(f"header must be true, false or 'auto', got {header!r}")
+    check_options(DATASET_KEYS, {"delimiter": delimiter, "header": header}, "dataset")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
@@ -262,4 +255,6 @@ def make_blobs(n_per_class: int, classes: int, d: int, spread: float = 1.0,
 
 
 # Key -> annotation table of the config's `dataset` block: load_csv's parameters.
-DATASET_KEYS = {"path": str, "label_column": str | int, "delimiter": str, "header": bool | str}
+DATASET_KEYS = {"path": str, "label_column": str | NON_NEGATIVE,
+                "delimiter": rule(str, "of one character", lambda v: len(v) == 1),
+                "header": bool | Literal["auto"]}

@@ -8,13 +8,15 @@ representative the selection was.
 """
 
 from dataclasses import dataclass, field, fields
+from typing import Literal
 
 import numpy as np
 
 from .baselines import select_dcs, select_kmeans, select_random
 from .data import Dataset, apply_standardization, candidate_count, split, standardize
 from .errors import ConfigError, DataError
-from .model import ModelConfig, check_options, config_from_options
+from .model import (AT_LEAST_1, NON_NEGATIVE, POSITIVE, ModelConfig, check_options,
+                    config_from_options, distinct_list, rule)
 from .rng import derive_seed
 from .training import run_selection
 
@@ -132,37 +134,20 @@ def train_linear_svm(x_train, y_train, x_test, y_test, C: float = 100.0,
 class Protocol:
     """Evaluation protocol: budgets, repeated runs, classifiers."""
 
-    budgets: tuple[int, ...] = tuple(range(25, 226, 25))
-    runs: int = 5
-    candidate_fraction: float = 0.5
-    classifiers: tuple[str, ...] = CLASSIFIERS
-    svm_c: float = 100.0
-    logreg_reg: float = 1e-4
-    logreg_max_iter: int = 5000
-    svm_sweeps: int = 1000
+    budgets: rule(tuple[AT_LEAST_1, ...], "(non-empty, strictly ascending)",
+                  lambda v: len(v) > 0 and list(v) == sorted(set(v))) = tuple(range(25, 226, 25))
+    runs: AT_LEAST_1 = 5
+    candidate_fraction: rule(float, "in (0, 1)", lambda v: 0 < v < 1) = 0.5
+    classifiers: distinct_list(Literal[CLASSIFIERS]) = CLASSIFIERS
+    svm_c: POSITIVE = 100.0
+    logreg_reg: rule(float, ">= 0", lambda v: v >= 0) = 1e-4
+    logreg_max_iter: AT_LEAST_1 = 5000
+    svm_sweeps: AT_LEAST_1 = 1000
 
     def __post_init__(self):
+        check_options(type(self), vars(self), "protocol")
         object.__setattr__(self, "budgets", tuple(int(b) for b in self.budgets))
         object.__setattr__(self, "classifiers", tuple(self.classifiers))
-        if not self.budgets or list(self.budgets) != sorted(set(self.budgets)):
-            raise ConfigError(f"protocol key 'budgets' must be non-empty and strictly "
-                              f"ascending, got {list(self.budgets)}")
-        if self.budgets[0] < 1:
-            raise ConfigError(f"protocol key 'budgets' must be positive, "
-                              f"got {list(self.budgets)}")
-        for key, ok, rule in (("svm_c", self.svm_c > 0, "> 0"),
-                              ("logreg_reg", self.logreg_reg >= 0, ">= 0"),
-                              ("svm_sweeps", self.svm_sweeps >= 1, ">= 1"),
-                              ("logreg_max_iter", self.logreg_max_iter >= 1, ">= 1"),
-                              ("runs", self.runs >= 1, ">= 1"),
-                              ("candidate_fraction", 0 < self.candidate_fraction < 1,
-                               "in (0, 1)")):
-            if not ok:
-                raise ConfigError(f"protocol key {key!r} must be {rule}, got {getattr(self, key)!r}")
-        if (not self.classifiers or len(set(self.classifiers)) != len(self.classifiers)
-                or not set(self.classifiers) <= set(CLASSIFIERS)):
-            raise ConfigError(f"protocol key 'classifiers' must list distinct entries of "
-                              f"{CLASSIFIERS}, got {list(self.classifiers)}")
 
     def classify(self, name: str, x_train, y_train, x_test, y_test) -> float:
         if name == "logistic_regression":
@@ -224,8 +209,8 @@ def _rank_allg(x: np.ndarray, params: dict, seed: int) -> list:
 SELECTORS = {
     "random": (lambda x, params, seed: select_random(x.shape[1], seed), {}),
     "kmeans": (lambda x, params, seed: select_kmeans(x, params.get("K", KMEANS_K), seed),
-               {"K": int}),
-    "dcs": (lambda x, params, seed: select_dcs(x, params.get("rank", 5)), {"rank": int}),
+               {"K": AT_LEAST_1}),
+    "dcs": (lambda x, params, seed: select_dcs(x, params.get("rank", 5)), {"rank": AT_LEAST_1}),
     "allg": (_rank_allg, {f.name: f.type for f in fields(ModelConfig)}),
 }
 
@@ -242,9 +227,6 @@ class SelectorSpec:
             raise ConfigError(f"unknown selector {self.kind!r}; known: {sorted(SELECTORS)}")
         check_options({"name": str, **SELECTORS[self.kind][1]}, self.params,
                       f"{self.kind} params")
-        for key in ("K", "rank"):
-            if self.params.get(key, 1) < 1:
-                raise ConfigError(f"{self.kind} {key} must be >= 1, got {self.params[key]}")
 
     @property
     def label(self) -> str:
@@ -294,6 +276,7 @@ def run_protocol(ds: Dataset, selectors: list, protocol: Protocol, seed: int = 0
     randomness is derived per (run seed, selector label), so the cells of
     one selector are unaffected by adding another.
     """
+    check_options({"seed": NON_NEGATIVE}, {"seed": seed}, "config")
     selectors = check_protocol(ds, selectors, protocol)
     cells = []
     for run_seed in range(seed, seed + protocol.runs):

@@ -30,7 +30,21 @@ from .rng import substream
 
 VARIANTS = ("full", "no_graph", "knn_only", "one_matrix", "tied_two", "distinct_two")
 
-_ACTIVATIONS = ("relu", "linear")
+
+def rule(kind, wording: str, test):
+    """`kind` narrowed to the values that pass `test`; `wording` follows the kind's in errors."""
+    return typing.Annotated[kind, wording, test]
+
+
+POSITIVE = rule(float, "> 0", lambda v: v > 0)
+NON_NEGATIVE = rule(int, ">= 0", lambda v: v >= 0)
+AT_LEAST_1 = rule(int, ">= 1", lambda v: v >= 1)
+
+
+def distinct_list(item):
+    """A non-empty list of `item` values without repeats."""
+    return rule(tuple[item, ...], "(non-empty, without repeats)",
+                lambda v: 0 < len(v) == len(set(v)))
 
 
 def default_encoder_dims(d: int) -> tuple:
@@ -42,58 +56,35 @@ def default_encoder_dims(d: int) -> tuple:
 class ModelConfig:
     """Architecture sizes and training hyperparameters."""
 
-    encoder_dims: tuple[int, ...]
+    encoder_dims: rule(tuple[AT_LEAST_1, ...], "(at least 2 of them)", lambda v: len(v) >= 2)
     n_adjacency: int = 2
     shortcut_layer: int = 1
-    shortcut_weight: float = 0.3
-    alpha: float = 1.0
-    beta: float = 1.0
-    alpha_prop: float | None = None  # defaults to alpha
-    beta_prop: float | None = None   # defaults to beta
-    lam: float = 1.0
-    lr: float = 1e-3
-    pretrain_epochs: int = 500
-    train_epochs: int = 2000
-    seed: int = 0
-    knn_k: int = 5
-    prior_normalize: str = "none"  # {"none", "col", "sym"}
-    variant: str = "full"
-    encoder_final_activation: str = "relu"
-    decoder_final_activation: str = "linear"
+    shortcut_weight: rule(float, "in [0, 1]", lambda v: 0 <= v <= 1) = 0.3
+    alpha: POSITIVE = 1.0
+    beta: POSITIVE = 1.0
+    alpha_prop: POSITIVE | None = None  # defaults to alpha
+    beta_prop: POSITIVE | None = None   # defaults to beta
+    lam: POSITIVE = 1.0
+    lr: POSITIVE = 1e-3
+    pretrain_epochs: NON_NEGATIVE = 500
+    train_epochs: AT_LEAST_1 = 2000
+    seed: NON_NEGATIVE = 0
+    knn_k: AT_LEAST_1 = 5
+    prior_normalize: typing.Literal["none", "col", "sym"] = "none"
+    variant: typing.Literal[VARIANTS] = "full"
+    encoder_final_activation: typing.Literal["relu", "linear"] = "relu"
+    decoder_final_activation: typing.Literal["relu", "linear"] = "linear"
 
     def __post_init__(self):
-        """Range checks; each message quotes the offending model key."""
+        """Check each field's rule, then the full variant's shortcut, naming the model key."""
+        check_options(type(self), vars(self), "model")
         object.__setattr__(self, "encoder_dims", tuple(int(v) for v in self.encoder_dims))
-        if len(self.encoder_dims) < 2 or any(v < 1 for v in self.encoder_dims):
-            raise ConfigError(f"model key 'encoder_dims' needs >= 2 positive entries, "
-                              f"got {self.encoder_dims}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"model key 'variant' must be one of {VARIANTS}, "
-                              f"got {self.variant!r}")
         if self.variant == "full":
             if self.n_adjacency < 1:
                 raise ConfigError(f"model key 'n_adjacency' must be >= 1, got {self.n_adjacency}")
             if not 1 <= self.shortcut_layer <= self.n_adjacency:
                 raise ConfigError(f"model key 'shortcut_layer' must lie in 1..n_adjacency="
                                   f"{self.n_adjacency}, got {self.shortcut_layer}")
-        if not 0.0 <= self.shortcut_weight <= 1.0:
-            raise ConfigError(f"model key 'shortcut_weight' must lie in [0, 1], "
-                              f"got {self.shortcut_weight}")
-        for name in ("alpha", "beta", "lam", "lr", "alpha_prop", "beta_prop"):
-            val = getattr(self, name)
-            if val is not None and val <= 0:
-                raise ConfigError(f"model key {name!r} must be positive, got {val}")
-        for name, low in (("pretrain_epochs", 0), ("train_epochs", 1), ("seed", 0),
-                          ("knn_k", 1)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"model key {name!r} must be >= {low}, "
-                                  f"got {getattr(self, name)}")
-        for name, allowed in (("prior_normalize", ("none", "col", "sym")),
-                              ("encoder_final_activation", _ACTIVATIONS),
-                              ("decoder_final_activation", _ACTIVATIONS)):
-            if getattr(self, name) not in allowed:
-                raise ConfigError(f"model key {name!r} must be one of {allowed}, "
-                                  f"got {getattr(self, name)!r}")
 
     @property
     def input_dim(self) -> int:
@@ -128,41 +119,52 @@ class ModelConfig:
         return self.beta if self.beta_prop is None else self.beta_prop
 
 
-def config_to_dict(cfg: ModelConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    out["encoder_dims"] = list(cfg.encoder_dims)
-    return out
-
-
-# Annotation -> (accepted config values, wording for the error message).
-# A tuple[X, ...] annotation takes a list whose entries each fit X; X | Y takes either.
+# Annotation -> (accepted config values, wording for the error message).  Numpy
+# scalars count as numbers for library callers.  A tuple[X, ...] annotation takes a
+# list whose entries each fit X; X | Y takes either; Literal[...] takes one of its
+# values; a `rule` takes what fits its kind and passes its test.
 _FIELD_KINDS = {
-    int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string"),
-    bool: (bool, "true or false"), tuple: ((list, tuple), "a list"), list: (list, "a list"),
-    dict: (dict, "an object"), type(None): (type(None), "null"),
+    int: ((int, np.integer), "an integer"),
+    float: ((int, float, np.integer, np.floating), "a number"),
+    str: (str, "a string"), bool: (bool, "true or false"), dict: (dict, "an object"),
+    type(None): (type(None), "null"),
 }
+_UNIONS = (typing.Union, types.UnionType)
 
 
 def _fits(value, kind) -> bool:
-    if isinstance(kind, types.UnionType):
-        return any(_fits(value, k) for k in typing.get_args(kind))
-    if typing.get_origin(kind) is tuple:
-        item = typing.get_args(kind)[0]
-        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in _UNIONS:
+        return any(_fits(value, k) for k in args)
+    if origin is typing.Annotated:
+        return _fits(value, args[0]) and args[2](value)
+    if origin is typing.Literal:
+        return value in args
+    if origin is tuple:
+        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
     return isinstance(value, _FIELD_KINDS[kind][0]) and (kind is bool) == isinstance(value, bool)
 
 
 def _wording(kind) -> str:
-    if isinstance(kind, types.UnionType):
-        return " or ".join(_wording(k) for k in typing.get_args(kind))
-    if typing.get_origin(kind) is tuple:
-        return f"a list with each entry {_wording(typing.get_args(kind)[0])}"
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in _UNIONS:
+        return " or ".join(_wording(k) for k in args)
+    if origin is typing.Annotated:
+        return f"{_wording(args[0])} {args[1]}"
+    if origin is typing.Literal:
+        return " or ".join(map(repr, args))
+    if origin is tuple:
+        return f"a list with each entry {_wording(args[0])}"
     return _FIELD_KINDS[kind][1]
 
 
 def check_options(table, opts, block: str) -> None:
     """Raise ConfigError unless `opts` is an object with keys from `table` (key -> annotation;
-    a dataclass stands for its fields) and values that fit them (a bool is no number)."""
+    a dataclass stands for its fields) and values that fit them (a bool is no number).
+
+    Keys are checked in the table's order, so the first failing key is the same for any
+    order of `opts`.
+    """
     if dataclasses.is_dataclass(table):
         table = {f.name: f.type for f in dataclasses.fields(table)}
     if not isinstance(opts, dict):
@@ -170,9 +172,9 @@ def check_options(table, opts, block: str) -> None:
     unknown = set(opts) - set(table)
     if unknown:
         raise ConfigError(f"unknown {block} keys: {sorted(unknown)}")
-    for key, value in opts.items():
-        if not _fits(value, table[key]):
-            raise ConfigError(f"{block} key {key!r} must be {_wording(table[key])}, got {value!r}")
+    for key, kind in table.items():
+        if key in opts and not _fits(opts[key], kind):
+            raise ConfigError(f"{block} key {key!r} must be {_wording(kind)}, got {opts[key]!r}")
 
 
 def config_from_dict(d: dict) -> ModelConfig:
@@ -437,7 +439,7 @@ def _param_names(cfg: ModelConfig) -> list:
 
 def save_checkpoint(path, params: dict, cfg: ModelConfig) -> None:
     """Binary .npz checkpoint: exact float64 arrays plus the config."""
-    meta = {"format_version": _CHECKPOINT_VERSION, "config": config_to_dict(cfg)}
+    meta = {"format_version": _CHECKPOINT_VERSION, "config": dataclasses.asdict(cfg)}
     np.savez(path, __meta__=np.array(json.dumps(meta)), **params)
 
 

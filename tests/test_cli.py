@@ -10,6 +10,7 @@ import allg
 from allg.cli import CONFIG_KEYS, GRID_KEYS, SELECTOR_KEYS, main
 from allg.data import DATASET_KEYS
 from allg.evaluate import SELECTORS
+from allg.model import _wording, check_options
 
 
 @pytest.fixture()
@@ -377,6 +378,8 @@ class TestExitCodes:
         ("evaluate", {"protocol": {"classifiers": [1]}}, "classifiers"),
         ("evaluate", {"protocol": {"classifiers": ["svm"]}}, "classifiers"),
         ("select", {"model": {"variant": "no_shortcut"}}, "variant"),
+        ("select", {"dataset": {"delimiter": ""}}, "delimiter"),
+        ("evaluate", {"dataset": {"delimiter": ",,"}}, "delimiter"),
     ], ids=["protocol_key_evaluate", "protocol_key_grid", "protocol_list_evaluate",
             "protocol_list_grid", "model_list_evaluate", "model_list_select",
             "model_list_grid", "selectors_string", "grid_list", "grid_scalar_axis",
@@ -398,7 +401,8 @@ class TestExitCodes:
             "subsample_one", "selectors_empty", "selectors_empty_select",
             "selectors_repeated", "selectors_repeated_label", "selectors_integer_entry",
             "classifiers_empty", "classifiers_repeated", "classifiers_empty_grid",
-            "classifiers_integer_entry", "classifiers_unknown", "model_variant_alias"])
+            "classifiers_integer_entry", "classifiers_unknown", "model_variant_alias",
+            "dataset_delimiter_empty", "dataset_delimiter_two_characters"])
     def test_malformed_config_block(self, tmp_path, blobs_csv, capsys, command, payload,
                                     culprit):
         cfg = _write_config(tmp_path, payload)
@@ -414,8 +418,10 @@ class TestExitCodes:
         ({"grid": {"alpha": [-1]}}, "alpha"),
         ({"grid": {"beta": [1, 1]}}, "beta"),
         ({"protocol": {"classifiers": [], "runs": 0}, "grid": {"alpha": []}}, "runs"),
+        ({"model": {"knn_k": 0}}, "knn_k"),
+        ({"model": {"variant": "bogus"}}, "variant"),
     ], ids=["runs_zero", "classifiers_empty", "grid_axis_negative", "grid_axis_repeated",
-            "protocol_and_grid"])
+            "protocol_and_grid", "model_knn_k_zero", "model_variant_unknown"])
     def test_every_command_checks_every_block(self, tmp_path, blobs_csv, capsys, monkeypatch,
                                               command, payload, culprit):
         monkeypatch.setattr(allg.data, "load_csv", lambda **kw: pytest.fail("read the CSV"))
@@ -443,6 +449,15 @@ class TestExitCodes:
         cfg = _write_config(tmp_path, {"dataset": {"path": blobs_csv, "label_column": "4"}})
         assert main(["evaluate", "--config", cfg, "--selector", "random", "--budgets", "4",
                      "--out", str(tmp_path / "o")]) == 0
+
+    def test_dataset_block_negative_label_column(self, tmp_path, blobs_csv, capsys,
+                                                 monkeypatch):
+        # no --label-column flag, which would replace the block's value
+        monkeypatch.setattr(allg.data, "load_csv", lambda **kw: pytest.fail("read the CSV"))
+        cfg = _write_config(tmp_path, {"dataset": {"path": blobs_csv, "label_column": -1}})
+        assert main(["select", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "'label_column'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.fixture()
     def fits(self, monkeypatch):
@@ -550,3 +565,18 @@ def test_every_config_key_is_documented():
     keys |= {key for _, params in SELECTORS.values() for key in params}
     assert sorted(k for k in keys
                   if not re.search(rf'[`"](\w+\.)?{k}[`"]', readme)) == []
+
+
+def test_every_rule_is_described_and_met_by_its_default():
+    # the checker meets an annotation only when a config sets its key, so walk them all here
+    tables = [CONFIG_KEYS, DATASET_KEYS, GRID_KEYS, SELECTOR_KEYS, allg.ModelConfig,
+              allg.Protocol, *(params for _, params in SELECTORS.values())]
+    for table in tables:
+        if dataclasses.is_dataclass(table):
+            table = {f.name: f.type for f in dataclasses.fields(table)}
+        for key, kind in table.items():
+            assert isinstance(_wording(kind), str), key
+    for table, given in ((allg.ModelConfig, {"encoder_dims": (5, 4)}), (allg.Protocol, {})):
+        defaults = {f.name: f.default for f in dataclasses.fields(table)
+                    if f.default is not dataclasses.MISSING}
+        check_options(table, {**defaults, **given}, table.__name__)

@@ -152,6 +152,12 @@ class TestProtocolConfig:
         with pytest.raises(ConfigError):
             Protocol(classifiers=("forest",))
 
+    def test_negative_run_seed(self):
+        ds = allg.make_blobs(10, 2, 3)
+        with pytest.raises(ConfigError, match="'seed'"):
+            run_protocol(ds, [allg.SelectorSpec("random")], Protocol(budgets=(2,), runs=1),
+                         seed=-1)
+
 
 class TestSummarize:
     def test_average_is_mean_of_budget_means(self):

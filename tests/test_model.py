@@ -10,7 +10,6 @@ from allg.model import (
     adjacency_key,
     config_from_dict,
     config_from_options,
-    config_to_dict,
     stage2_peak_bytes,
 )
 from oracles import straight_line_forward
@@ -49,6 +48,7 @@ class TestModelConfig:
         {"variant": "bogus"},
         {"prior_normalize": "rows"},
         {"train_epochs": 0},
+        {"knn_k": 2.5},
     ])
     def test_invalid_configs_raise(self, bad):
         kwargs = {"encoder_dims": (5, 4, 3)}
@@ -56,9 +56,17 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             allg.ModelConfig(**kwargs)
 
+    def test_numpy_scalars_count_as_numbers(self):
+        cfg = allg.ModelConfig(encoder_dims=(np.int64(5), np.int64(4)), knn_k=np.int64(3),
+                               lam=np.float64(2.0), shortcut_weight=np.float64(0.5))
+        assert cfg.encoder_dims == (5, 4) and cfg.knn_k == 3 and cfg.lam == 2.0
+        protocol = allg.Protocol(budgets=(np.int64(2), np.int64(4)), runs=np.int64(2),
+                                 candidate_fraction=np.float64(0.5), svm_c=np.float64(3.0))
+        assert protocol.budgets == (2, 4) and protocol.runs == 2
+
     def test_to_from_dict_roundtrip(self):
         cfg = allg.ModelConfig(encoder_dims=(6, 4, 2), alpha=2.0, variant="tied_two")
-        again = config_from_dict(config_to_dict(cfg))
+        again = config_from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
         assert again == cfg
 
     def test_unknown_key_rejected(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 import allg
 from allg.cli import main
 from allg.errors import NumericalError
-from allg.model import VARIANTS, config_to_dict, stage2_peak_bytes
+from allg.model import VARIANTS, stage2_peak_bytes
 from allg.training import reconstruction_loss
 from oracles import finite_diff, rel_err
 
@@ -320,7 +321,7 @@ class TestLossHistoryCsv:
         monkeypatch.setattr(allg.cli, "run_selection", spy)
         data, cfg = tmp_path / "pool.csv", tmp_path / "cfg.json"
         allg.save_csv(blobs_small, data)
-        cfg.write_text(json.dumps({"model": config_to_dict(tiny_cfg)}), encoding="utf-8")
+        cfg.write_text(json.dumps({"model": dataclasses.asdict(tiny_cfg)}), encoding="utf-8")
         assert main(["select", "--config", str(cfg), "--dataset", str(data),
                      "--label-column", "label", "--out", str(tmp_path / "out")]) == 0
         (hist,) = histories
