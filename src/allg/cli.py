@@ -20,15 +20,14 @@ import numpy as np
 from . import data
 from .data import DATASET_KEYS, standardize
 from .errors import AllgError, ConfigError, DataError, NumericalError
-from .evaluate import Protocol, SelectorSpec, check_protocol, run_protocol, summarize
+from .evaluate import SELECTORS, Protocol, SelectorSpec, check_protocol, run_protocol, summarize
 from .gradcheck import run_all
-from .model import (NON_NEGATIVE, POSITIVE, ModelConfig, check_options, config_from_options,
+from .model import (NON_NEGATIVE, POSITIVE, VARIANTS, check_options, config_from_options,
                     distinct_list, rule, save_checkpoint)
 from .rng import substream
 from .training import run_selection
 
 SCHEMA_VERSION = 1
-ABLATION_ORDER = ("no_graph", "knn_only", "one_matrix", "tied_two", "distinct_two", "full")
 GRID_AXES = ("alpha", "beta", "lambda")
 LOSS_COLUMNS = ("epoch", "recon", "adjacency", "propagation", "selection", "total")
 
@@ -84,7 +83,7 @@ def _gather(args) -> tuple:
     cfg.setdefault("seed", 0)
     cfg.setdefault("out", "allg_out")
     check_options(CONFIG_KEYS, cfg, "config")
-    for block, table in (("dataset", DATASET_KEYS), ("model", ModelConfig),
+    for block, table in (("dataset", DATASET_KEYS), ("model", SELECTORS["allg"][1]),
                          ("protocol", Protocol), ("grid", GRID_KEYS)):
         check_options(table, cfg.get(block, {}), block)
     return cfg, _selector_specs(cfg), Protocol(**cfg.get("protocol", {})), _grid_points(cfg)
@@ -170,9 +169,7 @@ def cmd_select(args) -> int:
     if args.m is not None and not 1 <= args.m <= ds.n_samples:
         raise ConfigError(f"--m {args.m} must lie in 1..{ds.n_samples} for this pool")
     std, _, _ = standardize(ds)
-    # A seed in the config file's model block wins over --seed.
-    mcfg = config_from_options({"seed": cfg["seed"], **cfg.get("model", {})},
-                               ds.dim, ds.n_samples)
+    mcfg = config_from_options({**cfg.get("model", {}), "seed": cfg["seed"]}, ds.dim, ds.n_samples)
     out = _out_dir(cfg)
     result, params, history = run_selection(std.features, mcfg)
     _write_csv(os.path.join(out, "ranking.csv"), ("index", "score"),
@@ -246,7 +243,7 @@ def cmd_grid(args) -> int:
 def cmd_ablate(args) -> int:
     cfg, _, protocol, _ = _gather(args)
     model = cfg.get("model", {})
-    specs = [SelectorSpec("allg", {**model, "variant": v, "name": v}) for v in ABLATION_ORDER]
+    specs = [SelectorSpec("allg", {**model, "variant": v, "name": v}) for v in VARIANTS]
     ds = _load_dataset(cfg)
     check_protocol(ds, specs, protocol)
     out = _out_dir(cfg)

@@ -192,10 +192,8 @@ def summarize(cells: list) -> dict:
 # ---------------------------------------------------------------------------
 
 def _allg_config(params: dict, d: int, n: int, seed: int):
-    """ModelConfig of an ALLG selector; params are ModelConfig fields plus "name".
-
-    The `seed` argument replaces any seed field in params.
-    """
+    """ModelConfig of an ALLG selector seeded by `seed`; params are ModelConfig
+    fields but "seed", plus "name"."""
     opts = {k: v for k, v in params.items() if k != "name"}
     return config_from_options({**opts, "seed": seed}, d, n)
 
@@ -211,7 +209,8 @@ SELECTORS = {
     "kmeans": (lambda x, params, seed: select_kmeans(x, params.get("K", KMEANS_K), seed),
                {"K": AT_LEAST_1}),
     "dcs": (lambda x, params, seed: select_dcs(x, params.get("rank", 5)), {"rank": AT_LEAST_1}),
-    "allg": (_rank_allg, {f.name: f.type for f in fields(ModelConfig)}),
+    # The run seed seeds every ALLG run, so its params (and the model block) refuse "seed".
+    "allg": (_rank_allg, {f.name: f.type for f in fields(ModelConfig) if f.name != "seed"}),
 }
 
 

@@ -1,9 +1,10 @@
 """Finite-difference verification of every autodiff operation.
 
-Each check builds a scalar loss through the op under test, computes the
-backward gradients, and compares against central finite differences at
-step FD_EPS.  The composite check differentiates the full four-term
-training loss of a small model with respect to every parameter entry.
+Each tape op's check is one row of OPS: it builds a scalar loss through
+the op, computes the backward gradients, and compares against central
+finite differences at step FD_EPS.  The composite check differentiates
+the full four-term training loss of a small model with respect to every
+parameter entry.
 """
 
 from dataclasses import dataclass
@@ -71,77 +72,50 @@ def _check(name, build, arrays, tolerance) -> OpReport:
     return OpReport(name, err, tolerance)
 
 
-def _scalarize(tape, out, shift):
-    # Project a matrix output to a scalar through an asymmetric constant so
-    # transposition mistakes in backward rules cannot cancel.
-    return ad.frob_sq(ad.add(out, tape.var(shift)))
+def _off_kink(x):
+    x[np.abs(x) < 0.05] += 0.1
 
 
-def check_matmul(rng):
-    a = rng.normal(size=(3, 4))
-    b = rng.normal(size=(4, 2))
-    shift = rng.normal(size=(3, 2))
-    build = lambda tape, lv: _scalarize(tape, ad.matmul(lv["a"], lv["b"]), shift)
-    return _check("matmul", build, {"a": a, "b": b}, OP_TOLERANCE)
-
-
-def check_affine(rng):
-    arrays = {"w": rng.normal(size=(3, 4)), "x": rng.normal(size=(4, 5)),
-              "b": rng.normal(size=(3, 1))}
-    shift = rng.normal(size=(3, 5))
-    build = lambda tape, lv: _scalarize(tape, ad.affine(lv["w"], lv["x"], lv["b"]), shift)
-    return _check("affine", build, arrays, OP_TOLERANCE)
-
-
-def check_relu(rng):
-    x = rng.normal(size=(3, 4))
-    x[np.abs(x) < 0.05] += 0.1  # keep entries away from the kink
-    shift = rng.normal(size=(3, 4))
-    build = lambda tape, lv: _scalarize(tape, ad.relu(lv["x"]), shift)
-    return _check("relu", build, {"x": x}, OP_TOLERANCE)
-
-
-def check_frob_sq(rng):
-    x = rng.normal(size=(3, 4))
-    build = lambda tape, lv: ad.frob_sq(lv["x"])
-    return _check("frob_sq", build, {"x": x}, OP_TOLERANCE)
-
-
-def check_sup_norm_rows(rng):
-    q = rng.normal(size=(4, 4))
+def _unique_row_max(q):
     # Make every row's argmax unique by a margin so the point is smooth.
-    for i in range(4):
-        j = np.argmax(np.abs(q[i]))
-        q[i, j] += np.sign(q[i, j]) * 0.5
-    build = lambda tape, lv: ad.sup_norm_rows(lv["q"])
-    return _check("sup_norm_rows", build, {"q": q}, OP_TOLERANCE)
+    rows, cols = np.arange(len(q)), np.argmax(np.abs(q), axis=1)
+    q[rows, cols] += np.sign(q[rows, cols]) * 0.5
 
 
-def check_add(rng):
-    arrays = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(3, 4))}
-    shift = rng.normal(size=(3, 4))
-    build = lambda tape, lv: _scalarize(tape, ad.add(lv["a"], lv["b"]), shift)
-    return _check("add", build, arrays, OP_TOLERANCE)
+# Tape op -> (input shapes, drawn in order; shape of the shift that projects a
+# matrix output to a scalar, None for a 1x1 output; the op on the leaf Vars; an
+# optional in-place fix that moves the first input off a kink).  Each lambda looks
+# its op up on `ad` when called, so a patched op is the one checked.
+OPS = {
+    "matmul": (((3, 4), (4, 2)), (3, 2), lambda a, b: ad.matmul(a, b), None),
+    "affine": (((3, 4), (4, 5), (3, 1)), (3, 5), lambda w, x, b: ad.affine(w, x, b), None),
+    "relu": (((3, 4),), (3, 4), lambda x: ad.relu(x), _off_kink),
+    "frob_sq": (((3, 4),), None, lambda x: ad.frob_sq(x), None),
+    "sup_norm_rows": (((4, 4),), None, lambda q: ad.sup_norm_rows(q), _unique_row_max),
+    "add": (((3, 4), (3, 4)), (3, 4), lambda a, b: ad.add(a, b), None),
+    "sub": (((3, 4), (3, 4)), (3, 4), lambda a, b: ad.sub(a, b), None),
+    "scale": (((3, 4),), (3, 4), lambda x: ad.scale(x, -1.7), None),
+    "graph_penalty": (((4, 4), (4, 4)), None,
+                      lambda a, b: ad.graph_penalty(a, b, 0.3, 0.7), None),
+}
 
 
-def check_sub(rng):
-    arrays = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(3, 4))}
-    shift = rng.normal(size=(3, 4))
-    build = lambda tape, lv: _scalarize(tape, ad.sub(lv["a"], lv["b"]), shift)
-    return _check("sub", build, arrays, OP_TOLERANCE)
+def check_op(name: str, rng) -> OpReport:
+    """Check OPS[name] at inputs drawn from rng in row order, the shift drawn last.
 
-
-def check_scale(rng):
-    x = rng.normal(size=(3, 4))
-    shift = rng.normal(size=(3, 4))
-    build = lambda tape, lv: _scalarize(tape, ad.scale(lv["x"], -1.7), shift)
-    return _check("scale", build, {"x": x}, OP_TOLERANCE)
-
-
-def check_graph_penalty(rng):
-    arrays = {"a": rng.normal(size=(4, 4)), "b": rng.normal(size=(4, 4))}
-    build = lambda tape, lv: ad.graph_penalty(lv["a"], lv["b"], 0.3, 0.7)
-    return _check("graph_penalty", build, arrays, OP_TOLERANCE)
+    A matrix output reaches a scalar as ||out + shift||_F^2 with an
+    asymmetric shift, so transposition mistakes in backward rules cannot cancel.
+    """
+    shapes, shift_shape, op, fix = OPS[name]
+    arrays = {i: rng.normal(size=shape) for i, shape in enumerate(shapes)}
+    if fix is not None:
+        fix(arrays[0])
+    if shift_shape is None:
+        build = lambda tape, lv: op(*lv.values())
+    else:
+        shift = rng.normal(size=shift_shape)
+        build = lambda tape, lv: ad.frob_sq(ad.add(op(*lv.values()), tape.var(shift)))
+    return _check(name, build, arrays, OP_TOLERANCE)
 
 
 def composite_setup(seed: int = 0):
@@ -167,17 +141,6 @@ def check_composite(seed: int = 0):
 
 
 def run_all() -> list:
-    """Every op check plus the composite loss check, in a fixed order."""
+    """Every OPS check in table order, then the composite loss check."""
     rng = substream(_SEED, "gradcheck")
-    return [
-        check_matmul(rng),
-        check_affine(rng),
-        check_relu(rng),
-        check_frob_sq(rng),
-        check_sup_norm_rows(rng),
-        check_add(rng),
-        check_sub(rng),
-        check_scale(rng),
-        check_graph_penalty(rng),
-        check_composite(seed=_SEED),
-    ]
+    return [check_op(name, rng) for name in OPS] + [check_composite(seed=_SEED)]

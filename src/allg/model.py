@@ -28,7 +28,8 @@ from . import autodiff as ad
 from .errors import ConfigError
 from .rng import substream
 
-VARIANTS = ("full", "no_graph", "knn_only", "one_matrix", "tied_two", "distinct_two")
+# In the ablation order, from no learned graph to the full model.
+VARIANTS = ("no_graph", "knn_only", "one_matrix", "tied_two", "distinct_two", "full")
 
 
 def rule(kind, wording: str, test):
@@ -76,9 +77,15 @@ class ModelConfig:
     decoder_final_activation: typing.Literal["relu", "linear"] = "linear"
 
     def __post_init__(self):
-        """Check each field's rule, then the full variant's shortcut, naming the model key."""
+        """Check each field's rule, then the full variant's shortcut, naming the model key.
+
+        Numpy scalars become their Python values, so dataclasses.asdict is JSON-ready.
+        """
         check_options(type(self), vars(self), "model")
-        object.__setattr__(self, "encoder_dims", tuple(int(v) for v in self.encoder_dims))
+        plain = {k: v.item() for k, v in vars(self).items() if isinstance(v, np.generic)}
+        plain["encoder_dims"] = tuple(int(v) for v in self.encoder_dims)
+        for key, value in plain.items():
+            object.__setattr__(self, key, value)
         if self.variant == "full":
             if self.n_adjacency < 1:
                 raise ConfigError(f"model key 'n_adjacency' must be >= 1, got {self.n_adjacency}")
@@ -179,6 +186,9 @@ def check_options(table, opts, block: str) -> None:
 
 def config_from_dict(d: dict) -> ModelConfig:
     check_options(ModelConfig, d, "model")
+    for f in dataclasses.fields(ModelConfig):
+        if f.name not in d and f.default is dataclasses.MISSING:
+            raise ConfigError(f"model key {f.name!r} is missing")
     return ModelConfig(**d)
 
 

@@ -380,6 +380,7 @@ class TestExitCodes:
         ("select", {"model": {"variant": "no_shortcut"}}, "variant"),
         ("select", {"dataset": {"delimiter": ""}}, "delimiter"),
         ("evaluate", {"dataset": {"delimiter": ",,"}}, "delimiter"),
+        ("evaluate", {"selectors": [{"kind": "allg", "params": {"seed": 5}}]}, "seed"),
     ], ids=["protocol_key_evaluate", "protocol_key_grid", "protocol_list_evaluate",
             "protocol_list_grid", "model_list_evaluate", "model_list_select",
             "model_list_grid", "selectors_string", "grid_list", "grid_scalar_axis",
@@ -402,7 +403,8 @@ class TestExitCodes:
             "selectors_repeated", "selectors_repeated_label", "selectors_integer_entry",
             "classifiers_empty", "classifiers_repeated", "classifiers_empty_grid",
             "classifiers_integer_entry", "classifiers_unknown", "model_variant_alias",
-            "dataset_delimiter_empty", "dataset_delimiter_two_characters"])
+            "dataset_delimiter_empty", "dataset_delimiter_two_characters",
+            "allg_params_seed"])
     def test_malformed_config_block(self, tmp_path, blobs_csv, capsys, command, payload,
                                     culprit):
         cfg = _write_config(tmp_path, payload)
@@ -420,8 +422,9 @@ class TestExitCodes:
         ({"protocol": {"classifiers": [], "runs": 0}, "grid": {"alpha": []}}, "runs"),
         ({"model": {"knn_k": 0}}, "knn_k"),
         ({"model": {"variant": "bogus"}}, "variant"),
+        ({"model": {"seed": 5}}, "seed"),
     ], ids=["runs_zero", "classifiers_empty", "grid_axis_negative", "grid_axis_repeated",
-            "protocol_and_grid", "model_knn_k_zero", "model_variant_unknown"])
+            "protocol_and_grid", "model_knn_k_zero", "model_variant_unknown", "model_seed"])
     def test_every_command_checks_every_block(self, tmp_path, blobs_csv, capsys, monkeypatch,
                                               command, payload, culprit):
         monkeypatch.setattr(allg.data, "load_csv", lambda **kw: pytest.fail("read the CSV"))

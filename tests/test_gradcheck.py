@@ -1,3 +1,5 @@
+import inspect
+
 import allg.autodiff as ad
 import allg.gradcheck as gc
 
@@ -30,3 +32,13 @@ def test_composite_uses_toy_dimensions():
     assert x.shape == (8, 12)
     assert cfg.latent_dim == 4 and cfg.n_matrices == 2
     assert params["q"].shape == (12, 12)
+
+
+def test_every_tape_op_has_a_row():
+    # a new op joins the check as one OPS row; adam_step is the one non-op
+    public = {name: fn for name, fn in inspect.getmembers(ad, inspect.isfunction)
+              if fn.__module__ == ad.__name__ and not name.startswith("_")}
+    ops = {name for name, fn in public.items()
+           if inspect.signature(fn).return_annotation is ad.Var}
+    assert ops == set(public) - {"adam_step"}
+    assert set(gc.OPS) == ops

@@ -73,6 +73,10 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match="unknown"):
             config_from_dict({"encoder_dims": (4, 2), "typo_field": 1})
 
+    def test_missing_encoder_dims_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="'encoder_dims'"):
+            config_from_dict({})
+
 
 class TestMemoryPreflight:
     def test_default_variant_counts_16_square_arrays(self):
@@ -217,6 +221,28 @@ class TestCheckpoint:
         allg.save_checkpoint(path, params, cfg)
         params2, _ = allg.load_checkpoint(path)
         assert "q" not in params2 and not [k for k in params2 if k.startswith("adj")]
+
+    def test_numpy_scalar_config_roundtrip(self, tmp_path):
+        cfg = allg.ModelConfig(encoder_dims=(5, 4), knn_k=np.int64(3), lam=np.float64(2.0))
+        path = tmp_path / "ckpt.npz"
+        allg.save_checkpoint(path, allg.init_encoder_decoder(cfg), cfg)
+        _, loaded = allg.load_checkpoint(path)
+        assert loaded == cfg
+        assert type(loaded.knn_k) is int and type(cfg.knn_k) is int
+        assert type(cfg.lam) is float
+
+    def test_config_without_encoder_dims_refused(self, tmp_path):
+        cfg = allg.ModelConfig(encoder_dims=(4, 3, 2))
+        path = tmp_path / "ckpt.npz"
+        allg.save_checkpoint(path, allg.init_encoder_decoder(cfg), cfg)
+        with np.load(path) as npz:
+            members = {k: npz[k] for k in npz.files}
+        meta = json.loads(str(members["__meta__"][()]))
+        del meta["config"]["encoder_dims"]
+        members["__meta__"] = np.array(json.dumps(meta))
+        np.savez(path, **members)
+        with pytest.raises(ConfigError, match="'encoder_dims'"):
+            allg.load_checkpoint(path)
 
     @pytest.mark.parametrize("change", ["missing", "extra", "version_2"])
     def test_malformed_file_refused(self, tmp_path, rng, change):

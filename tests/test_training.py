@@ -321,7 +321,9 @@ class TestLossHistoryCsv:
         monkeypatch.setattr(allg.cli, "run_selection", spy)
         data, cfg = tmp_path / "pool.csv", tmp_path / "cfg.json"
         allg.save_csv(blobs_small, data)
-        cfg.write_text(json.dumps({"model": dataclasses.asdict(tiny_cfg)}), encoding="utf-8")
+        # the model block refuses "seed"; the top-level seed carries it
+        model = {k: v for k, v in dataclasses.asdict(tiny_cfg).items() if k != "seed"}
+        cfg.write_text(json.dumps({"model": model, "seed": tiny_cfg.seed}), encoding="utf-8")
         assert main(["select", "--config", str(cfg), "--dataset", str(data),
                      "--label-column", "label", "--out", str(tmp_path / "out")]) == 0
         (hist,) = histories
