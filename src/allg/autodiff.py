@@ -35,8 +35,11 @@ class Var:
 
     @property
     def grad(self):
-        """Gradient of the last backward() loss w.r.t. this Var (or None)."""
-        return self.tape.grad(self)
+        """Gradient of the tape's backward() loss w.r.t. this Var (or None)."""
+        grads = self.tape._grads
+        if grads is None or not self.requires_grad:
+            return None
+        return grads[self.index]
 
     def item(self) -> float:
         if self.value.size != 1:
@@ -117,13 +120,6 @@ class Tape:
                 del contrib
             grads[i] = None
         self._grads = grads
-
-    def grad(self, var: Var):
-        if self._grads is None:
-            return None
-        if not var.requires_grad:
-            return None
-        return self._grads[var.index]
 
 
 def _check_same_tape(*vars_):

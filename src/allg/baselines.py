@@ -37,17 +37,16 @@ def kmeans_fit(x: np.ndarray, k: int, seed: int):
     """Lloyd's algorithm with seeded farthest-point init.
 
     Stops once the assignments repeat, or after _KMEANS_MAX_ITER rounds.
-    Returns (centroids d x k, assignments, within-cluster-SS history).
-    Empty clusters are re-seeded to the point farthest from its centroid.
+    Returns (centroids d x k, assignments).  Empty clusters are re-seeded
+    to the point farthest from its centroid.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[1]
-    if k > n:
-        raise ConfigError(f"kmeans K={k} exceeds n={n}")
+    if not 1 <= k <= n:
+        raise ConfigError(f"kmeans K={k} must lie in 1..n={n}")
     rng = substream(seed, "kmeans")
     centroids = _farthest_point_init(x, k, rng)
     assign = np.full(n, -1)
-    wcss_history = []
     for _ in range(_KMEANS_MAX_ITER):
         d2 = (
             np.sum(x * x, axis=0)[:, None]
@@ -64,18 +63,16 @@ def kmeans_fit(x: np.ndarray, k: int, seed: int):
                 new_assign[worst] = c
                 members = new_assign == c
             centroids[:, c] = x[:, members].mean(axis=1)
-        wcss = float(np.sum((x - centroids[:, new_assign]) ** 2))
-        wcss_history.append(wcss)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-    return centroids, assign, wcss_history
+    return centroids, assign
 
 
 def select_kmeans(x: np.ndarray, k: int, seed: int) -> list:
     """Centroid-proximal ranking, round-robin across the K clusters."""
     x = np.asarray(x, dtype=np.float64)
-    centroids, assign, _ = kmeans_fit(x, k, seed)
+    centroids, assign = kmeans_fit(x, k, seed)
     dist = np.sqrt(np.sum((x - centroids[:, assign]) ** 2, axis=0))
     queues = []
     for c in range(k):
@@ -99,8 +96,8 @@ def select_dcs(x: np.ndarray, rank: int) -> list:
     """
     x = np.asarray(x, dtype=np.float64)
     d, n = x.shape
-    if rank > min(d, n):
-        raise ConfigError(f"dcs rank={rank} exceeds min(d, n)={min(d, n)}")
+    if not 1 <= rank <= min(d, n):
+        raise ConfigError(f"dcs rank={rank} must lie in 1..min(d, n)={min(d, n)}")
     try:
         u, s, _ = np.linalg.svd(x, full_matrices=False)
     except np.linalg.LinAlgError as exc:

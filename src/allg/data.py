@@ -1,4 +1,4 @@
-"""Dataset ingestion, standardization, splitting, and synthetic fixtures.
+"""Dataset ingestion, standardization and splitting.
 
 Matrices are column-major in the sample sense: `features` is d x n with one
 sample per column.  CSV files on disk store one sample per row and are
@@ -12,7 +12,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .model import NON_NEGATIVE, check_options, rule
 from .rng import substream
 
@@ -56,13 +56,6 @@ class Dataset:
         if self.labels is None:
             raise DataError(f"dataset '{self.name}' has no labels")
         return int(self.labels.max()) + 1
-
-
-def _check_ingested(ds: Dataset) -> Dataset:
-    # Ingested data holds n >= 2 samples; its labels are dense by construction.
-    if ds.n_samples < 2:
-        raise DataError(f"dataset '{ds.name}' needs at least 2 samples, got {ds.n_samples}")
-    return ds
 
 
 def load_csv(path, label_column=None, delimiter: str = ",", header="auto") -> Dataset:
@@ -150,28 +143,11 @@ def load_csv(path, label_column=None, delimiter: str = ",", header="auto") -> Da
                 class_ids[raw] = len(class_ids)
             labels[i] = class_ids[raw]
 
-    name = os.path.splitext(os.path.basename(path))[0]
-    return _check_ingested(Dataset(features=features, labels=labels, name=name))
-
-
-def save_csv(ds: Dataset, path) -> None:
-    """Write a Dataset back to CSV (one sample per row, header included).
-
-    Columns are comma-separated under the headers `f0, f1, ...`, and the
-    labels, if any, come last under the header `label`.  Feature values
-    are written with repr-exact precision so a reload reproduces them bit
-    for bit.
-    """
-    d, n = ds.features.shape
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        head = [f"f{j}" for j in range(d)] + (["label"] if ds.labels is not None else [])
-        writer.writerow(head)
-        for i in range(n):
-            row = [repr(float(v)) for v in ds.features[:, i]]
-            if ds.labels is not None:
-                row.append(str(int(ds.labels[i])))
-            writer.writerow(row)
+    ds = Dataset(features=features, labels=labels,
+                 name=os.path.splitext(os.path.basename(path))[0])
+    if n < 2:
+        raise DataError(f"dataset '{ds.name}' needs at least 2 samples, got {n}")
+    return ds
 
 
 def standardize(ds: Dataset):
@@ -226,32 +202,6 @@ def take(ds: Dataset, idx, suffix: str) -> Dataset:
     return Dataset(features=ds.features[:, idx],
                    labels=None if ds.labels is None else ds.labels[idx],
                    name=f"{ds.name}/{suffix}")
-
-
-def make_blobs(n_per_class: int, classes: int, d: int, spread: float = 1.0,
-               seed: int = 0) -> Dataset:
-    """Labeled Gaussian clusters with distinct seeded means."""
-    if min(n_per_class, classes, d) < 1:
-        raise ConfigError("n_per_class, classes, and d must all be positive")
-    rng = substream(seed, "blobs")
-    means = rng.normal(0.0, 3.0, size=(classes, d))
-    # Re-draw in the (measure-zero) event of coincident means.
-    for _ in range(16):
-        diffs = means[:, None, :] - means[None, :, :]
-        dist = np.sqrt((diffs**2).sum(axis=2))
-        np.fill_diagonal(dist, np.inf)
-        if classes == 1 or dist.min() > 1e-3:
-            break
-        means = rng.normal(0.0, 3.0, size=(classes, d))
-    features = np.empty((d, classes * n_per_class), dtype=np.float64)
-    labels = np.empty(classes * n_per_class, dtype=np.int64)
-    for c in range(classes):
-        block = slice(c * n_per_class, (c + 1) * n_per_class)
-        features[:, block] = means[c][:, None] + spread * rng.normal(size=(d, n_per_class))
-        labels[block] = c
-    return _check_ingested(
-        Dataset(features=features, labels=labels, name=f"blobs{classes}x{n_per_class}")
-    )
 
 
 # Key -> annotation table of the config's `dataset` block: load_csv's parameters.

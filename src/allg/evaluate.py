@@ -140,7 +140,7 @@ class Protocol:
     candidate_fraction: rule(float, "in (0, 1)", lambda v: 0 < v < 1) = 0.5
     classifiers: distinct_list(Literal[CLASSIFIERS]) = CLASSIFIERS
     svm_c: POSITIVE = 100.0
-    logreg_reg: rule(float, ">= 0", lambda v: v >= 0) = 1e-4
+    logreg_reg: rule(float, ">= 0 and finite", lambda v: 0 <= v < np.inf) = 1e-4
     logreg_max_iter: AT_LEAST_1 = 5000
     svm_sweeps: AT_LEAST_1 = 1000
 

@@ -136,7 +136,7 @@ def composite_setup(seed: int = 0):
 
 def check_composite(seed: int = 0):
     cfg, params, x, a0 = composite_setup(seed=seed)
-    build = lambda tape, lv: build_loss_graph(tape, lv, tape.var(x), tape.var(a0), cfg)[0]["total"]
+    build = lambda tape, lv: build_loss_graph(tape, lv, tape.var(x), tape.var(a0), cfg)["total"]
     return _check("composite_total_loss", build, params, COMPOSITE_TOLERANCE)
 
 

@@ -37,7 +37,7 @@ def rule(kind, wording: str, test):
     return typing.Annotated[kind, wording, test]
 
 
-POSITIVE = rule(float, "> 0", lambda v: v > 0)
+POSITIVE = rule(float, "> 0 and finite", lambda v: 0 < v < np.inf)
 NON_NEGATIVE = rule(int, ">= 0", lambda v: v >= 0)
 AT_LEAST_1 = rule(int, ">= 1", lambda v: v >= 1)
 
@@ -96,10 +96,6 @@ class ModelConfig:
     @property
     def input_dim(self) -> int:
         return self.encoder_dims[0]
-
-    @property
-    def latent_dim(self) -> int:
-        return self.encoder_dims[-1]
 
     @property
     def n_layers(self) -> int:
@@ -327,8 +323,8 @@ def mix_shortcut(s_layers: list, z: ad.Var, cfg: ModelConfig) -> ad.Var:
 
 
 def build_loss_graph(tape: ad.Tape, pv: dict, x: ad.Var, a0: ad.Var | None,
-                     cfg: ModelConfig):
-    """Full stage-2 graph.  Returns (loss Vars by term, cache Vars)."""
+                     cfg: ModelConfig) -> dict:
+    """Full stage-2 graph.  Returns the loss Vars by term, "total" included."""
     z = encode_vars(pv, x, cfg)
     s_layers = propagate_vars(pv, z, cfg)
     s_out = mix_shortcut(s_layers, z, cfg)
@@ -352,30 +348,15 @@ def build_loss_graph(tape: ad.Tape, pv: dict, x: ad.Var, a0: ad.Var | None,
     l_s = ad.add(ad.frob_sq(ad.sub(s_out, decoder_in)),
                  ad.scale(ad.sup_norm_rows(q), cfg.lam))
     total = ad.add(ad.add(l_r, l_a), ad.add(l_p, l_s))
-    losses = {"recon": l_r, "adjacency": l_a, "propagation": l_p,
-              "selection": l_s, "total": total}
-    cache = {"latent": z, "s_layers": s_layers, "s_out": s_out,
-             "decoder_input": decoder_in, "x_hat": x_hat}
-    return losses, cache
-
-
-@dataclass
-class ForwardCache:
-    """Value arrays from one full forward pass."""
-
-    latent: np.ndarray
-    s_layers: list
-    s_out: np.ndarray
-    decoder_input: np.ndarray
-    x_hat: np.ndarray
+    return {"recon": l_r, "adjacency": l_a, "propagation": l_p,
+            "selection": l_s, "total": total}
 
 
 def forward(params: dict, x: np.ndarray, cfg: ModelConfig,
-            a0: np.ndarray | None = None):
-    """Run the full model without gradients.
+            a0: np.ndarray | None = None) -> dict:
+    """Run the full model without gradients and return the loss values by term.
 
-    Returns (ForwardCache, loss values per term).  a0 is required whenever
-    the variant has adjacency layers.
+    a0 is required whenever the variant has adjacency layers.
     """
     x = np.asarray(x, dtype=np.float64)
     if "q" not in params:
@@ -389,16 +370,7 @@ def forward(params: dict, x: np.ndarray, cfg: ModelConfig,
     xv = tape.var(x)
     a0v = None if a0 is None else tape.var(np.asarray(a0, dtype=np.float64))
     pv = wrap_params(tape, params, cfg, trainable=False)
-    losses, cache = build_loss_graph(tape, pv, xv, a0v, cfg)
-    values = {k: v.item() for k, v in losses.items()}
-    out = ForwardCache(
-        latent=cache["latent"].value,
-        s_layers=[s.value for s in cache["s_layers"]],
-        s_out=cache["s_out"].value,
-        decoder_input=cache["decoder_input"].value,
-        x_hat=cache["x_hat"].value,
-    )
-    return out, values
+    return {k: v.item() for k, v in build_loss_graph(tape, pv, xv, a0v, cfg).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +384,6 @@ class SelectionResult:
     ranked_indices: list
     scores: list  # aligned with ranked_indices
     final_losses: dict | None = None
-
-    def top(self, m: int) -> list:
-        if m > len(self.ranked_indices):
-            raise ValueError(f"requested top-{m} of {len(self.ranked_indices)} candidates")
-        return self.ranked_indices[:m]
 
 
 def rank(params: dict, final_losses: dict | None = None) -> SelectionResult:
@@ -460,6 +427,9 @@ def load_checkpoint(path):
     the stored config implies, in the order save_checkpoint wrote them.
     """
     with np.load(path, allow_pickle=False) as npz:
+        if "__meta__" not in npz.files:
+            raise ConfigError(f"checkpoint {path} has no __meta__ member; "
+                              "save_checkpoint did not write it")
         meta = json.loads(str(npz["__meta__"][()]))
         if meta.get("format_version") != _CHECKPOINT_VERSION:
             raise ConfigError(

@@ -82,27 +82,16 @@ def pretrain(x: np.ndarray, cfg: ModelConfig) -> dict:
     state = ad.AdamState(params)
 
     def build():
-        loss, pv = _reconstruction_graph(params, x, cfg, trainable=True)
-        return {"total": loss}, pv
+        # ||X - decode(encode(X))||_F^2
+        tape = ad.Tape()
+        xv = tape.var(x)
+        pv = wrap_params(tape, params, cfg)
+        x_hat = decode_vars(pv, encode_vars(pv, xv, cfg), cfg)
+        return {"total": ad.frob_sq(ad.sub(xv, x_hat))}, pv
 
     for epoch in range(1, cfg.pretrain_epochs + 1):
         _epoch(build, params, state, cfg.lr, epoch, "pretrain")
     return params
-
-
-def _reconstruction_graph(params: dict, x: np.ndarray, cfg: ModelConfig,
-                          trainable: bool):
-    """Stage-1 loss ||X - decode(encode(X))||_F^2 on a new tape: (loss, leaf Vars)."""
-    tape = ad.Tape()
-    xv = tape.var(x)
-    pv = wrap_params(tape, params, cfg, trainable=trainable)
-    x_hat = decode_vars(pv, encode_vars(pv, xv, cfg), cfg)
-    return ad.frob_sq(ad.sub(xv, x_hat)), pv
-
-
-def reconstruction_loss(params: dict, x: np.ndarray, cfg: ModelConfig) -> float:
-    """Plain autoencoder loss of the current encoder/decoder (no Q, no A)."""
-    return _reconstruction_graph(params, x, cfg, trainable=False)[0].item()
 
 
 def train(x: np.ndarray, a0: np.ndarray | None, cfg: ModelConfig, params: dict):
@@ -144,8 +133,8 @@ def train(x: np.ndarray, a0: np.ndarray | None, cfg: ModelConfig, params: dict):
         tape = ad.Tape()
         xv = tape.var(x)
         a0v = None if a0_arr is None else tape.var(a0_arr)
-        pv = wrap_params(tape, params, cfg, trainable=True)
-        return build_loss_graph(tape, pv, xv, a0v, cfg)[0], pv
+        pv = wrap_params(tape, params, cfg)
+        return build_loss_graph(tape, pv, xv, a0v, cfg), pv
 
     history = [{"epoch": epoch, **_epoch(build, trainable, state, cfg.lr, epoch, "train")}
                for epoch in range(1, cfg.train_epochs + 1)]
@@ -165,6 +154,5 @@ def run_selection(x: np.ndarray, cfg: ModelConfig):
         a0 = normalize_adjacency(knn_graph(x, cfg.knn_k).adjacency, cfg.prior_normalize)
     params = pretrain(x, cfg)
     params, history = train(x, a0, cfg, params)
-    _, final_losses = forward(params, x, cfg, a0=a0)
-    result = rank(params, final_losses=final_losses)
+    result = rank(params, final_losses=forward(params, x, cfg, a0=a0))
     return result, params, history

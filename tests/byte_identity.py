@@ -46,8 +46,9 @@ RUNS = [
     ["select", *COMMON, "--out", "select"],
     ["select", "--config", "cfg_block.json", "--seed", "3", "--out", "select_block"],
 ]
-FIXTURE = ("import allg; "
-           "allg.save_csv(allg.make_blobs(30, 3, d=5, spread=1.5, seed=6), 'data.csv')")
+# Run with this directory on the path: `pools` is the tests' pool helper.
+FIXTURE = ("from pools import make_blobs, save_csv; "
+           "save_csv(make_blobs(30, 3, d=5, spread=1.5, seed=6), 'data.csv')")
 
 
 def _run(argv, cwd, env) -> str:
@@ -68,7 +69,7 @@ def main(argv) -> int:
     if os.listdir(work):
         sys.exit(f"{work} is not empty")
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    _run(["-c", FIXTURE], work, env)
+    _run(["-c", FIXTURE], work, {**env, "PYTHONPATH": os.pathsep.join((src, here))})
     for name, cfg in (("cfg.json", CONFIG), ("cfg_block.json", BLOCK_CONFIG)):
         with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
             json.dump(cfg, fh)

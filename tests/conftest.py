@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import allg
+from pools import make_blobs
 
 
 @pytest.fixture(scope="session")
 def blobs_small():
     """60 samples, 3 tight classes in 4 dims."""
-    return allg.make_blobs(20, 3, d=4, spread=0.8, seed=5)
+    return make_blobs(20, 3, d=4, spread=0.8, seed=5)
 
 
 @pytest.fixture(scope="session")

@@ -116,6 +116,23 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1e-300)
 
 
+def _straight_line_mlp(params, part, h, cfg, final_activation):
+    """The encoder (part "enc") or decoder ("dec") layers applied to h, one by one."""
+    n_layers = len(cfg.encoder_dims) - 1
+    for l in range(n_layers):
+        h = params[f"{part}_w{l}"] @ h + params[f"{part}_b{l}"]
+        if l < n_layers - 1 or final_activation == "relu":
+            h = np.maximum(h, 0.0)
+    return h
+
+
+def straight_line_reconstruction(params, x, cfg):
+    """Stage-1 loss ||X - decode(encode(X))||_F^2 of a plain autoencoder, without autodiff."""
+    z = _straight_line_mlp(params, "enc", x, cfg, cfg.encoder_final_activation)
+    return naive_frob_sq(x - _straight_line_mlp(params, "dec", z, cfg,
+                                                cfg.decoder_final_activation))
+
+
 def straight_line_forward(params, x, a0, cfg):
     """Non-autodiff reimplementation of the full forward pass.
 
@@ -123,12 +140,7 @@ def straight_line_forward(params, x, a0, cfg):
     layers, returning every intermediate plus the four loss terms.
     """
     relu = lambda m: np.maximum(m, 0.0)
-    z = x
-    n_layers = len(cfg.encoder_dims) - 1
-    for l in range(n_layers):
-        z = params[f"enc_w{l}"] @ z + params[f"enc_b{l}"]
-        if l < n_layers - 1 or cfg.encoder_final_activation == "relu":
-            z = relu(z)
+    z = _straight_line_mlp(params, "enc", x, cfg, cfg.encoder_final_activation)
     s_layers = []
     s = z
     for i in range(cfg.n_matrices):
@@ -147,11 +159,7 @@ def straight_line_forward(params, x, a0, cfg):
         s_out = (cfg.shortcut_weight * s_layers[cfg.shortcut_layer - 1]
                  + (1.0 - cfg.shortcut_weight) * s_layers[-1])
     dec_in = s_out @ params["q"]
-    y = dec_in
-    for l in range(n_layers):
-        y = params[f"dec_w{l}"] @ y + params[f"dec_b{l}"]
-        if l < n_layers - 1 or cfg.decoder_final_activation == "relu":
-            y = relu(y)
+    y = _straight_line_mlp(params, "dec", dec_in, cfg, cfg.decoder_final_activation)
     l_r = naive_frob_sq(x - y)
     if s_layers:
         l_a = naive_loss_adjacency(params["adj0"], a0, cfg.alpha, cfg.beta)

@@ -20,6 +20,7 @@ from allg.evaluate import Protocol, run_protocol, summarize
 from allg.gradcheck import COMPOSITE_TOLERANCE, OP_TOLERANCE, run_all
 from allg.model import VARIANTS
 from oracles import brute_force_knn_adjacency, straight_line_forward
+from pools import make_blobs, save_csv
 
 SPLICE_ENV = "ALLG_SPLICE_CSV"
 
@@ -86,7 +87,7 @@ def test_criterion_2_loss_term_oracles():
     for _ in range(20):
         for variant in VARIANTS:
             cfg, params, x, a0 = _random_model(rng, variant)
-            _, losses = allg.forward(params, x, cfg, a0)
+            losses = allg.forward(params, x, cfg, a0)
             oracle = straight_line_forward(params, x, a0, cfg)
             for term in ("recon", "adjacency", "propagation", "selection"):
                 got, want = losses[term], oracle[term]
@@ -107,10 +108,20 @@ def test_criterion_3_shortcut_identities():
     params.update({f"adj{i}": a0 + 0.3 * rng.normal(size=(7, 7)) for i in range(2)})
     params["q"] = rng.normal(size=(7, 7))
     import dataclasses
-    cache1, _ = allg.forward(params, x, dataclasses.replace(base, shortcut_weight=1.0), a0)
-    cache0, _ = allg.forward(params, x, dataclasses.replace(base, shortcut_weight=0.0), a0)
-    ok = (np.array_equal(cache1.s_out, cache1.s_layers[0])
-          and np.array_equal(cache0.s_out, cache0.s_layers[-1]))
+
+    from allg import autodiff as ad
+    from allg.model import encode_vars, mix_shortcut, propagate_vars, wrap_params
+
+    def s_out_and_layers(cfg):
+        tape = ad.Tape()
+        pv = wrap_params(tape, params, cfg, trainable=False)
+        z = encode_vars(pv, tape.var(x), cfg)
+        s_layers = propagate_vars(pv, z, cfg)
+        return mix_shortcut(s_layers, z, cfg).value, [s.value for s in s_layers]
+
+    s_out1, layers1 = s_out_and_layers(dataclasses.replace(base, shortcut_weight=1.0))
+    s_out0, layers0 = s_out_and_layers(dataclasses.replace(base, shortcut_weight=0.0))
+    ok = np.array_equal(s_out1, layers1[0]) and np.array_equal(s_out0, layers0[-1])
     _report(3, "r=1 gives S_out = S_1 and r=0 gives S_out = S_N bitwise", ok)
 
 
@@ -136,7 +147,7 @@ def test_criterion_4_knn_and_dcs_oracles():
 
 
 def test_criterion_5_sparsity_monotonic_in_lambda():
-    ds = allg.make_blobs(50, 3, d=8, spread=1.0, seed=7)
+    ds = make_blobs(50, 3, d=8, spread=1.0, seed=7)
     std, _, _ = allg.standardize(ds)
 
     def active_rows(lam, seed):
@@ -159,7 +170,7 @@ def test_criterion_5_sparsity_monotonic_in_lambda():
 
 
 def test_criterion_6_selection_beats_random_on_blobs():
-    ds = allg.make_blobs(100, 3, d=8, spread=3.5, seed=11)  # 150 candidates
+    ds = make_blobs(100, 3, d=8, spread=3.5, seed=11)  # 150 candidates
     model = {"encoder_dims": (8, 16, 8), "pretrain_epochs": 1500,
              "train_epochs": 1500, "knn_k": 5, "alpha": 10.0, "beta": 10.0,
              "lam": 10.0, "encoder_final_activation": "linear",
@@ -231,9 +242,9 @@ def test_criterion_8_convergence_shape_on_splice():
 
 
 def test_criterion_9_cli_determinism(tmp_path):
-    ds = allg.make_blobs(15, 3, d=4, spread=1.0, seed=6)
+    ds = make_blobs(15, 3, d=4, spread=1.0, seed=6)
     csv = tmp_path / "pool.csv"
-    allg.save_csv(ds, csv)
+    save_csv(ds, csv)
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"model": {"encoder_dims": [4, 4, 3], "pretrain_epochs": 40, '
                    '"train_epochs": 60, "knn_k": 3}}', encoding="utf-8")

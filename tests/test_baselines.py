@@ -6,6 +6,7 @@ from allg.baselines import kmeans_fit
 from allg.errors import ConfigError
 from allg.evaluate import SELECTORS, rank_candidates
 from oracles import gram_leverage_scores
+from pools import make_blobs
 
 
 class TestSelectRandom:
@@ -44,19 +45,31 @@ class TestSelectKmeans:
         assert allg.select_kmeans(x, k=3, seed=2) == allg.select_kmeans(x, k=3, seed=2)
 
     def test_round_robin_spreads_over_clusters(self):
-        ds = allg.make_blobs(10, 3, d=2, spread=0.2, seed=8)
+        ds = make_blobs(10, 3, d=2, spread=0.2, seed=8)
         out = allg.select_kmeans(ds.features, k=3, seed=1)
         assert len({ds.labels[i] for i in out[:3]}) == 3
 
-    def test_wcss_non_increasing(self, rng):
+    def test_lloyd_fixed_point(self, rng):
+        # every point is nearest to its own centroid, and each centroid is its members' mean
         x = rng.normal(size=(5, 60))
-        _, _, history = kmeans_fit(x, 4, seed=5)
-        diffs = np.diff(history)
-        assert (diffs <= 1e-9).all()
+        centroids, assign = kmeans_fit(x, 4, seed=5)
+        dist = np.linalg.norm(x[:, :, None] - centroids[:, None, :], axis=0)
+        assert (dist[np.arange(60), assign] <= dist.min(axis=1) + 1e-12).all()
+        for c in range(4):
+            np.testing.assert_allclose(centroids[:, c], x[:, assign == c].mean(axis=1),
+                                       rtol=0, atol=1e-12)
 
     def test_k_exceeds_n(self, rng):
         with pytest.raises(ConfigError):
             allg.select_kmeans(rng.normal(size=(2, 3)), k=4, seed=0)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, rng, k):
+        x = rng.normal(size=(2, 3))
+        with pytest.raises(ConfigError, match="K="):
+            allg.select_kmeans(x, k=k, seed=0)
+        with pytest.raises(ConfigError, match="K="):
+            kmeans_fit(x, k, seed=0)
 
 
 class TestSelectDcs:
@@ -84,6 +97,11 @@ class TestSelectDcs:
     def test_rank_out_of_range(self, rng):
         with pytest.raises(ConfigError):
             allg.select_dcs(rng.normal(size=(3, 5)), rank=4)
+
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_rank_below_one(self, rng, rank):
+        with pytest.raises(ConfigError, match="rank="):
+            allg.select_dcs(rng.normal(size=(3, 5)), rank=rank)
 
 
 class TestRegistry:

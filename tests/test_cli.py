@@ -11,13 +11,14 @@ from allg.cli import CONFIG_KEYS, GRID_KEYS, SELECTOR_KEYS, main
 from allg.data import DATASET_KEYS
 from allg.evaluate import SELECTORS
 from allg.model import _wording, check_options
+from pools import make_blobs, save_csv
 
 
 @pytest.fixture()
 def blobs_csv(tmp_path):
-    ds = allg.make_blobs(15, 3, d=4, spread=1.0, seed=6)
+    ds = make_blobs(15, 3, d=4, spread=1.0, seed=6)
     path = tmp_path / "blobs.csv"
-    allg.save_csv(ds, path)
+    save_csv(ds, path)
     return str(path)
 
 
@@ -216,7 +217,7 @@ class TestAblate:
         # property mirroring the ablation table's ordering on a fixture
         # noisy enough that graph smoothing matters
         from allg.evaluate import Protocol, run_protocol, summarize
-        ds = allg.make_blobs(100, 3, d=8, spread=4.5, seed=11)
+        ds = make_blobs(100, 3, d=8, spread=4.5, seed=11)
         model = {"encoder_dims": (8, 16, 8), "pretrain_epochs": 1000,
                  "train_epochs": 1000, "knn_k": 5, "alpha": 10.0, "beta": 10.0,
                  "lam": 10.0, "encoder_final_activation": "linear",
@@ -381,6 +382,12 @@ class TestExitCodes:
         ("select", {"dataset": {"delimiter": ""}}, "delimiter"),
         ("evaluate", {"dataset": {"delimiter": ",,"}}, "delimiter"),
         ("evaluate", {"selectors": [{"kind": "allg", "params": {"seed": 5}}]}, "seed"),
+        # json writes and reads these as Infinity
+        ("evaluate", {"protocol": {"logreg_reg": float("inf")}}, "logreg_reg"),
+        ("evaluate", {"protocol": {"svm_c": float("inf")}}, "svm_c"),
+        ("select", {"model": {"lr": float("inf")}}, "lr"),
+        ("select", {"model": {"alpha": float("inf")}}, "alpha"),
+        ("grid", {"grid": {"alpha": [1, float("inf")]}}, "alpha"),
     ], ids=["protocol_key_evaluate", "protocol_key_grid", "protocol_list_evaluate",
             "protocol_list_grid", "model_list_evaluate", "model_list_select",
             "model_list_grid", "selectors_string", "grid_list", "grid_scalar_axis",
@@ -404,7 +411,8 @@ class TestExitCodes:
             "classifiers_empty", "classifiers_repeated", "classifiers_empty_grid",
             "classifiers_integer_entry", "classifiers_unknown", "model_variant_alias",
             "dataset_delimiter_empty", "dataset_delimiter_two_characters",
-            "allg_params_seed"])
+            "allg_params_seed", "logreg_reg_infinite", "svm_c_infinite",
+            "model_lr_infinite", "model_alpha_infinite", "grid_axis_infinite"])
     def test_malformed_config_block(self, tmp_path, blobs_csv, capsys, command, payload,
                                     culprit):
         cfg = _write_config(tmp_path, payload)
@@ -551,7 +559,7 @@ class TestExitCodes:
     def test_unlabeled_dataset_for_evaluate(self, tmp_path):
         ds = allg.Dataset(np.random.default_rng(0).normal(size=(3, 12)))
         path = tmp_path / "plain.csv"
-        allg.save_csv(ds, path)
+        save_csv(ds, path)
         assert main(["evaluate", "--dataset", str(path), "--out",
                      str(tmp_path / "o"), "--budgets", "4"]) == 3
 

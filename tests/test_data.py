@@ -6,6 +6,7 @@ import pytest
 import allg
 from allg.data import DATASET_KEYS
 from allg.errors import ConfigError, DataError
+from pools import make_blobs, save_csv
 
 
 def _write(path, text):
@@ -87,7 +88,7 @@ class TestLoadCsv:
         # ensure both classes appear
         ds.labels[0], ds.labels[1] = 0, 1
         p = tmp_path / "rt.csv"
-        allg.save_csv(ds, p)
+        save_csv(ds, p)
         back = allg.load_csv(str(p), label_column="label")
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
@@ -168,17 +169,17 @@ class TestSplit:
 
 class TestMakeBlobs:
     def test_construction(self):
-        ds = allg.make_blobs(20, 3, d=2, spread=1.0, seed=0)
+        ds = make_blobs(20, 3, d=2, spread=1.0, seed=0)
         assert ds.n_samples == 60 and ds.dim == 2
         np.testing.assert_array_equal(np.unique(ds.labels), [0, 1, 2])
 
     def test_determinism_bitwise(self):
-        a = allg.make_blobs(10, 2, d=3, spread=0.5, seed=42)
-        b = allg.make_blobs(10, 2, d=3, spread=0.5, seed=42)
+        a = make_blobs(10, 2, d=3, spread=0.5, seed=42)
+        b = make_blobs(10, 2, d=3, spread=0.5, seed=42)
         assert np.array_equal(a.features, b.features)
 
     def test_small_spread_scatter(self):
-        ds = allg.make_blobs(30, 3, d=4, spread=1e-6, seed=1)
+        ds = make_blobs(30, 3, d=4, spread=1e-6, seed=1)
         means = np.stack([ds.features[:, ds.labels == c].mean(axis=1) for c in range(3)])
         within = max(ds.features[:, ds.labels == c].var(axis=1).max() for c in range(3))
         between = min(np.linalg.norm(means[i] - means[j])
@@ -186,8 +187,8 @@ class TestMakeBlobs:
         assert within < 1e-6 * between
 
     def test_bad_counts(self):
-        with pytest.raises(ConfigError):
-            allg.make_blobs(0, 3, d=2)
+        with pytest.raises(ValueError):
+            make_blobs(0, 3, d=2)
 
 
 class TestDatasetInvariants:

@@ -9,10 +9,11 @@ from allg.errors import ConfigError, DataError
 from allg.evaluate import EvalCell, Protocol, _augment, _svm_weights, run_protocol, summarize
 
 from oracles import svm_weights_reference
+from pools import make_blobs, save_csv
 
 
 def _separable_blobs(seed=0, spread=0.3):
-    ds = allg.make_blobs(15, 2, d=2, spread=spread, seed=seed)
+    ds = make_blobs(15, 2, d=2, spread=spread, seed=seed)
     std, _, _ = allg.standardize(ds)
     return std.features, ds.labels
 
@@ -34,7 +35,7 @@ class TestLogreg:
     def test_agrees_with_scipy_solver(self, rng):
         from scipy.optimize import minimize
 
-        ds = allg.make_blobs(10, 2, d=3, spread=2.5, seed=14)
+        ds = make_blobs(10, 2, d=3, spread=2.5, seed=14)
         x = ds.features[:, :20]
         y = ds.labels[:20]
         x_test = ds.features
@@ -153,7 +154,7 @@ class TestProtocolConfig:
             Protocol(classifiers=("forest",))
 
     def test_negative_run_seed(self):
-        ds = allg.make_blobs(10, 2, 3)
+        ds = make_blobs(10, 2, 3)
         with pytest.raises(ConfigError, match="'seed'"):
             run_protocol(ds, [allg.SelectorSpec("random")], Protocol(budgets=(2,), runs=1),
                          seed=-1)
@@ -190,7 +191,7 @@ class TestSummarize:
         monkeypatch.setattr(allg.cli, "run_protocol", lambda ds, specs, protocol, seed: cells)
         monkeypatch.setattr(allg.cli, "check_protocol", lambda ds, specs, protocol: specs)
         data, out = tmp_path / "pool.csv", tmp_path / "out"
-        allg.save_csv(allg.make_blobs(5, 2, d=2, seed=0), data)
+        save_csv(make_blobs(5, 2, d=2, seed=0), data)
         assert main(["evaluate", "--dataset", str(data), "--label-column", "label",
                      "--out", str(out)]) == 0
         assert (out / "report.csv").read_text().splitlines()[0] == \
@@ -202,7 +203,7 @@ class TestSummarize:
 
 @pytest.fixture(scope="module")
 def labeled():
-    return allg.make_blobs(20, 3, d=4, spread=1.0, seed=6)
+    return make_blobs(20, 3, d=4, spread=1.0, seed=6)
 
 
 class TestRunProtocol:

@@ -30,7 +30,7 @@ def test_corrupted_matmul_backward_is_caught(monkeypatch):
 def test_composite_uses_toy_dimensions():
     cfg, params, x, a0 = gc.composite_setup()
     assert x.shape == (8, 12)
-    assert cfg.latent_dim == 4 and cfg.n_matrices == 2
+    assert cfg.encoder_dims[-1] == 4 and cfg.n_matrices == 2
     assert params["q"].shape == (12, 12)
 
 

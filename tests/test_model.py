@@ -1,16 +1,23 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 import allg
+from allg import autodiff as ad
 from allg.errors import ConfigError
 from allg.model import (
     adjacency_key,
     config_from_dict,
     config_from_options,
+    decode_vars,
+    encode_vars,
+    mix_shortcut,
+    propagate_vars,
     stage2_peak_bytes,
+    wrap_params,
 )
 from oracles import straight_line_forward
 
@@ -26,6 +33,20 @@ def _toy_model(rng, n=6, d=5, latent=3, variant="full", r=0.3, k=1):
                    for i in range(cfg.n_stored_matrices)})
     params["q"] = 0.3 * rng.normal(size=(n, n))
     return cfg, params, x, a0
+
+
+def _layers(params, x, cfg):
+    """Every intermediate of the forward pass, as value arrays, from the model's own
+    graph builders on a tape of constant leaves."""
+    tape = ad.Tape()
+    pv = wrap_params(tape, params, cfg, trainable=False)
+    z = encode_vars(pv, tape.var(x), cfg)
+    s_layers = propagate_vars(pv, z, cfg)
+    s_out = mix_shortcut(s_layers, z, cfg)
+    decoder_in = ad.matmul(s_out, pv["q"])
+    return {"latent": z.value, "s_layers": [s.value for s in s_layers],
+            "s_out": s_out.value, "decoder_input": decoder_in.value,
+            "x_hat": decode_vars(pv, decoder_in, cfg).value}
 
 
 class TestModelConfig:
@@ -126,37 +147,38 @@ class TestAblationVariants:
 class TestForward:
     def test_r1_shortcut_is_first_layer_bitwise(self, rng):
         cfg, params, x, a0 = _toy_model(rng, r=1.0, k=1)
-        cache, _ = allg.forward(params, x, cfg, a0)
-        assert np.array_equal(cache.s_out, cache.s_layers[0])
+        layers = _layers(params, x, cfg)
+        assert np.array_equal(layers["s_out"], layers["s_layers"][0])
 
     def test_r0_shortcut_is_last_layer_bitwise(self, rng):
         cfg, params, x, a0 = _toy_model(rng, r=0.0, k=1)
-        cache, _ = allg.forward(params, x, cfg, a0)
-        assert np.array_equal(cache.s_out, cache.s_layers[-1])
+        layers = _layers(params, x, cfg)
+        assert np.array_equal(layers["s_out"], layers["s_layers"][-1])
 
     def test_identity_q_passes_s_out_through(self, rng):
         cfg, params, x, a0 = _toy_model(rng)
         params["q"] = np.eye(params["q"].shape[0])
-        cache, _ = allg.forward(params, x, cfg, a0)
-        assert np.array_equal(cache.decoder_input, cache.s_out)
+        layers = _layers(params, x, cfg)
+        assert np.array_equal(layers["decoder_input"], layers["s_out"])
 
     def test_matches_straight_line_reimplementation(self, rng):
         for variant in ("full", "no_graph", "one_matrix", "tied_two", "distinct_two"):
             cfg, params, x, a0 = _toy_model(rng, variant=variant)
-            cache, losses = allg.forward(params, x, cfg, a0 if cfg.n_matrices else None)
+            losses = allg.forward(params, x, cfg, a0 if cfg.n_matrices else None)
+            layers = _layers(params, x, cfg)
             ref = straight_line_forward(params, x, a0, cfg)
-            np.testing.assert_allclose(cache.latent, ref["latent"], atol=1e-10)
-            np.testing.assert_allclose(cache.s_out, ref["s_out"], atol=1e-10)
-            np.testing.assert_allclose(cache.x_hat, ref["x_hat"], atol=1e-10)
+            for name in ("latent", "s_out", "x_hat"):
+                np.testing.assert_allclose(layers[name], ref[name], atol=1e-10)
             for term in ("recon", "adjacency", "propagation", "selection", "total"):
                 assert abs(losses[term] - ref[term]) <= 1e-10 * max(1.0, abs(ref[term]))
 
     def test_no_graph_has_no_propagated_layers(self, rng):
         cfg, params, x, _ = _toy_model(rng, variant="no_graph")
         params = {k: v for k, v in params.items() if not k.startswith("adj")}
-        cache, _ = allg.forward(params, x, cfg)
-        assert cache.s_layers == []
-        assert np.array_equal(cache.s_out, cache.latent)
+        allg.forward(params, x, cfg)  # needs no prior
+        layers = _layers(params, x, cfg)
+        assert layers["s_layers"] == []
+        assert np.array_equal(layers["s_out"], layers["latent"])
 
     def test_wrong_candidate_count_raises(self, rng):
         cfg, params, x, a0 = _toy_model(rng)
@@ -167,7 +189,7 @@ class TestForward:
 class TestLossTerms:
     def test_total_additivity(self, rng):
         cfg, params, x, a0 = _toy_model(rng)
-        _, losses = allg.forward(params, x, cfg, a0)
+        losses = allg.forward(params, x, cfg, a0)
         parts = (losses["recon"] + losses["adjacency"]
                  + losses["propagation"] + losses["selection"])
         assert losses["total"] == pytest.approx(parts, rel=1e-12)
@@ -191,12 +213,6 @@ class TestRank:
         norms = [float(np.sqrt((q[i] ** 2).sum())) for i in range(8)]
         expect = sorted(range(8), key=lambda i: (-norms[i], i))
         assert result.ranked_indices == expect
-
-    def test_top_m(self, rng):
-        result = allg.rank({"q": rng.normal(size=(5, 5))})
-        assert len(result.top(3)) == 3
-        with pytest.raises(ValueError):
-            result.top(6)
 
     def test_requires_trained_q(self):
         with pytest.raises(ValueError, match="Q"):
@@ -242,6 +258,12 @@ class TestCheckpoint:
         members["__meta__"] = np.array(json.dumps(meta))
         np.savez(path, **members)
         with pytest.raises(ConfigError, match="'encoder_dims'"):
+            allg.load_checkpoint(path)
+
+    def test_file_without_meta_refused(self, tmp_path, rng):
+        path = tmp_path / "plain.npz"
+        np.savez(path, q=rng.normal(size=(3, 3)))
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
             allg.load_checkpoint(path)
 
     @pytest.mark.parametrize("change", ["missing", "extra", "version_2"])

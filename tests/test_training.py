@@ -10,8 +10,8 @@ import allg
 from allg.cli import main
 from allg.errors import NumericalError
 from allg.model import VARIANTS, stage2_peak_bytes
-from allg.training import reconstruction_loss
-from oracles import finite_diff, rel_err
+from oracles import finite_diff, rel_err, straight_line_reconstruction
+from pools import make_blobs, save_csv
 
 
 def _traced_train_peak(x, a0, cfg) -> int:
@@ -30,9 +30,9 @@ class TestPretrain:
     def test_reconstruction_improves(self, blobs_std, tiny_cfg):
         x = blobs_std.features
         init = allg.init_encoder_decoder(tiny_cfg)
-        before = reconstruction_loss(init, x, tiny_cfg)
+        before = straight_line_reconstruction(init, x, tiny_cfg)
         params = allg.pretrain(x, tiny_cfg)
-        after = reconstruction_loss(params, x, tiny_cfg)
+        after = straight_line_reconstruction(params, x, tiny_cfg)
         assert after < before
 
     def test_deterministic_final_parameters(self, blobs_std, tiny_cfg):
@@ -97,9 +97,12 @@ class TestTrain:
         x = blobs_std.features
         trained, _ = allg.train(x, allg.knn_graph(x, 4).adjacency, cfg, allg.pretrain(x, cfg))
         assert len([k for k in trained if k.startswith("adj")]) == 1
-        cache, _ = allg.forward(params=trained, x=x, cfg=cfg,
-                                a0=allg.knn_graph(x, 4).adjacency)
-        assert len(cache.s_layers) == 2
+        from allg import autodiff as ad
+        from allg.model import encode_vars, propagate_vars, wrap_params
+
+        tape = ad.Tape()
+        pv = wrap_params(tape, trained, cfg, trainable=False)
+        assert len(propagate_vars(pv, encode_vars(pv, tape.var(x), cfg), cfg)) == 2
 
     def test_large_beta_pins_adjacency_to_prior(self, blobs_std, rng):
         x = blobs_std.features
@@ -225,7 +228,7 @@ class TestTrain:
 
 class TestPermutationEquivariance:
     def test_ranking_permutes_with_columns(self, rng):
-        ds = allg.make_blobs(8, 3, d=5, spread=1.5, seed=21)
+        ds = make_blobs(8, 3, d=5, spread=1.5, seed=21)
         std, _, _ = allg.standardize(ds)
         x = std.features
         cfg = allg.ModelConfig(encoder_dims=(5, 5, 3), pretrain_epochs=25,
@@ -260,12 +263,12 @@ class TestCompositeGradient:
         params, x, a0 = _smooth_point(cfg, f"variant_gradcheck:{variant}:{prior}")
         tape = ad.Tape()
         pv = wrap_params(tape, params, cfg)
-        losses, _ = build_loss_graph(tape, pv, tape.var(x), tape.var(a0), cfg)
+        losses = build_loss_graph(tape, pv, tape.var(x), tape.var(a0), cfg)
         tape.backward(losses["total"])
         # every trainable parameter: knn_only's adjacency is frozen, tied_two stores one
         trainable = {k: v for k, v in params.items() if not is_frozen(cfg, k)}
         assert len(trainable) == 8 + 1 + cfg.n_stored_matrices - (variant == "knn_only")
-        fd = finite_diff(lambda arrs: forward({**params, **arrs}, x, cfg, a0)[1]["total"],
+        fd = finite_diff(lambda arrs: forward({**params, **arrs}, x, cfg, a0)["total"],
                          trainable)
         worst = max(rel_err(pv[k].grad, fd[k]) for k in trainable)
         assert worst < 1e-4
@@ -320,7 +323,7 @@ class TestLossHistoryCsv:
 
         monkeypatch.setattr(allg.cli, "run_selection", spy)
         data, cfg = tmp_path / "pool.csv", tmp_path / "cfg.json"
-        allg.save_csv(blobs_small, data)
+        save_csv(blobs_small, data)
         # the model block refuses "seed"; the top-level seed carries it
         model = {k: v for k, v in dataclasses.asdict(tiny_cfg).items() if k != "seed"}
         cfg.write_text(json.dumps({"model": model, "seed": tiny_cfg.seed}), encoding="utf-8")
