@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense float64 matrices.
+"""Reverse-mode automatic differentiation over dense float32 or float64 matrices.
 
 The engine is a flat tape.  Every operation appends one node recording the
 indices of its parents and their backward rules; insertion order is a
@@ -10,9 +10,13 @@ that parent, so a graph on constant leaves records no backward rules: that
 is the no-grad path.  The tape holds no Var, so reference counting frees it
 and its arrays when the last Var on it is dropped.
 
-All values are 2-D float64 arrays; scalars are 1x1 matrices.  Reductions
-use numpy's fixed summation order, so identical inputs give bitwise
-identical gradients.
+All values are 2-D float arrays; scalars are 1x1 matrices.  A float32
+leaf stays float32 and every other leaf becomes float64; an op computes
+at its inputs' dtype, except that the 1x1 losses of the reductions are
+float64.  A VJP scales by a Python float, never a numpy float64 scalar,
+which would promote a float32 gradient to float64.  Reductions use
+numpy's fixed summation order, so identical inputs give bitwise identical
+gradients.
 """
 
 import numpy as np
@@ -62,8 +66,11 @@ class Tape:
         return len(self._parents)
 
     def var(self, value, requires_grad: bool = False) -> Var:
-        """Create a leaf holding `value` (coerced to 2-D float64)."""
-        arr = np.asarray(value, dtype=np.float64)
+        """Create a leaf holding `value` as a 2-D array: float32 stays float32,
+        anything else becomes float64."""
+        arr = np.asarray(value)
+        if arr.dtype != np.float32:
+            arr = arr.astype(np.float64, copy=False)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
         if arr.ndim != 2:
@@ -165,8 +172,8 @@ def relu(x: Var) -> Var:
 def frob_sq(x: Var) -> Var:
     """Sum of squared entries as a 1x1 Var."""
     xv = x.value
-    out = np.array([[np.sum(xv * xv)]])
-    return x.tape._record(out, ((x, lambda g: (2.0 * g[0, 0]) * xv),))
+    out = np.array([[np.sum(xv * xv)]], dtype=np.float64)
+    return x.tape._record(out, ((x, lambda g: 2.0 * float(g[0, 0]) * xv),))
 
 
 def sup_norm_rows(q: Var) -> Var:
@@ -179,11 +186,11 @@ def sup_norm_rows(q: Var) -> Var:
     rows = np.arange(qv.shape[0])
     j_star = np.argmax(np.abs(qv), axis=1)  # first occurrence = lowest index
     peak = qv[rows, j_star]
-    out = np.array([[np.sum(np.abs(peak))]])
+    out = np.array([[np.sum(np.abs(peak))]], dtype=np.float64)
 
     def vjp(g):
         grad = np.zeros_like(qv)
-        grad[rows, j_star] = np.sign(peak) * g[0, 0]
+        grad[rows, j_star] = np.sign(peak) * float(g[0, 0])
         return grad
 
     return q.tape._record(out, ((q, vjp),))
@@ -195,7 +202,9 @@ def graph_penalty(a: Var, b: Var, alpha: float, beta: float) -> Var:
     Each squared norm is a single-pass dot product; the VJPs are
     2 alpha a + 2 beta (a - b) for a and -2 beta (a - b) for b.  The node
     keeps only its inputs: each VJP recomputes a - b, the same subtraction
-    as the forward pass, so no n x n difference lives until backward.
+    as the forward pass, so no n x n difference lives until backward.  a's
+    two terms are two parent entries, so backward adds each into a's
+    gradient in turn and never holds both beside it.
     """
     tape = _check_same_tape(a, b)
     if a.shape != b.shape:
@@ -203,19 +212,16 @@ def graph_penalty(a: Var, b: Var, alpha: float, beta: float) -> Var:
     alpha, beta = float(alpha), float(beta)
     av, bv = a.value, b.value
     diff = av - bv
-    out = np.array([[alpha * np.vdot(av, av) + beta * np.vdot(diff, diff)]])
+    out = np.array([[alpha * np.vdot(av, av) + beta * np.vdot(diff, diff)]], dtype=np.float64)
 
     def scaled_diff(c):
         d = av - bv
         d *= c
         return d
 
-    def vjp_a(g):
-        grad = (2.0 * alpha * g[0, 0]) * av
-        grad += scaled_diff(2.0 * beta * g[0, 0])
-        return grad
-
-    return tape._record(out, ((a, vjp_a), (b, lambda g: scaled_diff(-2.0 * beta * g[0, 0]))))
+    return tape._record(out, ((a, lambda g: (2.0 * alpha * float(g[0, 0])) * av),
+                              (a, lambda g: scaled_diff(2.0 * beta * float(g[0, 0]))),
+                              (b, lambda g: scaled_diff(-2.0 * beta * float(g[0, 0])))))
 
 
 def add(a: Var, b: Var) -> Var:
@@ -255,7 +261,8 @@ def _block_rows(arr: np.ndarray) -> int:
 class AdamState:
     """First / second moment accumulators, one pair per parameter name, and
     the scratch of adam_step: two rows, each as large as the largest row
-    block of any parameter, so a step allocates no array."""
+    block of any parameter and of the widest parameter dtype, so a step
+    allocates no array."""
 
     __slots__ = ("m", "v", "scratch")
 
@@ -263,7 +270,7 @@ class AdamState:
         self.m = {key: np.zeros_like(arr) for key, arr in params.items()}
         self.v = {key: np.zeros_like(arr) for key, arr in params.items()}
         block = max((_block_rows(arr) * arr[0].size for arr in params.values()), default=0)
-        self.scratch = np.empty((2, block))
+        self.scratch = np.empty((2, block), dtype=np.result_type(np.float32, *params.values()))
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, *, lr: float, t: int):

@@ -212,18 +212,21 @@ _BASE_BYTES = 36 * 2**20
 def stage2_peak_bytes(cfg: ModelConfig, n: int) -> int:
     """Estimated peak RSS of run_selection on n candidates.
 
-    Each trainable n x n parameter (Q and every adjacency matrix the variant
+    Stage 2 computes in float32, so an array here is a float32 n x n array.
+    Each trainable parameter (Q and every adjacency matrix the variant
     learns) holds itself, two Adam moments and a gradient; a frozen
-    adjacency matrix and the prior A_0 hold one array each; the VJP
-    temporaries of one backward pass add three.  That is 16 float64 n x n
-    arrays for the default full variant; every variant's traced peak lies
-    at most 1.5 arrays below its estimate.  The d x n activations are left
-    out.
+    adjacency matrix holds one array; the prior A_0 holds three, a float64
+    copy for the final forward pass and train's float32 one; the VJP
+    temporary of one backward pass, Adam's scratch and the d x n
+    activations add three.  That is 18 arrays (72 n^2 bytes) for the
+    default full variant; every variant's traced peak at n = 400 lies at
+    most 1.5 arrays below its estimate.  train frees its Adam state before
+    it makes the float64 copies it returns, so they stay below that peak.
     """
     frozen = cfg.n_stored_matrices if is_frozen(cfg, "adj0") else 0
     trainable = 1 + cfg.n_stored_matrices - frozen
-    arrays = 4 * trainable + frozen + (1 if cfg.n_matrices else 0) + 3
-    return _BASE_BYTES + arrays * 8 * n * n
+    arrays = 4 * trainable + frozen + (3 if cfg.n_matrices else 0) + 3
+    return _BASE_BYTES + arrays * 4 * n * n
 
 
 def physical_memory_bytes() -> int | None:
@@ -426,11 +429,22 @@ def load_checkpoint(path):
     The arrays must be the autoencoder's, or a whole stage-2 model's, that
     the stored config implies, in the order save_checkpoint wrote them.
     """
-    with np.load(path, allow_pickle=False) as npz:
+    try:
+        npz = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError):
+        npz = None
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise ConfigError(f"checkpoint {path} is not an .npz archive")
+    with npz:
         if "__meta__" not in npz.files:
             raise ConfigError(f"checkpoint {path} has no __meta__ member; "
                               "save_checkpoint did not write it")
-        meta = json.loads(str(npz["__meta__"][()]))
+        try:
+            meta = json.loads(str(npz["__meta__"][()]))
+        except ValueError:
+            meta = None
+        if not isinstance(meta, dict):
+            raise ConfigError(f"checkpoint {path} has a __meta__ member that is not a JSON object")
         if meta.get("format_version") != _CHECKPOINT_VERSION:
             raise ConfigError(
                 f"unsupported checkpoint version {meta.get('format_version')!r}"

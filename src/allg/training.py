@@ -38,7 +38,9 @@ def _hold_heap() -> None:
     heap, is trimmed, and the next epoch faults the same pages in again.
     Setting one threshold turns the dynamic ones off, so both are fixed:
     arrays below 32 MiB come from the heap, and its top is trimmed only
-    past 8 such arrays.  No value changes; without mallopt this does nothing.
+    past 8 such arrays.  A float32 n x n array reaches 32 MiB at n ~ 2900,
+    so from there on each epoch maps its arrays anew.  No value changes;
+    without mallopt this does nothing.
     """
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
@@ -73,12 +75,13 @@ def pretrain(x: np.ndarray, cfg: ModelConfig) -> dict:
     """Stage 1: minimize the plain autoencoder reconstruction loss.
 
     Adjacency matrices and Q are untouched; the decoder reads the latent
-    directly.  Deterministic under cfg.seed.
+    directly.  Computes in float32 and returns float64 arrays.
+    Deterministic under cfg.seed.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float32)
     if x.shape[0] != cfg.input_dim:
         raise ValueError(f"x has {x.shape[0]} rows but encoder expects {cfg.input_dim}")
-    params = init_encoder_decoder(cfg)
+    params = {k: v.astype(np.float32) for k, v in init_encoder_decoder(cfg).items()}
     state = ad.AdamState(params)
 
     def build():
@@ -91,7 +94,7 @@ def pretrain(x: np.ndarray, cfg: ModelConfig) -> dict:
 
     for epoch in range(1, cfg.pretrain_epochs + 1):
         _epoch(build, params, state, cfg.lr, epoch, "pretrain")
-    return params
+    return {k: v.astype(np.float64) for k, v in params.items()}
 
 
 def train(x: np.ndarray, a0: np.ndarray | None, cfg: ModelConfig, params: dict):
@@ -105,26 +108,27 @@ def train(x: np.ndarray, a0: np.ndarray | None, cfg: ModelConfig, params: dict):
     provide them (useful for warm starts); the incoming dict is not
     modified.  Returns (params, history), where history holds one
     {"epoch", "recon", "adjacency", "propagation", "selection", "total"}
-    dict per epoch, recorded before that epoch's update.  On glibc it first
-    fixes the process's heap thresholds (see _hold_heap), so epochs do not
-    fault their arrays in anew.
+    dict per epoch, recorded before that epoch's update.  Computes in
+    float32 and returns float64 arrays.  On glibc it first fixes the
+    process's heap thresholds (see _hold_heap), so epochs do not fault
+    their arrays in anew.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float32)
     n = x.shape[1]
     a0_arr = None
     if cfg.n_matrices:
         if a0 is None:
             raise ValueError(f"variant {cfg.variant!r} needs a prior graph A_0")
-        a0_arr = np.asarray(a0, dtype=np.float64)
+        a0_arr = np.asarray(a0, dtype=np.float32)
         if a0_arr.shape != (n, n):
             raise ValueError(f"prior graph is {a0_arr.shape} but the candidate set has n={n}")
 
     _hold_heap()
-    params = {k: v.copy() for k, v in params.items()}
+    params = {k: v.astype(np.float32) for k, v in params.items()}
     if cfg.n_matrices and "adj0" not in params:
         params.update({f"adj{i}": a0_arr.copy() for i in range(cfg.n_stored_matrices)})
     q = params.pop("q", None)  # q goes last, the order save_checkpoint must write
-    params["q"] = np.zeros((n, n)) if q is None else q
+    params["q"] = np.zeros((n, n), dtype=np.float32) if q is None else q
 
     trainable = {k: v for k, v in params.items() if not is_frozen(cfg, k)}
     state = ad.AdamState(trainable)
@@ -138,7 +142,8 @@ def train(x: np.ndarray, a0: np.ndarray | None, cfg: ModelConfig, params: dict):
 
     history = [{"epoch": epoch, **_epoch(build, trainable, state, cfg.lr, epoch, "train")}
                for epoch in range(1, cfg.train_epochs + 1)]
-    return params, history
+    del state  # the moments go before the float64 copies are made
+    return {k: v.astype(np.float64) for k, v in params.items()}, history
 
 
 def run_selection(x: np.ndarray, cfg: ModelConfig):

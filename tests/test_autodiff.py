@@ -320,6 +320,29 @@ class TestBackwardContract:
         with pytest.raises(ValueError, match="tape"):
             ad.add(t1.var(np.ones((2, 2))), t2.var(np.ones((2, 2))))
 
+    def test_leaves_keep_float32_and_widen_the_rest(self):
+        tape = ad.Tape()
+        assert tape.var(np.ones((2, 2), dtype=np.float32)).value.dtype == np.float32
+        for value in (np.ones((2, 2)), np.ones((2, 2), dtype=np.float16), [[1, 2]], 3):
+            assert tape.var(value).value.dtype == np.float64
+
+    @pytest.mark.parametrize("build", [
+        lambda a, b: ad.frob_sq(ad.relu(ad.matmul(a, b))),
+        lambda a, b: ad.graph_penalty(a, b, 0.3, 0.7),
+        lambda a, b: ad.scale(ad.sup_norm_rows(ad.sub(a, b)), 2.0),
+    ], ids=["frob_sq", "graph_penalty", "sup_norm_rows"])
+    def test_float32_graph_keeps_float32_gradients(self, rng, build):
+        # a numpy float64 scalar times a float32 array is float64 under NumPy 2,
+        # so a VJP that scaled by g[0, 0] itself would widen the gradients; the
+        # 1x1 loss stays float64, so loss terms add up in float64
+        a, b = (rng.normal(size=(4, 4)).astype(np.float32) for _ in range(2))
+        tape = ad.Tape()
+        av, bv = tape.var(a, requires_grad=True), tape.var(b, requires_grad=True)
+        loss = build(av, bv)
+        tape.backward(loss)
+        assert loss.value.dtype == np.float64
+        assert av.grad.dtype == bv.grad.dtype == np.float32
+
 
 class TestAdam:
     def test_zero_gradient_fixed_point(self):

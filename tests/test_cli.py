@@ -57,6 +57,16 @@ class TestSelect:
         params, cfg_back = allg.load_checkpoint(out / "checkpoint.npz")
         assert "q" in params
 
+    def test_checkpoint_holds_float64_arrays(self, tmp_path, blobs_csv):
+        # training computes in float32; the arrays it hands on are float64
+        out = tmp_path / "run"
+        cfg = _write_config(tmp_path, {"model": _model_json()})
+        assert main(["select", "--config", cfg, "--dataset", blobs_csv,
+                     "--label-column", "label", "--out", str(out)]) == 0
+        with np.load(out / "checkpoint.npz") as npz:
+            dtypes = {npz[k].dtype for k in npz.files if k != "__meta__"}
+        assert dtypes == {np.dtype(np.float64)}
+
     def test_string_dataset_entry_with_flag_overrides(self, tmp_path, blobs_csv):
         out = tmp_path / "run_str"
         cfg = _write_config(tmp_path, {"dataset": blobs_csv, "model": _model_json()})

@@ -100,10 +100,10 @@ class TestModelConfig:
 
 
 class TestMemoryPreflight:
-    def test_default_variant_counts_16_square_arrays(self):
+    def test_default_variant_counts_18_float32_arrays(self):
         cfg = allg.ModelConfig(encoder_dims=(5, 4, 3))
         base = stage2_peak_bytes(cfg, 0)
-        assert stage2_peak_bytes(cfg, 1000) == base + 16 * 8 * 1000 * 1000
+        assert stage2_peak_bytes(cfg, 1000) == base + 18 * 4 * 1000 * 1000
 
     def test_variants_without_learned_graphs_need_less(self):
         base = allg.ModelConfig(encoder_dims=(5, 4, 3))
@@ -263,6 +263,17 @@ class TestCheckpoint:
     def test_file_without_meta_refused(self, tmp_path, rng):
         path = tmp_path / "plain.npz"
         np.savez(path, q=rng.normal(size=(3, 3)))
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            allg.load_checkpoint(path)
+
+    @pytest.mark.parametrize("content", ["not_npz", "meta_not_json", "meta_not_object"])
+    def test_unreadable_file_refused(self, tmp_path, content):
+        path = tmp_path / "ckpt.npz"
+        if content == "not_npz":
+            path.write_text("enc_w0,enc_b0\n1,2\n", encoding="utf-8")
+        else:
+            meta = "{format_version: 3" if content == "meta_not_json" else "[3]"
+            np.savez(path, __meta__=np.array(meta), q=np.eye(2))
         with pytest.raises(ConfigError, match=re.escape(str(path))):
             allg.load_checkpoint(path)
 

@@ -52,6 +52,40 @@ class TestPretrain:
             allg.pretrain(x, tiny_cfg)
 
 
+class TestPrecision:
+    """Stages 1 and 2 compute in float32 and hand back float64 arrays."""
+
+    @pytest.fixture
+    def adam_dtypes(self, monkeypatch):
+        """The dtypes of every gradient and Adam moment that adam_step receives."""
+        seen = set()
+        step = allg.autodiff.adam_step
+
+        def spy(params, grads, state, **kwargs):
+            seen.update(a.dtype for a in (*grads.values(), *state.m.values(),
+                                          *state.v.values()))
+            return step(params, grads, state, **kwargs)
+
+        monkeypatch.setattr(allg.autodiff, "adam_step", spy)
+        return seen
+
+    def test_both_stages_step_in_float32(self, blobs_std, tiny_cfg, adam_dtypes):
+        x = blobs_std.features
+        params = allg.pretrain(x, tiny_cfg)
+        assert adam_dtypes == {np.dtype(np.float32)}
+        adam_dtypes.clear()
+        allg.train(x, allg.knn_graph(x, tiny_cfg.knn_k).adjacency, tiny_cfg, params)
+        assert adam_dtypes == {np.dtype(np.float32)}
+
+    def test_both_stages_return_float64(self, blobs_std, tiny_cfg):
+        x = blobs_std.features
+        params = allg.pretrain(x, tiny_cfg)
+        trained, _ = allg.train(x, allg.knn_graph(x, tiny_cfg.knn_k).adjacency, tiny_cfg,
+                                params)
+        for arrays in (params, trained):
+            assert {a.dtype for a in arrays.values()} == {np.dtype(np.float64)}
+
+
 class TestTrain:
     def _pipeline(self, x, cfg):
         prior = allg.knn_graph(x, cfg.knn_k)
@@ -154,21 +188,23 @@ class TestTrain:
         assert after == before
 
     def test_stage2_footprint_at_most_16_square_arrays(self):
-        # 3 parameters, 6 Adam moments, 3 gradients and the VJP temporaries of
-        # one backward pass; nothing of one epoch may live into the next.
+        # 3 parameters, 6 Adam moments, 3 gradients, the float32 copy of A_0 and
+        # the VJP temporaries of one backward pass, all float32; nothing of one
+        # epoch may live into the next.
         n, d = 400, 20
         x = np.random.default_rng(7).normal(size=(d, n))
         cfg = allg.ModelConfig(encoder_dims=(d, 16, 8), pretrain_epochs=2, train_epochs=3,
                                knn_k=5, seed=1)
         a0 = allg.knn_graph(x, cfg.knn_k).adjacency
         peak = _traced_train_peak(x, a0, cfg)
-        square, slack = 8 * n * n, 16 * 8 * d * n
+        square, slack = 4 * n * n, 16 * 8 * d * n
         assert peak <= 16 * square + slack, f"{peak / square:.2f} n x n arrays"
 
     @pytest.mark.parametrize("variant", allg.model.VARIANTS)
     def test_stage2_estimate_bounds_traced_peak(self, variant):
         # stage2_peak_bytes never understates stage 2's traced peak plus the
-        # prior A_0 it holds, and overstates it by at most 1.5 n x n arrays
+        # float64 prior A_0 run_selection holds, and overstates it by at most
+        # 1.5 n x n arrays of the training dtype, float32
         n, d = 400, 20
         x = np.random.default_rng(7).normal(size=(d, n))
         cfg = allg.ModelConfig(encoder_dims=(d, 16, 8), pretrain_epochs=2, train_epochs=3,
@@ -176,7 +212,7 @@ class TestTrain:
         a0 = None
         if cfg.n_matrices:
             a0 = allg.normalize_adjacency(allg.knn_graph(x, cfg.knn_k).adjacency, "col")
-        square = 8 * n * n
+        square = 4 * n * n
         traced = (_traced_train_peak(x, a0, cfg) + (0 if a0 is None else a0.nbytes)) / square
         estimate = (stage2_peak_bytes(cfg, n) - stage2_peak_bytes(cfg, 0)) / square
         assert 0 <= estimate - traced <= 1.5, f"estimate {estimate}, traced {traced:.2f}"
