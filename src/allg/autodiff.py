@@ -279,16 +279,14 @@ def adam_step(params: dict, grads: dict, state: AdamState, *, lr: float, t: int)
     The decay rates are _BETA1 and _BETA2, the guard _EPS.  Each
     parameter is updated one row block at a time through the two row-block
     arrays of `state.scratch`, so no array is allocated; every element sees
-    the same operations in the same order.  Parameters without an entry in
-    `grads` (frozen) are left untouched.
+    the same operations in the same order.  Every parameter needs its
+    gradient in `grads`; a missing one raises KeyError.
     """
     if t < 1:
         raise ValueError(f"Adam step count must be >= 1, got {t}")
     c1, c2 = 1.0 - _BETA1**t, 1.0 - _BETA2**t
     for key, arr in params.items():
-        g = grads.get(key)
-        if g is None:
-            continue
+        g = grads[key]
         if g.shape != arr.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {arr.shape} for {key!r}")
         m = state.m[key]

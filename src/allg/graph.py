@@ -33,12 +33,10 @@ def knn_graph(x: np.ndarray, k: int) -> PriorGraph:
     if not 1 <= k < n:
         raise ConfigError(f"neighbor count k={k} must satisfy 1 <= k < n (n={n})")
     dist = pairwise_sq_dists(x)
+    np.fill_diagonal(dist, np.inf)  # self excluded
+    neighbors = np.argsort(dist, axis=0, kind="stable")[:k]  # by distance, ties by index
     adjacency = np.zeros((n, n), dtype=np.float64)
-    idx = np.arange(n)
-    for j in range(n):
-        order = np.lexsort((idx, dist[:, j]))  # by distance, ties by index
-        neighbors = order[order != j][:k]
-        adjacency[neighbors, j] = 1.0
+    adjacency[neighbors, np.arange(n)] = 1.0
     return PriorGraph(adjacency=np.maximum(adjacency, adjacency.T))
 
 

@@ -28,8 +28,11 @@ from . import autodiff as ad
 from .errors import ConfigError
 from .rng import substream
 
-# In the ablation order, from no learned graph to the full model.
-VARIANTS = ("no_graph", "knn_only", "one_matrix", "tied_two", "distinct_two", "full")
+# Variant -> the matrix at each position of its adjacency chain, in the ablation
+# order from no learned graph to the full model.  "a0" is the prior A_0 itself,
+# "adjI" a learned parameter, and None stands for n_adjacency distinct parameters.
+VARIANTS = {"no_graph": (), "knn_only": ("a0",), "one_matrix": ("adj0",),
+            "tied_two": ("adj0", "adj0"), "distinct_two": ("adj0", "adj1"), "full": None}
 
 
 def rule(kind, wording: str, test):
@@ -72,7 +75,7 @@ class ModelConfig:
     seed: NON_NEGATIVE = 0
     knn_k: AT_LEAST_1 = 5
     prior_normalize: typing.Literal["none", "col", "sym"] = "none"
-    variant: typing.Literal[VARIANTS] = "full"
+    variant: typing.Literal[tuple(VARIANTS)] = "full"
     encoder_final_activation: typing.Literal["relu", "linear"] = "relu"
     decoder_final_activation: typing.Literal["relu", "linear"] = "linear"
 
@@ -102,16 +105,20 @@ class ModelConfig:
         return len(self.encoder_dims) - 1
 
     @property
+    def chain(self) -> tuple:
+        """Name of the matrix at each position of the adjacency chain (see VARIANTS)."""
+        names = VARIANTS[self.variant]
+        return tuple(f"adj{i}" for i in range(self.n_adjacency)) if names is None else names
+
+    @property
     def n_matrices(self) -> int:
-        """Length of the adjacency propagation chain for this variant."""
-        fixed = {"no_graph": 0, "knn_only": 1, "one_matrix": 1,
-                 "tied_two": 2, "distinct_two": 2}
-        return fixed.get(self.variant, self.n_adjacency)
+        """Length of the adjacency propagation chain."""
+        return len(self.chain)
 
     @property
     def n_stored_matrices(self) -> int:
-        """Distinct adjacency parameter arrays (tied layers share one)."""
-        return 1 if self.variant == "tied_two" else self.n_matrices
+        """Adjacency parameter arrays adj0, adj1, ...: tied layers share one, A_0 is none."""
+        return len(set(self.chain) - {"a0"})
 
     @property
     def alpha_p(self) -> float:
@@ -213,9 +220,8 @@ def stage2_peak_bytes(cfg: ModelConfig, n: int) -> int:
     """Estimated peak RSS of run_selection on n candidates.
 
     Stage 2 computes in float32, so an array here is a float32 n x n array.
-    Each trainable parameter (Q and every adjacency matrix the variant
-    learns) holds itself, two Adam moments and a gradient; a frozen
-    adjacency matrix holds one array; the prior A_0 holds three, a float64
+    Each parameter (Q and every adjacency matrix the variant learns) holds
+    itself, two Adam moments and a gradient; the prior A_0 holds three, a float64
     copy for the final forward pass and train's float32 one; the VJP
     temporary of one backward pass, Adam's scratch and the d x n
     activations add three.  That is 18 arrays (72 n^2 bytes) for the
@@ -223,9 +229,7 @@ def stage2_peak_bytes(cfg: ModelConfig, n: int) -> int:
     most 1.5 arrays below its estimate.  train frees its Adam state before
     it makes the float64 copies it returns, so they stay below that peak.
     """
-    frozen = cfg.n_stored_matrices if is_frozen(cfg, "adj0") else 0
-    trainable = 1 + cfg.n_stored_matrices - frozen
-    arrays = 4 * trainable + frozen + (3 if cfg.n_matrices else 0) + 3
+    arrays = 4 * (1 + cfg.n_stored_matrices) + (3 if cfg.n_matrices else 0) + 3
     return _BASE_BYTES + arrays * 4 * n * n
 
 
@@ -259,25 +263,13 @@ def init_encoder_decoder(cfg: ModelConfig, rng=None) -> dict:
     return params
 
 
-def adjacency_key(cfg: ModelConfig, layer: int) -> str:
-    """Parameter name of the adjacency matrix used at chain position `layer`."""
-    return "adj0" if cfg.variant == "tied_two" else f"adj{layer}"
-
-
-def is_frozen(cfg: ModelConfig, name: str) -> bool:
-    """Whether parameter `name` stays fixed in training (knn_only keeps its prior)."""
-    return cfg.variant == "knn_only" and name.startswith("adj")
-
-
 # ---------------------------------------------------------------------------
 # Forward graph (tape), shared by training, evaluation, and gradcheck
 # ---------------------------------------------------------------------------
 
-def wrap_params(tape: ad.Tape, params: dict, cfg: ModelConfig,
-                trainable: bool = True) -> dict:
-    """Leaf Vars for every parameter array; frozen parameters stay constant."""
-    return {name: tape.var(arr, requires_grad=trainable and not is_frozen(cfg, name))
-            for name, arr in params.items()}
+def wrap_params(tape: ad.Tape, params: dict, trainable: bool = True) -> dict:
+    """Leaf Vars for every parameter array, all of them gradient leaves or none."""
+    return {name: tape.var(arr, requires_grad=trainable) for name, arr in params.items()}
 
 
 def encode_vars(pv: dict, x: ad.Var, cfg: ModelConfig) -> ad.Var:
@@ -301,11 +293,12 @@ def decode_vars(pv: dict, h: ad.Var, cfg: ModelConfig) -> ad.Var:
 
 
 def propagate_vars(pv: dict, z: ad.Var, cfg: ModelConfig) -> list:
-    """Adjacency chain S_1 = relu(Z A_1), S_{i+1} = relu(S_i A_{i+1})."""
+    """Adjacency chain S_1 = relu(Z A_1), S_{i+1} = relu(S_i A_{i+1}), where A_i is
+    pv[cfg.chain[i - 1]]; build_loss_graph adds the prior to pv as "a0"."""
     s_layers = []
     s = z
-    for i in range(cfg.n_matrices):
-        s = ad.relu(ad.matmul(s, pv[adjacency_key(cfg, i)]))
+    for name in cfg.chain:
+        s = ad.relu(ad.matmul(s, pv[name]))
         s_layers.append(s)
     return s_layers
 
@@ -328,6 +321,9 @@ def mix_shortcut(s_layers: list, z: ad.Var, cfg: ModelConfig) -> ad.Var:
 def build_loss_graph(tape: ad.Tape, pv: dict, x: ad.Var, a0: ad.Var | None,
                      cfg: ModelConfig) -> dict:
     """Full stage-2 graph.  Returns the loss Vars by term, "total" included."""
+    if cfg.chain and a0 is None:
+        raise ValueError("prior graph A_0 required when adjacency layers exist")
+    pv = {**pv, "a0": a0}
     z = encode_vars(pv, x, cfg)
     s_layers = propagate_vars(pv, z, cfg)
     s_out = mix_shortcut(s_layers, z, cfg)
@@ -337,16 +333,12 @@ def build_loss_graph(tape: ad.Tape, pv: dict, x: ad.Var, a0: ad.Var | None,
 
     zero = tape.var(np.zeros((1, 1)))
     l_r = ad.frob_sq(ad.sub(x, x_hat))
-    if s_layers:
-        if a0 is None:
-            raise ValueError("prior graph A_0 required when adjacency layers exist")
-        l_a = ad.graph_penalty(pv[adjacency_key(cfg, 0)], a0, cfg.alpha, cfg.beta)
-    else:
-        l_a = zero
+    # A_0, A_1, ...: A_1 against the prior, each later matrix against the one before
+    mats = [a0] + [pv[name] for name in cfg.chain]
+    l_a = ad.graph_penalty(mats[1], a0, cfg.alpha, cfg.beta) if cfg.chain else zero
     l_p = zero
-    for l in range(1, cfg.n_matrices):
-        term = ad.graph_penalty(pv[adjacency_key(cfg, l)], pv[adjacency_key(cfg, l - 1)],
-                                cfg.alpha_p, cfg.beta_p)
+    for prev, cur in zip(mats[1:], mats[2:]):
+        term = ad.graph_penalty(cur, prev, cfg.alpha_p, cfg.beta_p)
         l_p = term if l_p is zero else ad.add(l_p, term)
     l_s = ad.add(ad.frob_sq(ad.sub(s_out, decoder_in)),
                  ad.scale(ad.sup_norm_rows(q), cfg.lam))
@@ -372,7 +364,7 @@ def forward(params: dict, x: np.ndarray, cfg: ModelConfig,
     tape = ad.Tape()
     xv = tape.var(x)
     a0v = None if a0 is None else tape.var(np.asarray(a0, dtype=np.float64))
-    pv = wrap_params(tape, params, cfg, trainable=False)
+    pv = wrap_params(tape, params, trainable=False)
     return {k: v.item() for k, v in build_loss_graph(tape, pv, xv, a0v, cfg).items()}
 
 

@@ -15,12 +15,12 @@ from .errors import NumericalError
 from .graph import knn_graph, normalize_adjacency
 from .model import (
     ModelConfig,
+    _param_names,
     build_loss_graph,
     decode_vars,
     encode_vars,
     forward,
     init_encoder_decoder,
-    is_frozen,
     rank,
     wrap_params,
 )
@@ -54,7 +54,7 @@ def _check_finite(value: float, epoch: int, stage: str) -> None:
         raise NumericalError(f"non-finite loss {value!r} at {stage} epoch {epoch}")
 
 
-def _epoch(build, trainable: dict, state: ad.AdamState, lr: float, epoch: int,
+def _epoch(build, params: dict, state: ad.AdamState, lr: float, epoch: int,
            stage: str) -> dict:
     """One full-batch Adam epoch; returns its loss values by term.
 
@@ -67,7 +67,7 @@ def _epoch(build, trainable: dict, state: ad.AdamState, lr: float, epoch: int,
     terms = {k: v.item() for k, v in losses.items()}
     _check_finite(terms["total"], epoch, stage)
     losses["total"].tape.backward(losses["total"])
-    ad.adam_step(trainable, {k: pv[k].grad for k in trainable}, state, lr=lr, t=epoch)
+    ad.adam_step(params, {k: pv[k].grad for k in params}, state, lr=lr, t=epoch)
     return terms
 
 
@@ -88,7 +88,7 @@ def pretrain(x: np.ndarray, cfg: ModelConfig) -> dict:
         # ||X - decode(encode(X))||_F^2
         tape = ad.Tape()
         xv = tape.var(x)
-        pv = wrap_params(tape, params, cfg)
+        pv = wrap_params(tape, params)
         x_hat = decode_vars(pv, encode_vars(pv, xv, cfg), cfg)
         return {"total": ad.frob_sq(ad.sub(xv, x_hat))}, pv
 
@@ -103,15 +103,17 @@ def train(x: np.ndarray, a0: np.ndarray | None, cfg: ModelConfig, params: dict):
     `params` is the name -> array dict of the pretrained encoder/decoder.
     `a0` is the loss-ready prior A_0, already normalized per
     cfg.prior_normalize: the same array `forward` takes, and None for the
-    no_graph variant.  Adjacency matrices (adj0, adj1, ...) are initialized
-    to copies of A_0 and Q to zero unless the incoming params already
-    provide them (useful for warm starts); the incoming dict is not
-    modified.  Returns (params, history), where history holds one
-    {"epoch", "recon", "adjacency", "propagation", "selection", "total"}
-    dict per epoch, recorded before that epoch's update.  Computes in
-    float32 and returns float64 arrays.  On glibc it first fixes the
-    process's heap thresholds (see _hold_heap), so epochs do not fault
-    their arrays in anew.
+    no_graph variant; knn_only propagates through A_0 itself and learns
+    no adjacency.  The adjacency matrices a variant learns (adj0, adj1,
+    ...) are initialized to copies of A_0 and Q to zero unless the incoming
+    params already provide them (useful for warm starts); a name the
+    variant has no parameter for raises ValueError, and the incoming dict
+    is not modified.  Every parameter trains.  Returns (params, history),
+    where history holds one {"epoch", "recon", "adjacency", "propagation",
+    "selection", "total"} dict per epoch, recorded before that epoch's
+    update.  Computes in float32 and returns float64 arrays.  On glibc it
+    first fixes the process's heap thresholds (see _hold_heap), so epochs
+    do not fault their arrays in anew.
     """
     x = np.asarray(x, dtype=np.float32)
     n = x.shape[1]
@@ -123,24 +125,27 @@ def train(x: np.ndarray, a0: np.ndarray | None, cfg: ModelConfig, params: dict):
         if a0_arr.shape != (n, n):
             raise ValueError(f"prior graph is {a0_arr.shape} but the candidate set has n={n}")
 
+    unknown = sorted(set(params) - set(_param_names(cfg)))
+    if unknown:
+        raise ValueError(f"params {unknown} are not parameters of variant {cfg.variant!r}")
+
     _hold_heap()
     params = {k: v.astype(np.float32) for k, v in params.items()}
-    if cfg.n_matrices and "adj0" not in params:
+    if "adj0" not in params:
         params.update({f"adj{i}": a0_arr.copy() for i in range(cfg.n_stored_matrices)})
     q = params.pop("q", None)  # q goes last, the order save_checkpoint must write
     params["q"] = np.zeros((n, n), dtype=np.float32) if q is None else q
 
-    trainable = {k: v for k, v in params.items() if not is_frozen(cfg, k)}
-    state = ad.AdamState(trainable)
+    state = ad.AdamState(params)
 
     def build():
         tape = ad.Tape()
         xv = tape.var(x)
         a0v = None if a0_arr is None else tape.var(a0_arr)
-        pv = wrap_params(tape, params, cfg)
+        pv = wrap_params(tape, params)
         return build_loss_graph(tape, pv, xv, a0v, cfg), pv
 
-    history = [{"epoch": epoch, **_epoch(build, trainable, state, cfg.lr, epoch, "train")}
+    history = [{"epoch": epoch, **_epoch(build, params, state, cfg.lr, epoch, "train")}
                for epoch in range(1, cfg.train_epochs + 1)]
     del state  # the moments go before the float64 copies are made
     return {k: v.astype(np.float64) for k, v in params.items()}, history

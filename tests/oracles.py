@@ -141,10 +141,18 @@ def straight_line_forward(params, x, a0, cfg):
     """
     relu = lambda m: np.maximum(m, 0.0)
     z = _straight_line_mlp(params, "enc", x, cfg, cfg.encoder_final_activation)
+    # the matrix at each chain position: knn_only propagates through A_0 itself
+    chain = []
+    for i in range(cfg.n_matrices):
+        if cfg.variant == "knn_only":
+            chain.append(a0)
+        elif cfg.variant == "tied_two":
+            chain.append(params["adj0"])
+        else:
+            chain.append(params[f"adj{i}"])
     s_layers = []
     s = z
-    for i in range(cfg.n_matrices):
-        a = params["adj0"] if cfg.variant == "tied_two" else params[f"adj{i}"]
+    for a in chain:
         s = relu(s @ a)
         s_layers.append(s)
     if not s_layers:
@@ -161,12 +169,7 @@ def straight_line_forward(params, x, a0, cfg):
     dec_in = s_out @ params["q"]
     y = _straight_line_mlp(params, "dec", dec_in, cfg, cfg.decoder_final_activation)
     l_r = naive_frob_sq(x - y)
-    if s_layers:
-        l_a = naive_loss_adjacency(params["adj0"], a0, cfg.alpha, cfg.beta)
-    else:
-        l_a = 0.0
-    chain = [params["adj0"] if cfg.variant == "tied_two" else params[f"adj{i}"]
-             for i in range(cfg.n_matrices)]
+    l_a = naive_loss_adjacency(chain[0], a0, cfg.alpha, cfg.beta) if chain else 0.0
     l_p = naive_loss_propagation(chain, cfg.alpha_p, cfg.beta_p) if chain else 0.0
     l_s = naive_loss_selection(s_out, params["q"], cfg.lam)
     return {

@@ -114,7 +114,7 @@ def test_criterion_3_shortcut_identities():
 
     def s_out_and_layers(cfg):
         tape = ad.Tape()
-        pv = wrap_params(tape, params, cfg, trainable=False)
+        pv = wrap_params(tape, params, trainable=False)
         z = encode_vars(pv, tape.var(x), cfg)
         s_layers = propagate_vars(pv, z, cfg)
         return mix_shortcut(s_layers, z, cfg).value, [s.value for s in s_layers]

@@ -406,11 +406,10 @@ class TestAdam:
             tracemalloc.stop()
         assert peak < ad._ADAM_BLOCK_BYTES // 8
 
-    def test_frozen_params_skipped(self):
+    def test_missing_gradient_raises(self):
         params = {"a": np.ones((1, 1)), "b": np.ones((1, 1))}
-        state = ad.AdamState(params)
-        ad.adam_step(params, {"a": np.ones((1, 1))}, state, lr=0.1, t=1)
-        assert params["b"][0, 0] == 1.0 and params["a"][0, 0] != 1.0
+        with pytest.raises(KeyError, match="'b'"):
+            ad.adam_step(params, {"a": np.ones((1, 1))}, ad.AdamState(params), lr=0.1, t=1)
 
     def test_shape_mismatch(self):
         params = {"a": np.ones((2, 2))}

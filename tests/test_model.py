@@ -9,7 +9,6 @@ import allg
 from allg import autodiff as ad
 from allg.errors import ConfigError
 from allg.model import (
-    adjacency_key,
     config_from_dict,
     config_from_options,
     decode_vars,
@@ -35,11 +34,13 @@ def _toy_model(rng, n=6, d=5, latent=3, variant="full", r=0.3, k=1):
     return cfg, params, x, a0
 
 
-def _layers(params, x, cfg):
+def _layers(params, x, cfg, a0=None):
     """Every intermediate of the forward pass, as value arrays, from the model's own
-    graph builders on a tape of constant leaves."""
+    graph builders on a tape of constant leaves; the prior a0 is the chain's "a0"."""
     tape = ad.Tape()
-    pv = wrap_params(tape, params, cfg, trainable=False)
+    pv = wrap_params(tape, params, trainable=False)
+    if a0 is not None:
+        pv["a0"] = tape.var(a0)
     z = encode_vars(pv, tape.var(x), cfg)
     s_layers = propagate_vars(pv, z, cfg)
     s_out = mix_shortcut(s_layers, z, cfg)
@@ -132,11 +133,18 @@ class TestAblationVariants:
         for name, n in lengths.items():
             assert dataclasses.replace(base, variant=name).n_matrices == n
 
-    def test_tied_shares_one_array(self):
-        base = allg.ModelConfig(encoder_dims=(5, 4, 3))
-        cfg = dataclasses.replace(base, variant="tied_two")
-        assert cfg.n_stored_matrices == 1
-        assert adjacency_key(cfg, 0) == adjacency_key(cfg, 1) == "adj0"
+    def test_each_variant_names_its_chain(self):
+        # "a0" is the prior itself; tied_two shares one parameter and full has n_adjacency
+        base = allg.ModelConfig(encoder_dims=(5, 4, 3), n_adjacency=3)
+        chains = {"no_graph": (), "knn_only": ("a0",), "one_matrix": ("adj0",),
+                  "tied_two": ("adj0", "adj0"), "distinct_two": ("adj0", "adj1"),
+                  "full": ("adj0", "adj1", "adj2")}
+        stored = {"no_graph": 0, "knn_only": 0, "one_matrix": 1,
+                  "tied_two": 1, "distinct_two": 2, "full": 3}
+        assert list(allg.model.VARIANTS) == list(chains)
+        for name, chain in chains.items():
+            cfg = dataclasses.replace(base, variant=name)
+            assert cfg.chain == chain and cfg.n_stored_matrices == stored[name], name
 
     def test_unknown_variant(self):
         base = allg.ModelConfig(encoder_dims=(5, 4, 3))
@@ -162,10 +170,10 @@ class TestForward:
         assert np.array_equal(layers["decoder_input"], layers["s_out"])
 
     def test_matches_straight_line_reimplementation(self, rng):
-        for variant in ("full", "no_graph", "one_matrix", "tied_two", "distinct_two"):
+        for variant in allg.model.VARIANTS:
             cfg, params, x, a0 = _toy_model(rng, variant=variant)
             losses = allg.forward(params, x, cfg, a0 if cfg.n_matrices else None)
-            layers = _layers(params, x, cfg)
+            layers = _layers(params, x, cfg, a0)
             ref = straight_line_forward(params, x, a0, cfg)
             for name in ("latent", "s_out", "x_hat"):
                 np.testing.assert_allclose(layers[name], ref[name], atol=1e-10)
@@ -276,6 +284,18 @@ class TestCheckpoint:
             np.savez(path, __meta__=np.array(meta), q=np.eye(2))
         with pytest.raises(ConfigError, match=re.escape(str(path))):
             allg.load_checkpoint(path)
+
+    def test_knn_only_checkpoint_with_adjacency_refused(self, tmp_path, rng):
+        # knn_only propagates through A_0 and stores no adjacency, so the layout that
+        # still held one (an adj0 member before q) is refused, naming both member lists
+        cfg, params, _, a0 = _toy_model(rng, variant="knn_only")
+        old = {k: v for k, v in params.items() if k != "q"}
+        old.update(adj0=a0, q=params["q"])
+        path = tmp_path / "ckpt.npz"
+        allg.save_checkpoint(path, old, cfg)
+        with pytest.raises(ConfigError, match="config") as err:
+            allg.load_checkpoint(path)
+        assert str(list(old)) in str(err.value) and str(list(params)) in str(err.value)
 
     @pytest.mark.parametrize("change", ["missing", "extra", "version_2"])
     def test_malformed_file_refused(self, tmp_path, rng, change):

@@ -116,14 +116,25 @@ class TestTrain:
         assert r1.ranked_indices == r2.ranked_indices
         assert r1.scores == r2.scores
 
-    def test_knn_only_adjacency_frozen_bitwise(self, blobs_std):
-        cfg = allg.ModelConfig(encoder_dims=(4, 6, 3), pretrain_epochs=30,
-                               train_epochs=50, knn_k=4, seed=3, variant="knn_only")
+    def test_knn_only_propagates_through_the_exact_prior(self, blobs_std):
+        # knn_only learns no adjacency: its adjacency term is alpha ||A_0||^2 of the
+        # float64 prior itself, which a float32 copy of a column-normalized A_0 misses
+        cfg = allg.ModelConfig(encoder_dims=(4, 6, 3), pretrain_epochs=30, train_epochs=50,
+                               knn_k=4, seed=3, variant="knn_only", prior_normalize="col")
         x = blobs_std.features
-        prior = allg.knn_graph(x, cfg.knn_k)
-        params = allg.pretrain(x, cfg)
-        trained, _ = allg.train(x, prior.adjacency, cfg, params)
-        assert np.array_equal(trained["adj0"], prior.adjacency)
+        result, params, _ = allg.run_selection(x, cfg)
+        assert not [k for k in params if k.startswith("adj")]
+        a0 = allg.normalize_adjacency(allg.knn_graph(x, cfg.knn_k).adjacency, "col")
+        assert result.final_losses["adjacency"] == cfg.alpha * np.vdot(a0, a0)
+
+    def test_warm_start_with_a_parameter_the_variant_lacks_refused(self, blobs_std, tiny_cfg):
+        # knn_only learns no adjacency, so an adj0 passed in would get no gradient
+        x = blobs_std.features
+        cfg = dataclasses.replace(tiny_cfg, variant="knn_only")
+        a0 = allg.knn_graph(x, cfg.knn_k).adjacency
+        params = {**allg.init_encoder_decoder(cfg), "adj0": a0}
+        with pytest.raises(ValueError, match="'adj0'.*'knn_only'"):
+            allg.train(x, a0, cfg, params)
 
     def test_tied_two_shares_matrix(self, blobs_std):
         cfg = allg.ModelConfig(encoder_dims=(4, 6, 3), pretrain_epochs=30,
@@ -135,7 +146,7 @@ class TestTrain:
         from allg.model import encode_vars, propagate_vars, wrap_params
 
         tape = ad.Tape()
-        pv = wrap_params(tape, trained, cfg, trainable=False)
+        pv = wrap_params(tape, trained, trainable=False)
         assert len(propagate_vars(pv, encode_vars(pv, tape.var(x), cfg), cfg)) == 2
 
     def test_large_beta_pins_adjacency_to_prior(self, blobs_std, rng):
@@ -291,22 +302,21 @@ class TestCompositeGradient:
         # the composite check for every variant's graph and every prior normalization,
         # on n = 9 candidates with N = 3 adjacency layers and the shortcut at layer 2
         from allg import autodiff as ad
-        from allg.model import build_loss_graph, forward, is_frozen, wrap_params
+        from allg.model import build_loss_graph, forward, wrap_params
 
         cfg = allg.ModelConfig(encoder_dims=(4, 3, 2), n_adjacency=3, shortcut_layer=2,
                                lam=0.6, alpha=0.5, beta=2.0, knn_k=2, seed=1,
                                prior_normalize=prior, variant=variant)
         params, x, a0 = _smooth_point(cfg, f"variant_gradcheck:{variant}:{prior}")
         tape = ad.Tape()
-        pv = wrap_params(tape, params, cfg)
+        pv = wrap_params(tape, params)
         losses = build_loss_graph(tape, pv, tape.var(x), tape.var(a0), cfg)
         tape.backward(losses["total"])
-        # every trainable parameter: knn_only's adjacency is frozen, tied_two stores one
-        trainable = {k: v for k, v in params.items() if not is_frozen(cfg, k)}
-        assert len(trainable) == 8 + 1 + cfg.n_stored_matrices - (variant == "knn_only")
+        # every parameter: knn_only and no_graph store no adjacency, tied_two stores one
+        assert len(params) == 8 + 1 + cfg.n_stored_matrices
         fd = finite_diff(lambda arrs: forward({**params, **arrs}, x, cfg, a0)["total"],
-                         trainable)
-        worst = max(rel_err(pv[k].grad, fd[k]) for k in trainable)
+                         params)
+        worst = max(rel_err(pv[k].grad, fd[k]) for k in params)
         assert worst < 1e-4
 
 
