@@ -9,6 +9,7 @@ included, is `allg.evaluate.SELECTORS`.
 import numpy as np
 
 from .errors import ConfigError, NumericalError
+from .graph import pairwise_sq_dists
 from .rng import substream
 
 
@@ -48,12 +49,7 @@ def kmeans_fit(x: np.ndarray, k: int, seed: int):
     centroids = _farthest_point_init(x, k, rng)
     assign = np.full(n, -1)
     for _ in range(_KMEANS_MAX_ITER):
-        d2 = (
-            np.sum(x * x, axis=0)[:, None]
-            + np.sum(centroids * centroids, axis=0)[None, :]
-            - 2.0 * x.T @ centroids
-        )
-        np.maximum(d2, 0.0, out=d2)
+        d2 = pairwise_sq_dists(x, centroids)
         new_assign = np.argmin(d2, axis=1)  # ties -> lowest cluster index
         for c in range(k):
             members = new_assign == c

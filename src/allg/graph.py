@@ -14,10 +14,11 @@ class PriorGraph:
     adjacency: np.ndarray
 
 
-def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the columns of x (n x n)."""
-    sq = np.sum(x * x, axis=0)
-    dist = sq[:, None] + sq[None, :] - 2.0 * (x.T @ x)
+def pairwise_sq_dists(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances between the columns of x and those of y
+    (default x itself), one row per column of x."""
+    y = x if y is None else y
+    dist = np.sum(x * x, axis=0)[:, None] + np.sum(y * y, axis=0)[None, :] - 2.0 * (x.T @ y)
     np.maximum(dist, 0.0, out=dist)
     return dist
 

@@ -272,24 +272,15 @@ def wrap_params(tape: ad.Tape, params: dict, trainable: bool = True) -> dict:
     return {name: tape.var(arr, requires_grad=trainable) for name, arr in params.items()}
 
 
-def encode_vars(pv: dict, x: ad.Var, cfg: ModelConfig) -> ad.Var:
-    z = x
-    last = cfg.n_layers - 1
+def stack_vars(pv: dict, part: str, h: ad.Var, cfg: ModelConfig) -> ad.Var:
+    """The encoder (part "enc") or the decoder ("dec") applied to h: a ReLU follows
+    every layer but the last, which takes that part's final activation."""
+    final = cfg.encoder_final_activation if part == "enc" else cfg.decoder_final_activation
     for l in range(cfg.n_layers):
-        z = ad.affine(pv[f"enc_w{l}"], z, pv[f"enc_b{l}"])
-        if l < last or cfg.encoder_final_activation == "relu":
-            z = ad.relu(z)
-    return z
-
-
-def decode_vars(pv: dict, h: ad.Var, cfg: ModelConfig) -> ad.Var:
-    y = h
-    last = cfg.n_layers - 1
-    for l in range(cfg.n_layers):
-        y = ad.affine(pv[f"dec_w{l}"], y, pv[f"dec_b{l}"])
-        if l < last or cfg.decoder_final_activation == "relu":
-            y = ad.relu(y)
-    return y
+        h = ad.affine(pv[f"{part}_w{l}"], h, pv[f"{part}_b{l}"])
+        if l < cfg.n_layers - 1 or final == "relu":
+            h = ad.relu(h)
+    return h
 
 
 def propagate_vars(pv: dict, z: ad.Var, cfg: ModelConfig) -> list:
@@ -324,12 +315,12 @@ def build_loss_graph(tape: ad.Tape, pv: dict, x: ad.Var, a0: ad.Var | None,
     if cfg.chain and a0 is None:
         raise ValueError("prior graph A_0 required when adjacency layers exist")
     pv = {**pv, "a0": a0}
-    z = encode_vars(pv, x, cfg)
+    z = stack_vars(pv, "enc", x, cfg)
     s_layers = propagate_vars(pv, z, cfg)
     s_out = mix_shortcut(s_layers, z, cfg)
     q = pv["q"]
     decoder_in = ad.matmul(s_out, q)
-    x_hat = decode_vars(pv, decoder_in, cfg)
+    x_hat = stack_vars(pv, "dec", decoder_in, cfg)
 
     zero = tape.var(np.zeros((1, 1)))
     l_r = ad.frob_sq(ad.sub(x, x_hat))

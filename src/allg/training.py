@@ -17,11 +17,10 @@ from .model import (
     ModelConfig,
     _param_names,
     build_loss_graph,
-    decode_vars,
-    encode_vars,
     forward,
     init_encoder_decoder,
     rank,
+    stack_vars,
     wrap_params,
 )
 
@@ -49,52 +48,53 @@ def _hold_heap() -> None:
         mallopt(_M_TRIM_THRESHOLD, 8 * _MMAP_MAX)
 
 
-def _check_finite(value: float, epoch: int, stage: str) -> None:
-    if not math.isfinite(value):
-        raise NumericalError(f"non-finite loss {value!r} at {stage} epoch {epoch}")
+def _fit(params: dict, loss_of, epochs: int, lr: float, stage: str):
+    """The epoch loop of both stages: full-batch Adam in float32.
 
-
-def _epoch(build, params: dict, state: ad.AdamState, lr: float, epoch: int,
-           stage: str) -> dict:
-    """One full-batch Adam epoch; returns its loss values by term.
-
-    build() records the loss on a new tape and returns (loss Vars by term,
-    with "total", and the leaf Vars by parameter name).  The tape and the
-    gradients are locals, so they die on return, before the next epoch
-    builds its tape.
+    `params` maps each name to its starting array, in the order the result
+    keeps; _fit trains float32 copies, so no caller's array is changed and
+    no two parameters share one.  Each epoch, loss_of(tape, pv) records the
+    loss on a new tape from the leaf Vars `pv` and returns its Vars by
+    term, "total" included; a non-finite total raises NumericalError naming
+    `stage` and the epoch.  Returns (float64 params, history): one
+    {"epoch", term: value, ...} dict per epoch, taken before its update.
     """
-    losses, pv = build()
-    terms = {k: v.item() for k, v in losses.items()}
-    _check_finite(terms["total"], epoch, stage)
-    losses["total"].tape.backward(losses["total"])
-    ad.adam_step(params, {k: pv[k].grad for k in params}, state, lr=lr, t=epoch)
-    return terms
+    params = {k: np.array(v, dtype=np.float32) for k, v in params.items()}
+    state = ad.AdamState(params)
+    history = []
+    for epoch in range(1, epochs + 1):
+        tape = ad.Tape()
+        pv = wrap_params(tape, params)
+        losses = loss_of(tape, pv)
+        terms = {k: v.item() for k, v in losses.items()}
+        if not math.isfinite(terms["total"]):
+            raise NumericalError(f"non-finite loss {terms['total']!r} at {stage} epoch {epoch}")
+        tape.backward(losses["total"])
+        ad.adam_step(params, {k: pv[k].grad for k in params}, state, lr=lr, t=epoch)
+        history.append({"epoch": epoch, **terms})
+        del tape, pv, losses  # the tape and its gradients go before the next epoch's
+    del state  # the moments go before the float64 copies are made
+    return {k: v.astype(np.float64) for k, v in params.items()}, history
 
 
 def pretrain(x: np.ndarray, cfg: ModelConfig) -> dict:
-    """Stage 1: minimize the plain autoencoder reconstruction loss.
+    """Stage 1: minimize the plain autoencoder reconstruction loss
+    ||X - decode(encode(X))||_F^2 from init_encoder_decoder's parameters.
 
     Adjacency matrices and Q are untouched; the decoder reads the latent
-    directly.  Computes in float32 and returns float64 arrays.
+    directly.  Computes in float32 (see _fit) and returns float64 arrays.
     Deterministic under cfg.seed.
     """
     x = np.asarray(x, dtype=np.float32)
     if x.shape[0] != cfg.input_dim:
         raise ValueError(f"x has {x.shape[0]} rows but encoder expects {cfg.input_dim}")
-    params = {k: v.astype(np.float32) for k, v in init_encoder_decoder(cfg).items()}
-    state = ad.AdamState(params)
 
-    def build():
-        # ||X - decode(encode(X))||_F^2
-        tape = ad.Tape()
+    def loss_of(tape, pv):
         xv = tape.var(x)
-        pv = wrap_params(tape, params)
-        x_hat = decode_vars(pv, encode_vars(pv, xv, cfg), cfg)
-        return {"total": ad.frob_sq(ad.sub(xv, x_hat))}, pv
+        x_hat = stack_vars(pv, "dec", stack_vars(pv, "enc", xv, cfg), cfg)
+        return {"total": ad.frob_sq(ad.sub(xv, x_hat))}
 
-    for epoch in range(1, cfg.pretrain_epochs + 1):
-        _epoch(build, params, state, cfg.lr, epoch, "pretrain")
-    return {k: v.astype(np.float64) for k, v in params.items()}
+    return _fit(init_encoder_decoder(cfg), loss_of, cfg.pretrain_epochs, cfg.lr, "pretrain")[0]
 
 
 def train(x: np.ndarray, a0: np.ndarray | None, cfg: ModelConfig, params: dict):
@@ -104,16 +104,17 @@ def train(x: np.ndarray, a0: np.ndarray | None, cfg: ModelConfig, params: dict):
     `a0` is the loss-ready prior A_0, already normalized per
     cfg.prior_normalize: the same array `forward` takes, and None for the
     no_graph variant; knn_only propagates through A_0 itself and learns
-    no adjacency.  The adjacency matrices a variant learns (adj0, adj1,
-    ...) are initialized to copies of A_0 and Q to zero unless the incoming
-    params already provide them (useful for warm starts); a name the
-    variant has no parameter for raises ValueError, and the incoming dict
-    is not modified.  Every parameter trains.  Returns (params, history),
-    where history holds one {"epoch", "recon", "adjacency", "propagation",
-    "selection", "total"} dict per epoch, recorded before that epoch's
-    update.  Computes in float32 and returns float64 arrays.  On glibc it
-    first fixes the process's heap thresholds (see _hold_heap), so epochs
-    do not fault their arrays in anew.
+    no adjacency.  Each parameter of the variant (see _param_names) starts
+    from `params` where the caller passed it, which allows warm starts;
+    otherwise an adjacency matrix (adj0, adj1, ...) starts at A_0 and Q at
+    zero.  A name the variant has no parameter for raises ValueError, and
+    the incoming dict is not modified.  Every parameter trains.  Returns
+    (params, history), where history holds one {"epoch", "recon",
+    "adjacency", "propagation", "selection", "total"} dict per epoch,
+    recorded before that epoch's update.  Computes in float32 (see _fit)
+    and returns float64 arrays in _param_names order.  On glibc it first
+    fixes the process's heap thresholds (see _hold_heap), so epochs do not
+    fault their arrays in anew.
     """
     x = np.asarray(x, dtype=np.float32)
     n = x.shape[1]
@@ -125,30 +126,20 @@ def train(x: np.ndarray, a0: np.ndarray | None, cfg: ModelConfig, params: dict):
         if a0_arr.shape != (n, n):
             raise ValueError(f"prior graph is {a0_arr.shape} but the candidate set has n={n}")
 
-    unknown = sorted(set(params) - set(_param_names(cfg)))
+    names = _param_names(cfg)
+    unknown = sorted(set(params) - set(names))
     if unknown:
         raise ValueError(f"params {unknown} are not parameters of variant {cfg.variant!r}")
+    # a zero-size view: _fit's copy is the only n x n array Q's start allocates
+    start = {"q": np.broadcast_to(np.float32(0), (n, n)),
+             **{k: a0_arr for k in names if k.startswith("adj")}, **params}
+
+    def loss_of(tape, pv):
+        a0v = None if a0_arr is None else tape.var(a0_arr)
+        return build_loss_graph(tape, pv, tape.var(x), a0v, cfg)
 
     _hold_heap()
-    params = {k: v.astype(np.float32) for k, v in params.items()}
-    if "adj0" not in params:
-        params.update({f"adj{i}": a0_arr.copy() for i in range(cfg.n_stored_matrices)})
-    q = params.pop("q", None)  # q goes last, the order save_checkpoint must write
-    params["q"] = np.zeros((n, n), dtype=np.float32) if q is None else q
-
-    state = ad.AdamState(params)
-
-    def build():
-        tape = ad.Tape()
-        xv = tape.var(x)
-        a0v = None if a0_arr is None else tape.var(a0_arr)
-        pv = wrap_params(tape, params)
-        return build_loss_graph(tape, pv, xv, a0v, cfg), pv
-
-    history = [{"epoch": epoch, **_epoch(build, params, state, cfg.lr, epoch, "train")}
-               for epoch in range(1, cfg.train_epochs + 1)]
-    del state  # the moments go before the float64 copies are made
-    return {k: v.astype(np.float64) for k, v in params.items()}, history
+    return _fit({k: start[k] for k in names}, loss_of, cfg.train_epochs, cfg.lr, "train")
 
 
 def run_selection(x: np.ndarray, cfg: ModelConfig):

@@ -110,12 +110,12 @@ def test_criterion_3_shortcut_identities():
     import dataclasses
 
     from allg import autodiff as ad
-    from allg.model import encode_vars, mix_shortcut, propagate_vars, wrap_params
+    from allg.model import mix_shortcut, propagate_vars, stack_vars, wrap_params
 
     def s_out_and_layers(cfg):
         tape = ad.Tape()
         pv = wrap_params(tape, params, trainable=False)
-        z = encode_vars(pv, tape.var(x), cfg)
+        z = stack_vars(pv, "enc", tape.var(x), cfg)
         s_layers = propagate_vars(pv, z, cfg)
         return mix_shortcut(s_layers, z, cfg).value, [s.value for s in s_layers]
 

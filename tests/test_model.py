@@ -11,10 +11,9 @@ from allg.errors import ConfigError
 from allg.model import (
     config_from_dict,
     config_from_options,
-    decode_vars,
-    encode_vars,
     mix_shortcut,
     propagate_vars,
+    stack_vars,
     stage2_peak_bytes,
     wrap_params,
 )
@@ -41,13 +40,13 @@ def _layers(params, x, cfg, a0=None):
     pv = wrap_params(tape, params, trainable=False)
     if a0 is not None:
         pv["a0"] = tape.var(a0)
-    z = encode_vars(pv, tape.var(x), cfg)
+    z = stack_vars(pv, "enc", tape.var(x), cfg)
     s_layers = propagate_vars(pv, z, cfg)
     s_out = mix_shortcut(s_layers, z, cfg)
     decoder_in = ad.matmul(s_out, pv["q"])
     return {"latent": z.value, "s_layers": [s.value for s in s_layers],
             "s_out": s_out.value, "decoder_input": decoder_in.value,
-            "x_hat": decode_vars(pv, decoder_in, cfg).value}
+            "x_hat": stack_vars(pv, "dec", decoder_in, cfg).value}
 
 
 class TestModelConfig:

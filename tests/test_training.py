@@ -48,7 +48,8 @@ class TestPretrain:
 
     def test_nonfinite_input_reported_with_epoch(self, tiny_cfg):
         x = np.full((4, 6), 1e200)
-        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="epoch 1"):
+        with np.errstate(over="ignore"), pytest.raises(NumericalError,
+                                                       match="pretrain epoch 1"):
             allg.pretrain(x, tiny_cfg)
 
 
@@ -127,6 +128,37 @@ class TestTrain:
         a0 = allg.normalize_adjacency(allg.knn_graph(x, cfg.knn_k).adjacency, "col")
         assert result.final_losses["adjacency"] == cfg.alpha * np.vdot(a0, a0)
 
+    def test_nonfinite_loss_reported_with_stage_and_epoch(self, blobs_std, tiny_cfg):
+        # the epoch loop both stages share names the stage it runs
+        x = blobs_std.features
+        params = allg.pretrain(x, tiny_cfg)
+        cfg = dataclasses.replace(tiny_cfg, lr=1e30)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="train epoch 2"):
+            allg.train(x, allg.knn_graph(x, cfg.knn_k).adjacency, cfg, params)
+
+    def test_warm_start_of_adj0_alone_trains(self, blobs_std, tiny_cfg):
+        # the full variant with two adjacency matrices: adj1 starts at A_0
+        x = blobs_std.features
+        a0 = allg.knn_graph(x, tiny_cfg.knn_k).adjacency
+        params = {**allg.pretrain(x, tiny_cfg), "adj0": a0 + 0.1}
+        trained, hist = allg.train(x, a0, tiny_cfg, params)
+        assert list(trained)[-3:] == ["adj0", "adj1", "q"]
+        assert len(hist) == tiny_cfg.train_epochs
+
+    def test_warm_start_of_adj1_alone_is_kept(self, blobs_std, tiny_cfg):
+        # adj1 starts at the caller's array, which is not written to even
+        # when it is already float32, the dtype stage 2 trains in
+        x = blobs_std.features
+        a0 = allg.knn_graph(x, tiny_cfg.knn_k).adjacency
+        adj1 = (a0 + 1.0).astype(np.float32)
+        snapshot = adj1.copy()
+        params = {**allg.pretrain(x, tiny_cfg), "adj1": adj1}
+        trained, _ = allg.train(x, a0, tiny_cfg, params)
+        assert np.array_equal(adj1, snapshot)
+        assert np.abs(trained["adj1"] - adj1).max() < 0.5
+        assert np.abs(trained["adj0"] - a0).max() < 0.5
+
     def test_warm_start_with_a_parameter_the_variant_lacks_refused(self, blobs_std, tiny_cfg):
         # knn_only learns no adjacency, so an adj0 passed in would get no gradient
         x = blobs_std.features
@@ -143,11 +175,11 @@ class TestTrain:
         trained, _ = allg.train(x, allg.knn_graph(x, 4).adjacency, cfg, allg.pretrain(x, cfg))
         assert len([k for k in trained if k.startswith("adj")]) == 1
         from allg import autodiff as ad
-        from allg.model import encode_vars, propagate_vars, wrap_params
+        from allg.model import propagate_vars, stack_vars, wrap_params
 
         tape = ad.Tape()
         pv = wrap_params(tape, trained, trainable=False)
-        assert len(propagate_vars(pv, encode_vars(pv, tape.var(x), cfg), cfg)) == 2
+        assert len(propagate_vars(pv, stack_vars(pv, "enc", tape.var(x), cfg), cfg)) == 2
 
     def test_large_beta_pins_adjacency_to_prior(self, blobs_std, rng):
         x = blobs_std.features
