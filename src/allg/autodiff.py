@@ -86,16 +86,19 @@ class Tape:
         self._needs_grad.append(bool(kept))
         return Var(value, self, len(self._parents) - 1, False)
 
-    def backward(self, loss: Var) -> None:
+    def backward(self, loss: Var, into: dict | None = None) -> None:
         """Accumulate d(loss)/d(leaf) for every requires_grad leaf.
 
         May be called once per tape; build a new tape for another pass.
-        A contribution a VJP returned is fresh unless it is g itself (add
-        and sub hand g to their parents), and only fresh arrays are written:
-        a node's second contribution is added in place into whichever of
-        the two is fresh, and a sum is allocated only when neither is.
-        Addition commutes, so the bits do not depend on which array is
-        written.  A contribution is dropped once it is summed, before the
+        `into` maps leaves to arrays of their shape and dtype: a listed
+        leaf's gradient is summed into its array (zero if nothing reaches
+        it), which becomes its .grad; every other leaf gets a new array.  A
+        contribution a VJP returned is fresh unless it is g itself (add and
+        sub hand g to their parents), and only fresh arrays are written: a
+        node's second contribution is added in place into whichever of the
+        two is fresh, and a sum is allocated only when neither is.  Addition
+        commutes, so the bits depend neither on which array is written nor
+        on `into`.  A contribution is dropped once it is summed, before the
         next VJP runs, and an interior node's gradient once its parents
         have been served.
         """
@@ -105,6 +108,12 @@ class Tape:
             raise ValueError(f"loss must be a 1x1 scalar, got shape {loss.value.shape}")
         if self._grads is not None:
             raise RuntimeError("backward() already ran on this tape; build a new tape")
+        targets = {leaf.index: arr for leaf, arr in (into or {}).items()}
+        for leaf, arr in (into or {}).items():
+            if leaf.tape is not self or not leaf.requires_grad or (
+                    arr.shape, arr.dtype) != (leaf.shape, leaf.value.dtype):
+                raise ValueError(f"into: {arr.shape} {arr.dtype} array does not match "
+                                 f"{leaf!r}, a {leaf.value.dtype} gradient leaf of this tape")
         grads = [None] * len(self._parents)
         fresh = [False] * len(self._parents)  # grads[i] is an array only this sweep holds
         grads[loss.index] = np.ones((1, 1), dtype=np.float64)
@@ -116,6 +125,9 @@ class Tape:
                 contrib = vjp(g)
                 new = contrib is not g
                 if grads[parent] is None:
+                    if parent in targets:
+                        np.copyto(targets[parent], contrib)
+                        contrib, new = targets[parent], True
                     grads[parent], fresh[parent] = contrib, new
                 elif fresh[parent]:
                     grads[parent] += contrib
@@ -126,6 +138,10 @@ class Tape:
                     grads[parent], fresh[parent] = grads[parent] + contrib, True
                 del contrib
             grads[i] = None
+        for i, arr in targets.items():
+            if grads[i] is not arr:  # no contribution, or the loss is the leaf itself
+                arr[...] = 0 if grads[i] is None else grads[i]
+                grads[i] = arr
         self._grads = grads
 
 
@@ -244,72 +260,59 @@ def scale(x: Var, c: float) -> Var:
 
 
 # ---------------------------------------------------------------------------
-# Adam optimizer over dicts of named parameter arrays.
+# Adam optimizer over one flat parameter vector.
 # ---------------------------------------------------------------------------
 
 # Adam's moment decay rates and the guard added to its denominator.
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
-# Row-block size of the in-place Adam update, in bytes of parameter data.
-_ADAM_BLOCK_BYTES = 256 * 1024
-
-
-def _block_rows(arr: np.ndarray) -> int:
-    """Rows per block of the in-place Adam update of `arr`."""
-    return max(1, _ADAM_BLOCK_BYTES * arr.shape[0] // max(arr.nbytes, 1))
+# Elements per block of the in-place Adam update.
+_ADAM_BLOCK = 65536
 
 
 class AdamState:
-    """First / second moment accumulators, one pair per parameter name, and
-    the scratch of adam_step: two rows, each as large as the largest row
-    block of any parameter and of the widest parameter dtype, so a step
-    allocates no array."""
+    """The first and second moments of a 1-D parameter vector `p`, and the
+    scratch of adam_step: two blocks of _ADAM_BLOCK elements of p's dtype,
+    so a step allocates no array."""
 
     __slots__ = ("m", "v", "scratch")
 
-    def __init__(self, params: dict):
-        self.m = {key: np.zeros_like(arr) for key, arr in params.items()}
-        self.v = {key: np.zeros_like(arr) for key, arr in params.items()}
-        block = max((_block_rows(arr) * arr[0].size for arr in params.values()), default=0)
-        self.scratch = np.empty((2, block), dtype=np.result_type(np.float32, *params.values()))
+    def __init__(self, p: np.ndarray):
+        self.m = np.zeros_like(p)
+        self.v = np.zeros_like(p)
+        self.scratch = np.empty((2, min(p.size, _ADAM_BLOCK)), dtype=p.dtype)
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, *, lr: float, t: int):
-    """One bias-corrected Adam update, in place on the parameter arrays.
+def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, *, lr: float, t: int) -> None:
+    """One bias-corrected Adam update of the 1-D vector `p`, in place.
 
-    The decay rates are _BETA1 and _BETA2, the guard _EPS.  Each
-    parameter is updated one row block at a time through the two row-block
-    arrays of `state.scratch`, so no array is allocated; every element sees
-    the same operations in the same order.  Every parameter needs its
-    gradient in `grads`; a missing one raises KeyError.
+    `g` is the gradient, of p's shape.  The decay rates are _BETA1 and
+    _BETA2, the guard _EPS.  The vector is updated one block of
+    _ADAM_BLOCK elements at a time through the two blocks of
+    `state.scratch`, so no array is allocated; every element sees the same
+    operations in the same order.
     """
     if t < 1:
         raise ValueError(f"Adam step count must be >= 1, got {t}")
+    if p.ndim != 1:
+        raise ValueError(f"Adam steps a 1-D parameter vector, got shape {p.shape}")
+    if g.shape != p.shape:
+        raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
     c1, c2 = 1.0 - _BETA1**t, 1.0 - _BETA2**t
-    for key, arr in params.items():
-        g = grads[key]
-        if g.shape != arr.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {arr.shape} for {key!r}")
-        m = state.m[key]
-        v = state.v[key]
-        block = _block_rows(arr)
-        s1, s2 = (s[:block * arr[0].size].reshape((block,) + arr.shape[1:])
-                  for s in state.scratch)
-        for r in range(0, arr.shape[0], block):
-            rs = slice(r, r + block)
-            gb, mb, vb, pb = g[rs], m[rs], v[rs], arr[rs]
-            a, b = s1[:len(pb)], s2[:len(pb)]
-            mb *= _BETA1
-            np.multiply(gb, 1.0 - _BETA1, out=a)
-            mb += a
-            vb *= _BETA2
-            np.multiply(gb, gb, out=a)
-            a *= 1.0 - _BETA2
-            vb += a
-            np.divide(mb, c1, out=a)  # m_hat
-            a *= lr
-            np.divide(vb, c2, out=b)  # v_hat
-            np.sqrt(b, out=b)
-            b += _EPS
-            a /= b
-            pb -= a
-    return params, state
+    for r in range(0, p.size, _ADAM_BLOCK):
+        rs = slice(r, r + _ADAM_BLOCK)
+        gb, mb, vb, pb = g[rs], state.m[rs], state.v[rs], p[rs]
+        a, b = state.scratch[:, :len(pb)]
+        mb *= _BETA1
+        np.multiply(gb, 1.0 - _BETA1, out=a)
+        mb += a
+        vb *= _BETA2
+        np.multiply(gb, gb, out=a)
+        a *= 1.0 - _BETA2
+        vb += a
+        np.divide(mb, c1, out=a)  # m_hat
+        a *= lr
+        np.divide(vb, c2, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += _EPS
+        a /= b
+        pb -= a

@@ -5,7 +5,6 @@ matrix are n x n parameters indexed by candidate position, so every
 forward pass must see all n candidates in a fixed order.
 """
 
-import ctypes
 import math
 
 import numpy as np
@@ -24,57 +23,47 @@ from .model import (
     wrap_params,
 )
 
-# glibc's mallopt parameters, and its own ceiling for the dynamic mmap threshold on 64-bit
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_MAX = 32 * 2**20
-
-
-def _hold_heap() -> None:
-    """Let the arrays one epoch frees serve the next epoch.
-
-    Every epoch frees several n x n arrays (gradients and VJP temporaries).
-    Under glibc's dynamic thresholds that space ends up at the top of the
-    heap, is trimmed, and the next epoch faults the same pages in again.
-    Setting one threshold turns the dynamic ones off, so both are fixed:
-    arrays below 32 MiB come from the heap, and its top is trimmed only
-    past 8 such arrays.  A float32 n x n array reaches 32 MiB at n ~ 2900,
-    so from there on each epoch maps its arrays anew.  No value changes;
-    without mallopt this does nothing.
-    """
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(_M_MMAP_THRESHOLD, _MMAP_MAX)
-        mallopt(_M_TRIM_THRESHOLD, 8 * _MMAP_MAX)
-
-
 def _fit(params: dict, loss_of, epochs: int, lr: float, stage: str):
     """The epoch loop of both stages: full-batch Adam in float32.
 
     `params` maps each name to its starting array, in the order the result
-    keeps; _fit trains float32 copies, so no caller's array is changed and
-    no two parameters share one.  Each epoch, loss_of(tape, pv) records the
-    loss on a new tape from the leaf Vars `pv` and returns its Vars by
-    term, "total" included; a non-finite total raises NumericalError naming
-    `stage` and the epoch.  Returns (float64 params, history): one
-    {"epoch", term: value, ...} dict per epoch, taken before its update.
+    keeps.  _fit copies them into one float32 vector, and keeps their
+    gradients in a second vector of the same layout; both are allocated
+    once, so no epoch maps a gradient anew.  The tape sees views of the
+    first vector in the starting shapes, so no caller's array is changed
+    and no two parameters share one.  Each epoch, loss_of(tape, pv) records
+    the loss on a new tape from the leaf Vars `pv` and returns its Vars by
+    term, "total" included.  A non-finite total, or parameters that the
+    last update left non-finite, raise NumericalError naming `stage` and
+    the epoch.  Returns (float64 params, history): one {"epoch", term:
+    value, ...} dict per epoch, taken before its update.
     """
-    params = {k: np.array(v, dtype=np.float32) for k, v in params.items()}
-    state = ad.AdamState(params)
+    sizes = [np.size(v) for v in params.values()]
+    flat = np.empty(sum(sizes), dtype=np.float32)
+    grad = np.empty_like(flat)
+    views, grads, start = {}, {}, 0
+    for (k, v), size in zip(params.items(), sizes):
+        views[k] = flat[start:start + size].reshape(np.shape(v))
+        views[k][...] = v
+        grads[k] = grad[start:start + size].reshape(np.shape(v))
+        start += size
+    state = ad.AdamState(flat)
     history = []
     for epoch in range(1, epochs + 1):
         tape = ad.Tape()
-        pv = wrap_params(tape, params)
+        pv = wrap_params(tape, views)
         losses = loss_of(tape, pv)
         terms = {k: v.item() for k, v in losses.items()}
         if not math.isfinite(terms["total"]):
             raise NumericalError(f"non-finite loss {terms['total']!r} at {stage} epoch {epoch}")
-        tape.backward(losses["total"])
-        ad.adam_step(params, {k: pv[k].grad for k in params}, state, lr=lr, t=epoch)
+        tape.backward(losses["total"], into={pv[k]: grads[k] for k in views})
+        ad.adam_step(flat, grad, state, lr=lr, t=epoch)
         history.append({"epoch": epoch, **terms})
-        del tape, pv, losses  # the tape and its gradients go before the next epoch's
-    del state  # the moments go before the float64 copies are made
-    return {k: v.astype(np.float64) for k, v in params.items()}, history
+        del tape, pv, losses  # the tape and its VJP temporaries go before the next epoch's
+    del state, grad, grads  # the moments and gradients go before the float64 copies are made
+    if not np.isfinite(flat).all():
+        raise NumericalError(f"non-finite parameters after {stage} epoch {epochs}")
+    return {k: v.astype(np.float64) for k, v in views.items()}, history
 
 
 def pretrain(x: np.ndarray, cfg: ModelConfig) -> dict:
@@ -111,10 +100,9 @@ def train(x: np.ndarray, a0: np.ndarray | None, cfg: ModelConfig, params: dict):
     the incoming dict is not modified.  Every parameter trains.  Returns
     (params, history), where history holds one {"epoch", "recon",
     "adjacency", "propagation", "selection", "total"} dict per epoch,
-    recorded before that epoch's update.  Computes in float32 (see _fit)
-    and returns float64 arrays in _param_names order.  On glibc it first
-    fixes the process's heap thresholds (see _hold_heap), so epochs do not
-    fault their arrays in anew.
+    recorded before that epoch's update.  Computes in float32 on one
+    parameter vector (see _fit), raises NumericalError on a non-finite loss
+    or final parameter, and returns float64 arrays in _param_names order.
     """
     x = np.asarray(x, dtype=np.float32)
     n = x.shape[1]
@@ -138,7 +126,6 @@ def train(x: np.ndarray, a0: np.ndarray | None, cfg: ModelConfig, params: dict):
         a0v = None if a0_arr is None else tape.var(a0_arr)
         return build_loss_graph(tape, pv, tape.var(x), a0v, cfg)
 
-    _hold_heap()
     return _fit({k: start[k] for k in names}, loss_of, cfg.train_epochs, cfg.lr, "train")
 
 
@@ -147,7 +134,8 @@ def run_selection(x: np.ndarray, cfg: ModelConfig):
 
     Builds and normalizes the kNN prior A_0 once, pretrains the
     autoencoder, trains the joint objective, and ranks candidates.  Returns
-    (SelectionResult, params, history).
+    (SelectionResult, params, history); final float64 losses that are not
+    finite raise NumericalError.
     """
     x = np.asarray(x, dtype=np.float64)
     a0 = None
@@ -155,5 +143,7 @@ def run_selection(x: np.ndarray, cfg: ModelConfig):
         a0 = normalize_adjacency(knn_graph(x, cfg.knn_k).adjacency, cfg.prior_normalize)
     params = pretrain(x, cfg)
     params, history = train(x, a0, cfg, params)
-    result = rank(params, final_losses=forward(params, x, cfg, a0=a0))
-    return result, params, history
+    final = forward(params, x, cfg, a0=a0)
+    if not all(map(math.isfinite, final.values())):
+        raise NumericalError(f"non-finite final losses after train: {final}")
+    return rank(params, final_losses=final), params, history

@@ -315,6 +315,46 @@ class TestBackwardContract:
         ga2, gb2 = grads()
         assert np.array_equal(ga1, ga2) and np.array_equal(gb1, gb2)
 
+    @staticmethod
+    def _into_graph(tape, a, b, c):
+        """Leaves a, b, c of a loss in which a gets g itself first (through add),
+        b gets -g (through sub) and both get fresh contributions after."""
+        av, bv, cv = (tape.var(x, requires_grad=True) for x in (a, b, c))
+        extra = ad.add(ad.frob_sq(ad.scale(av, 3.0)), ad.frob_sq(ad.matmul(bv, cv)))
+        shared = ad.frob_sq(ad.sub(ad.add(av, cv), bv))
+        return (av, bv, cv), ad.add(extra, shared)
+
+    def test_into_sums_bitwise_like_plain_backward(self, rng):
+        a, b, c = (rng.normal(size=(3, 3)).astype(np.float32) for _ in range(3))
+        tape = ad.Tape()
+        leaves, loss = self._into_graph(tape, a, b, c)
+        tape.backward(loss)
+        want = [leaf.grad for leaf in leaves]
+        tape = ad.Tape()
+        leaves, loss = self._into_graph(tape, a, b, c)
+        into = {leaf: np.full(leaf.shape, np.nan, dtype=np.float32) for leaf in leaves}
+        tape.backward(loss, into=into)
+        for leaf, w in zip(leaves, want):
+            assert leaf.grad is into[leaf]
+            assert leaf.grad.tobytes() == w.tobytes()
+
+    def test_into_leaf_without_contribution_is_zero(self, rng):
+        tape = ad.Tape()
+        x = tape.var(rng.normal(size=(2, 2)), requires_grad=True)
+        unused = tape.var(rng.normal(size=(2, 3)), requires_grad=True)
+        buf = np.full((2, 3), np.nan)
+        tape.backward(ad.frob_sq(x), into={unused: buf})
+        assert unused.grad is buf
+        assert np.array_equal(buf, np.zeros((2, 3)))
+        np.testing.assert_allclose(x.grad, 2 * x.value, atol=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.zeros((3, 2), dtype=np.float32)])
+    def test_into_array_of_wrong_shape_or_dtype_raises(self, bad):
+        tape = ad.Tape()
+        x = tape.var(np.ones((3, 2)), requires_grad=True)
+        with pytest.raises(ValueError, match="does not match"):
+            tape.backward(ad.frob_sq(x), into={x: bad})
+
     def test_cross_tape_rejected(self, rng):
         t1, t2 = ad.Tape(), ad.Tape()
         with pytest.raises(ValueError, match="tape"):
@@ -346,78 +386,74 @@ class TestBackwardContract:
 
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
-        params = {"w": np.array([[1.0, 2.0]])}
-        state = ad.AdamState(params)
-        ad.adam_step(params, {"w": np.zeros((1, 2))}, state, lr=0.1, t=1)
-        np.testing.assert_array_equal(params["w"], [[1.0, 2.0]])
+        p = np.array([1.0, 2.0])
+        ad.adam_step(p, np.zeros(2), ad.AdamState(p), lr=0.1, t=1)
+        np.testing.assert_array_equal(p, [1.0, 2.0])
 
     def test_first_step_magnitude(self):
-        params = {"w": np.array([[0.0]])}
-        state = ad.AdamState(params)
-        ad.adam_step(params, {"w": np.array([[1.0]])}, state, lr=0.001, t=1)
+        p = np.array([0.0])
+        ad.adam_step(p, np.array([1.0]), ad.AdamState(p), lr=0.001, t=1)
         # bias-corrected first step is lr/(1 + eps-ish)
-        assert abs(params["w"][0, 0] + 0.001) < 1e-9
+        assert abs(p[0] + 0.001) < 1e-9
 
     def test_quadratic_descent_matches_reference(self):
         # 10 steps on f(x) = x^2/2 from x=1; oracle recurrence run by hand
         ref = adam_reference(1.0, lambda x: x, lr=0.001, steps=10)
-        params = {"x": np.array([[1.0]])}
-        state = ad.AdamState(params)
+        p = np.array([1.0])
+        state = ad.AdamState(p)
         xs = [1.0]
         for t in range(1, 11):
-            ad.adam_step(params, {"x": params["x"].copy()}, state, lr=0.001, t=t)
-            xs.append(float(params["x"][0, 0]))
+            ad.adam_step(p, p.copy(), state, lr=0.001, t=t)
+            xs.append(float(p[0]))
         np.testing.assert_allclose(xs, ref, atol=1e-15)
         diffs = np.diff(np.abs(xs))
         assert (diffs < 0).all()  # |x| strictly decreasing
 
-    def test_row_blocks_match_straight_line_formula(self, rng):
-        # (300, 1000) spans several row blocks; the bias and 1x1 fit in one
-        shapes = {"w": (300, 1000), "b": (7, 1), "s": (1, 1)}
-        params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
-        want = {k: v.copy() for k, v in params.items()}
-        m = {k: np.zeros(shape) for k, shape in shapes.items()}
-        v = {k: np.zeros(shape) for k, shape in shapes.items()}
-        state = ad.AdamState(params)
+    def test_blocks_match_straight_line_formula(self, rng):
+        # three whole blocks and a partial fourth, in training's dtype and in float64
+        size = 3 * ad._ADAM_BLOCK + 1234
         lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
-        for t in range(1, 5):
-            grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
-            ad.adam_step(params, grads, state, lr=lr, t=t)
-            for k, g in grads.items():
-                m[k] = beta1 * m[k] + (1.0 - beta1) * g
-                v[k] = beta2 * v[k] + (1.0 - beta2) * (g * g)
-                m_hat = m[k] / (1.0 - beta1**t)
-                v_hat = v[k] / (1.0 - beta2**t)
-                want[k] = want[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
-        for k in shapes:
-            assert np.array_equal(params[k], want[k]), k
-            assert np.array_equal(state.m[k], m[k]) and np.array_equal(state.v[k], v[k]), k
+        for dtype in (np.float32, np.float64):
+            p = rng.normal(size=size).astype(dtype)
+            want = p.copy()
+            m, v = np.zeros(size, dtype=dtype), np.zeros(size, dtype=dtype)
+            state = ad.AdamState(p)
+            for t in range(1, 5):
+                g = rng.normal(size=size).astype(dtype)
+                ad.adam_step(p, g, state, lr=lr, t=t)
+                m = beta1 * m + (1.0 - beta1) * g
+                v = beta2 * v + (1.0 - beta2) * (g * g)
+                m_hat = m / (1.0 - beta1**t)
+                v_hat = v / (1.0 - beta2**t)
+                want = want - lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert want.dtype == dtype
+            assert np.array_equal(p, want), dtype
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v), dtype
 
-    def test_step_allocates_no_row_block_scratch(self, rng):
-        # the row-block scratch belongs to AdamState, so a step allocates nothing
-        params = {"w": rng.normal(size=(300, 1000))}
-        state = ad.AdamState(params)
-        grads = {"w": rng.normal(size=(300, 1000))}
+    def test_step_allocates_nothing(self, rng):
+        # the block scratch belongs to AdamState, so a step allocates nothing
+        p = rng.normal(size=300 * 1000)
+        state = ad.AdamState(p)
+        g = rng.normal(size=p.shape)
         tracemalloc.start()
         try:
-            ad.adam_step(params, grads, state, lr=0.01, t=1)
+            ad.adam_step(p, g, state, lr=0.01, t=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < ad._ADAM_BLOCK_BYTES // 8
-
-    def test_missing_gradient_raises(self):
-        params = {"a": np.ones((1, 1)), "b": np.ones((1, 1))}
-        with pytest.raises(KeyError, match="'b'"):
-            ad.adam_step(params, {"a": np.ones((1, 1))}, ad.AdamState(params), lr=0.1, t=1)
+        assert peak < 32 * 1024
 
     def test_shape_mismatch(self):
-        params = {"a": np.ones((2, 2))}
-        state = ad.AdamState(params)
+        p = np.ones(4)
         with pytest.raises(ValueError, match="shape"):
-            ad.adam_step(params, {"a": np.ones((1, 2))}, state, lr=0.1, t=1)
+            ad.adam_step(p, np.ones(3), ad.AdamState(p), lr=0.1, t=1)
+
+    def test_non_vector_refused(self):
+        p = np.ones((2, 2))
+        with pytest.raises(ValueError, match="1-D"):
+            ad.adam_step(p, np.ones((2, 2)), ad.AdamState(p), lr=0.1, t=1)
 
     def test_bad_step_count(self):
-        params = {"a": np.ones((1, 1))}
+        p = np.ones(1)
         with pytest.raises(ValueError, match=">= 1"):
-            ad.adam_step(params, {"a": np.ones((1, 1))}, ad.AdamState(params), lr=0.1, t=0)
+            ad.adam_step(p, np.ones(1), ad.AdamState(p), lr=0.1, t=0)

@@ -121,6 +121,21 @@ class TestSelect:
                     (out / f).unlink()
             assert len(runs[0]) >= 3 and runs[0] == runs[1], command
 
+    def test_overflowing_last_update_exits_4(self, tmp_path, capsys):
+        # the loss check runs before each update, so only the check of the
+        # parameters after the last one sees this overflow
+        data = tmp_path / "data.csv"
+        save_csv(make_blobs(20, 3, d=6, seed=1), data)
+        cfg = _write_config(tmp_path, {"model": {"encoder_dims": [6, 4, 3], "pretrain_epochs": 0,
+                                                 "train_epochs": 1, "knn_k": 3, "lr": 1e37}})
+        out = tmp_path / "run"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["select", "--config", cfg, "--dataset", str(data),
+                         "--label-column", "label", "--out", str(out)])
+        assert code == 4
+        assert "after train epoch 1" in capsys.readouterr().err
+        assert not (out / "ranking.csv").exists()
+
 
 class TestEvaluate:
     def test_three_selector_report(self, tmp_path, blobs_csv):

@@ -62,10 +62,9 @@ class TestPrecision:
         seen = set()
         step = allg.autodiff.adam_step
 
-        def spy(params, grads, state, **kwargs):
-            seen.update(a.dtype for a in (*grads.values(), *state.m.values(),
-                                          *state.v.values()))
-            return step(params, grads, state, **kwargs)
+        def spy(p, g, state, **kwargs):
+            seen.update(a.dtype for a in (g, state.m, state.v))
+            return step(p, g, state, **kwargs)
 
         monkeypatch.setattr(allg.autodiff, "adam_step", spy)
         return seen
@@ -136,6 +135,41 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericalError, match="train epoch 2"):
             allg.train(x, allg.knn_graph(x, cfg.knn_k).adjacency, cfg, params)
+
+    def test_nonfinite_last_update_reported(self):
+        # a loss is checked before each update, so the parameters are checked after the last
+        std, _, _ = allg.standardize(make_blobs(20, 3, d=6, seed=1))
+        cfg = allg.ModelConfig(encoder_dims=(6, 4, 3), pretrain_epochs=0, train_epochs=1,
+                               knn_k=3, lr=1e37)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="after train epoch 1"):
+            allg.run_selection(std.features, cfg)
+
+    def test_nonfinite_final_losses_reported(self, blobs_std, tiny_cfg, monkeypatch):
+        forward = allg.training.forward
+
+        def overflowed(*args, **kwargs):
+            return {**forward(*args, **kwargs), "total": float("inf")}
+
+        monkeypatch.setattr(allg.training, "forward", overflowed)
+        with pytest.raises(NumericalError, match="final losses"):
+            allg.run_selection(blobs_std.features, tiny_cfg)
+
+    def test_every_epoch_steps_one_gradient_vector(self, blobs_std, tiny_cfg, monkeypatch):
+        # the gradients persist across epochs, so no epoch maps them anew
+        x = blobs_std.features
+        params = allg.pretrain(x, tiny_cfg)
+        seen = []
+        step = allg.autodiff.adam_step
+
+        def spy(p, g, state, **kwargs):
+            seen.append(g)
+            return step(p, g, state, **kwargs)
+
+        monkeypatch.setattr(allg.autodiff, "adam_step", spy)
+        allg.train(x, allg.knn_graph(x, tiny_cfg.knn_k).adjacency, tiny_cfg, params)
+        assert len(seen) == tiny_cfg.train_epochs
+        assert all(g is seen[0] for g in seen)
 
     def test_warm_start_of_adj0_alone_trains(self, blobs_std, tiny_cfg):
         # the full variant with two adjacency matrices: adj1 starts at A_0
