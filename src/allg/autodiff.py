@@ -5,10 +5,11 @@ indices of its parents and their backward rules; insertion order is a
 topological order, so backward() is a single reverse sweep in which the
 gradient of each node is the sum of the contributions of all its consumers.
 
-A node keeps a parent's backward rule only when a requires_grad leaf feeds
-that parent, so a graph on constant leaves records no backward rules: that
-is the no-grad path.  The tape holds no Var, so reference counting frees it
-and its arrays when the last Var on it is dropped.
+backward(loss, into) is the only way out of the tape: each leaf that is a
+key of `into` gets its gradient in the array given for it, and no other
+leaf gets one.  A tape that is never swept is the no-grad path.  The tape
+holds no Var, so reference counting frees it and its arrays when the last
+Var on it is dropped.
 
 All values are 2-D float arrays; scalars are 1x1 matrices.  A float32
 leaf stays float32 and every other leaf becomes float64; an op computes
@@ -23,27 +24,18 @@ import numpy as np
 
 
 class Var:
-    """A value on a tape.  Leaves may carry gradients after backward()."""
+    """A value on a tape: a leaf, or the output of one op."""
 
-    __slots__ = ("value", "tape", "index", "requires_grad")
+    __slots__ = ("value", "tape", "index")
 
-    def __init__(self, value, tape, index, requires_grad):
+    def __init__(self, value, tape, index):
         self.value = value
         self.tape = tape
         self.index = index
-        self.requires_grad = requires_grad
 
     @property
     def shape(self):
         return self.value.shape
-
-    @property
-    def grad(self):
-        """Gradient of the tape's backward() loss w.r.t. this Var (or None)."""
-        grads = self.tape._grads
-        if grads is None or not self.requires_grad:
-            return None
-        return grads[self.index]
 
     def item(self) -> float:
         if self.value.size != 1:
@@ -55,17 +47,15 @@ class Var:
 
 
 class Tape:
-    """Records a computation graph; owns gradients after backward()."""
+    """Records a computation graph; backward() sweeps it."""
 
     def __init__(self):
-        self._parents: list[tuple] = []  # per node: ((parent index, vjp), ...)
-        self._needs_grad: list[bool] = []  # per node: a requires_grad leaf feeds it
-        self._grads: list | None = None
+        self._parents: list[tuple] = []  # per node: ((parent index, vjp), ...); () for a leaf
 
     def __len__(self):
         return len(self._parents)
 
-    def var(self, value, requires_grad: bool = False) -> Var:
+    def var(self, value) -> Var:
         """Create a leaf holding `value` as a 2-D array: float32 stays float32,
         anything else becomes float64."""
         arr = np.asarray(value)
@@ -76,73 +66,68 @@ class Tape:
         if arr.ndim != 2:
             raise ValueError(f"tape values must be matrices, got ndim={arr.ndim}")
         self._parents.append(())
-        self._needs_grad.append(requires_grad)
-        return Var(arr, self, len(self._parents) - 1, requires_grad)
+        return Var(arr, self, len(self._parents) - 1)
 
     def _record(self, value, parents) -> Var:
         """Append an op node; `parents` is a tuple of (parent Var, vjp callable)."""
-        kept = tuple((p.index, vjp) for p, vjp in parents if self._needs_grad[p.index])
-        self._parents.append(kept)
-        self._needs_grad.append(bool(kept))
-        return Var(value, self, len(self._parents) - 1, False)
+        self._parents.append(tuple((p.index, vjp) for p, vjp in parents))
+        return Var(value, self, len(self._parents) - 1)
 
-    def backward(self, loss: Var, into: dict | None = None) -> None:
-        """Accumulate d(loss)/d(leaf) for every requires_grad leaf.
+    def backward(self, loss: Var, into: dict) -> None:
+        """Write d(loss)/d(leaf) into into[leaf] for every leaf listed in `into`.
 
-        May be called once per tape; build a new tape for another pass.
-        `into` maps leaves to arrays of their shape and dtype: a listed
-        leaf's gradient is summed into its array (zero if nothing reaches
-        it), which becomes its .grad; every other leaf gets a new array.  A
-        contribution a VJP returned is fresh unless it is g itself (add and
-        sub hand g to their parents), and only fresh arrays are written: a
-        node's second contribution is added in place into whichever of the
-        two is fresh, and a sum is allocated only when neither is.  Addition
-        commutes, so the bits depend neither on which array is written nor
-        on `into`.  A contribution is dropped once it is summed, before the
-        next VJP runs, and an interior node's gradient once its parents
-        have been served.
+        Each array must have its leaf's shape and dtype; a leaf the loss does
+        not reach gets zeros.  A first pass marks every node a listed leaf
+        feeds, and the sweep runs no VJP into an unmarked node.  A listed
+        leaf's first contribution is copied into its array and each later one
+        added in place; any other node keeps its first contribution and makes
+        a new sum for each later one, so no array a VJP returned is written
+        (add and sub hand g itself on).  Addition commutes, so the bits do not
+        depend on which leaves are listed, and a second sweep writes the same
+        bits.  A contribution is dropped once it is summed, and an interior
+        node's gradient once its parents have been served.
         """
         if loss.tape is not self:
             raise ValueError("loss belongs to a different tape")
         if loss.value.shape != (1, 1):
             raise ValueError(f"loss must be a 1x1 scalar, got shape {loss.value.shape}")
-        if self._grads is not None:
-            raise RuntimeError("backward() already ran on this tape; build a new tape")
-        targets = {leaf.index: arr for leaf, arr in (into or {}).items()}
-        for leaf, arr in (into or {}).items():
-            if leaf.tape is not self or not leaf.requires_grad or (
+        for leaf, arr in into.items():
+            if leaf.tape is not self or self._parents[leaf.index] or (
                     arr.shape, arr.dtype) != (leaf.shape, leaf.value.dtype):
                 raise ValueError(f"into: {arr.shape} {arr.dtype} array does not match "
-                                 f"{leaf!r}, a {leaf.value.dtype} gradient leaf of this tape")
+                                 f"{leaf!r}, a {leaf.value.dtype} leaf of this tape")
+        targets = {leaf.index: arr for leaf, arr in into.items()}
+        fed = [i in targets for i in range(len(self._parents))]  # a listed leaf feeds node i
+        for i, parents in enumerate(self._parents):
+            for parent, _ in parents:
+                if fed[parent]:
+                    fed[i] = True
+                    break
         grads = [None] * len(self._parents)
-        fresh = [False] * len(self._parents)  # grads[i] is an array only this sweep holds
         grads[loss.index] = np.ones((1, 1), dtype=np.float64)
         for i in range(loss.index, -1, -1):
             g = grads[i]
             if g is None or not self._parents[i]:
                 continue
             for parent, vjp in self._parents[i]:
+                if not fed[parent]:
+                    continue
                 contrib = vjp(g)
-                new = contrib is not g
-                if grads[parent] is None:
+                held = grads[parent]
+                if held is None:
                     if parent in targets:
                         np.copyto(targets[parent], contrib)
-                        contrib, new = targets[parent], True
-                    grads[parent], fresh[parent] = contrib, new
-                elif fresh[parent]:
-                    grads[parent] += contrib
-                elif new:
-                    contrib += grads[parent]
-                    grads[parent], fresh[parent] = contrib, True
+                        contrib = targets[parent]
+                    grads[parent] = contrib
+                elif parent in targets:
+                    held += contrib
                 else:
-                    grads[parent], fresh[parent] = grads[parent] + contrib, True
-                del contrib
+                    grads[parent] = held + contrib
+                del contrib, held
             grads[i] = None
         for i, arr in targets.items():
             if grads[i] is not arr:  # no contribution, or the loss is the leaf itself
                 arr[...] = 0 if grads[i] is None else grads[i]
-                grads[i] = arr
-        self._grads = grads
 
 
 def _check_same_tape(*vars_):

@@ -254,23 +254,24 @@ def init_encoder_decoder(cfg: ModelConfig, rng=None) -> dict:
     if rng is None:
         rng = substream(cfg.seed, "init")
     params = {}
-    dims = cfg.encoder_dims
+    for name, shape in _autoencoder_shapes(cfg).items():
+        limit = np.sqrt(6.0 / sum(shape))  # a weight's fan_out + fan_in
+        params[name] = rng.uniform(-limit, limit, size=shape) if "_w" in name else np.zeros(shape)
+    return params
+
+
+def _autoencoder_shapes(cfg: ModelConfig) -> dict:
+    """Shape of each encoder and decoder array by name, in init order."""
+    dims, shapes = cfg.encoder_dims, {}
     for part, layer_dims in (("enc", dims), ("dec", dims[::-1])):
         for i, (fan_in, fan_out) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            params[f"{part}_w{i}"] = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-            params[f"{part}_b{i}"] = np.zeros((fan_out, 1))
-    return params
+            shapes.update({f"{part}_w{i}": (fan_out, fan_in), f"{part}_b{i}": (fan_out, 1)})
+    return shapes
 
 
 # ---------------------------------------------------------------------------
 # Forward graph (tape), shared by training, evaluation, and gradcheck
 # ---------------------------------------------------------------------------
-
-def wrap_params(tape: ad.Tape, params: dict, trainable: bool = True) -> dict:
-    """Leaf Vars for every parameter array, all of them gradient leaves or none."""
-    return {name: tape.var(arr, requires_grad=trainable) for name, arr in params.items()}
-
 
 def stack_vars(pv: dict, part: str, h: ad.Var, cfg: ModelConfig) -> ad.Var:
     """The encoder (part "enc") or the decoder ("dec") applied to h: a ReLU follows
@@ -355,7 +356,7 @@ def forward(params: dict, x: np.ndarray, cfg: ModelConfig,
     tape = ad.Tape()
     xv = tape.var(x)
     a0v = None if a0 is None else tape.var(np.asarray(a0, dtype=np.float64))
-    pv = wrap_params(tape, params, trainable=False)
+    pv = {k: tape.var(v) for k, v in params.items()}
     return {k: v.item() for k, v in build_loss_graph(tape, pv, xv, a0v, cfg).items()}
 
 
@@ -395,9 +396,7 @@ _CHECKPOINT_VERSION = 3
 
 def _param_names(cfg: ModelConfig) -> list:
     """Names of a stage-2 model's parameters, in the order init and train add them."""
-    return ([f"{part}_{kind}{i}" for part in ("enc", "dec") for i in range(cfg.n_layers)
-             for kind in ("w", "b")]
-            + [f"adj{i}" for i in range(cfg.n_stored_matrices)] + ["q"])
+    return [*_autoencoder_shapes(cfg), *(f"adj{i}" for i in range(cfg.n_stored_matrices)), "q"]
 
 
 def save_checkpoint(path, params: dict, cfg: ModelConfig) -> None:
@@ -410,7 +409,8 @@ def load_checkpoint(path):
     """Load (params, ModelConfig) saved by save_checkpoint.
 
     The arrays must be the autoencoder's, or a whole stage-2 model's, that
-    the stored config implies, in the order save_checkpoint wrote them.
+    the stored config implies, in the order save_checkpoint wrote them, and
+    every adj* must be n x n like q.
     """
     try:
         npz = np.load(path, allow_pickle=False)
@@ -432,6 +432,8 @@ def load_checkpoint(path):
             raise ConfigError(
                 f"unsupported checkpoint version {meta.get('format_version')!r}"
             )
+        if "config" not in meta:
+            raise ConfigError(f"checkpoint {path} has a __meta__ member with no 'config'")
         cfg = config_from_dict(meta["config"])
         names = [k for k in npz.files if k != "__meta__"]
         full = _param_names(cfg)
@@ -439,4 +441,10 @@ def load_checkpoint(path):
             raise ConfigError(f"checkpoint arrays {names} are not the {full} its config "
                               f"implies, nor their first {4 * cfg.n_layers}")
         params = {k: npz[k] for k in names}
+    want = {**dict.fromkeys(names, params.get("q", np.empty(0)).shape[:1] * 2),
+            **_autoencoder_shapes(cfg)}
+    for k, arr in params.items():
+        if arr.shape != want[k] or arr.ndim != 2:
+            raise ConfigError(f"checkpoint member {k!r} has shape {arr.shape}, not the "
+                              f"{want[k]} that encoder_dims and the rows of q imply")
     return params, cfg

@@ -20,7 +20,6 @@ from .model import (
     init_encoder_decoder,
     rank,
     stack_vars,
-    wrap_params,
 )
 
 def _fit(params: dict, loss_of, epochs: int, lr: float, stage: str):
@@ -51,7 +50,7 @@ def _fit(params: dict, loss_of, epochs: int, lr: float, stage: str):
     history = []
     for epoch in range(1, epochs + 1):
         tape = ad.Tape()
-        pv = wrap_params(tape, views)
+        pv = {k: tape.var(v) for k, v in views.items()}
         losses = loss_of(tape, pv)
         terms = {k: v.item() for k, v in losses.items()}
         if not math.isfinite(terms["total"]):

@@ -33,3 +33,11 @@ def tiny_cfg():
 def rng():
     # function-scoped so draws never depend on test execution order
     return np.random.default_rng(1234)
+
+
+def grads_of(tape, loss, *leaves):
+    """The gradient of `loss` w.r.t. each of `leaves`, each swept into a new array
+    of its leaf's shape and dtype that starts as NaN."""
+    into = {leaf: np.full(leaf.shape, np.nan, dtype=leaf.value.dtype) for leaf in leaves}
+    tape.backward(loss, into=into)
+    return [into[leaf] for leaf in leaves]

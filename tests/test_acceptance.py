@@ -110,11 +110,11 @@ def test_criterion_3_shortcut_identities():
     import dataclasses
 
     from allg import autodiff as ad
-    from allg.model import mix_shortcut, propagate_vars, stack_vars, wrap_params
+    from allg.model import mix_shortcut, propagate_vars, stack_vars
 
     def s_out_and_layers(cfg):
         tape = ad.Tape()
-        pv = wrap_params(tape, params, trainable=False)
+        pv = {k: tape.var(v) for k, v in params.items()}
         z = stack_vars(pv, "enc", tape.var(x), cfg)
         s_layers = propagate_vars(pv, z, cfg)
         return mix_shortcut(s_layers, z, cfg).value, [s.value for s in s_layers]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import allg.autodiff as ad
+from conftest import grads_of
 from oracles import (
     adam_reference,
     finite_diff,
@@ -17,7 +18,7 @@ FD_TOL = 1e-6
 
 
 def _leaf_dict(tape, arrays):
-    return {k: tape.var(v, requires_grad=True) for k, v in arrays.items()}
+    return {k: tape.var(v) for k, v in arrays.items()}
 
 
 def _fd_check(build, arrays, tol=FD_TOL):
@@ -28,9 +29,9 @@ def _fd_check(build, arrays, tol=FD_TOL):
 
     tape = ad.Tape()
     leaves = _leaf_dict(tape, arrays)
-    tape.backward(build(tape, leaves))
+    grads = grads_of(tape, build(tape, leaves), *leaves.values())
     fd = finite_diff(f, arrays)
-    worst = max(rel_err(leaves[k].grad, fd[k]) for k in arrays)
+    worst = max(rel_err(g, fd[k]) for k, g in zip(arrays, grads))
     assert worst < tol, f"finite-difference mismatch: {worst}"
 
 
@@ -38,13 +39,13 @@ class TestMatmul:
     def test_identity(self, rng):
         m = rng.normal(size=(3, 3))
         tape = ad.Tape()
-        eye = tape.var(np.eye(3), requires_grad=True)
+        eye = tape.var(np.eye(3))
         mv = tape.var(m)
         out = ad.matmul(eye, mv)
         np.testing.assert_array_equal(out.value, np.eye(3) @ m)
-        tape.backward(ad.frob_sq(out))
+        (g_eye,) = grads_of(tape, ad.frob_sq(out), eye)
         # d||IM||^2/dI = 2 (IM) M^T
-        np.testing.assert_allclose(eye.grad, 2 * m @ m.T, atol=1e-12)
+        np.testing.assert_allclose(g_eye, 2 * m @ m.T, atol=1e-12)
 
     def test_against_naive_loops(self, rng):
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
@@ -102,10 +103,9 @@ class TestRelu:
 
     def test_gradient_mask_zero_at_zero(self):
         tape = ad.Tape()
-        x = tape.var(np.array([[-1.0, 0.0, 2.0]]), requires_grad=True)
+        x = tape.var(np.array([[-1.0, 0.0, 2.0]]))
         summed = ad.matmul(ad.relu(x), ad.scale(tape.var(np.ones((3, 1))), 1.0))
-        tape.backward(summed)
-        np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(grads_of(tape, summed, x)[0], [[0.0, 0.0, 1.0]])
 
     def test_finite_difference_away_from_kink(self, rng):
         x = rng.normal(size=(3, 4))
@@ -136,12 +136,11 @@ class TestSupNormRows:
     def test_value_and_subgradient_with_tie(self):
         q = np.array([[1.0, -4.0], [2.0, 2.0]])
         tape = ad.Tape()
-        qv = tape.var(q, requires_grad=True)
+        qv = tape.var(q)
         out = ad.sup_norm_rows(qv)
         assert out.item() == 6.0
-        tape.backward(out)
         # row 0 argmax at column 1 (value -4); row 1 tie -> lowest index
-        np.testing.assert_array_equal(qv.grad, [[0.0, -1.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(grads_of(tape, out, qv)[0], [[0.0, -1.0], [1.0, 0.0]])
 
     def test_finite_difference_at_smooth_point(self, rng):
         q = rng.normal(size=(4, 4))
@@ -165,11 +164,10 @@ class TestGraphPenalty:
     def test_gradients_closed_form(self, rng):
         a, b = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
         tape = ad.Tape()
-        av = tape.var(a, requires_grad=True)
-        bv = tape.var(b, requires_grad=True)
-        tape.backward(ad.scale(ad.graph_penalty(av, bv, 0.3, 0.7), 1.5))
-        np.testing.assert_allclose(av.grad, 1.5 * (0.6 * a + 1.4 * (a - b)), rtol=1e-13)
-        np.testing.assert_allclose(bv.grad, -1.5 * 1.4 * (a - b), rtol=1e-13)
+        av, bv = tape.var(a), tape.var(b)
+        ga, gb = grads_of(tape, ad.scale(ad.graph_penalty(av, bv, 0.3, 0.7), 1.5), av, bv)
+        np.testing.assert_allclose(ga, 1.5 * (0.6 * a + 1.4 * (a - b)), rtol=1e-13)
+        np.testing.assert_allclose(gb, -1.5 * 1.4 * (a - b), rtol=1e-13)
 
     def test_shape_mismatch(self):
         tape = ad.Tape()
@@ -209,58 +207,91 @@ class TestElementwise:
             ad.add(tape.var(np.ones((2, 2))), tape.var(np.ones((2, 3))))
 
 
+def _spy_rules(tape):
+    """Wrap every backward rule recorded so far on `tape`, so that each call logs
+    (parent index, the contribution it returned) in the list this returns."""
+    log = []
+
+    def spy(parent, vjp):
+        def rule(g):
+            contrib = vjp(g)
+            log.append((parent, contrib))
+            return contrib
+        return rule
+
+    tape._parents = [tuple((p, spy(p, vjp)) for p, vjp in rules) for rules in tape._parents]
+    return log
+
+
 class TestBackwardContract:
     def test_frob_gradient_closed_form(self, rng):
         x = rng.normal(size=(3, 4))
         tape = ad.Tape()
-        xv = tape.var(x, requires_grad=True)
-        tape.backward(ad.frob_sq(xv))
-        np.testing.assert_allclose(xv.grad, 2 * x, atol=1e-14)
+        xv = tape.var(x)
+        np.testing.assert_allclose(grads_of(tape, ad.frob_sq(xv), xv)[0], 2 * x, atol=1e-14)
 
-    def test_no_grad_leaf_gets_none(self, rng):
+    def test_unlisted_leaf_vjp_never_runs(self, rng):
+        # a constant leaf through a spy op, and graph_penalty against a constant
+        # prior: no rule into either runs, nor into the node the constant feeds
+        a, c, prior = (rng.normal(size=(3, 3)) for _ in range(3))
         tape = ad.Tape()
-        a = tape.var(rng.normal(size=(2, 2)), requires_grad=True)
-        b = tape.var(rng.normal(size=(2, 2)), requires_grad=False)
-        tape.backward(ad.frob_sq(ad.add(a, b)))
-        assert a.grad is not None
-        assert b.grad is None
+        av, cv, prior_v = tape.var(a), tape.var(c), tape.var(prior)
+        calls = []
 
-    def test_double_backward_raises(self, rng):
+        def vjp(g):
+            calls.append(g)
+            return g
+
+        spied = tape._record(cv.value.copy(), ((cv, vjp),))
+        penalty = ad.graph_penalty(av, prior_v, 0.3, 0.7)
+        loss = ad.add(ad.frob_sq(ad.matmul(av, spied)), penalty)
+        log = _spy_rules(tape)
+        (ga,) = grads_of(tape, loss, av)
+        assert calls == []
+        served = [parent for parent, _ in log]
+        assert cv.index not in served and spied.index not in served
+        assert prior_v.index not in served
+        assert served.count(av.index) == 3  # matmul and graph_penalty's two a-terms
+        np.testing.assert_allclose(ga, 2 * (a @ c) @ c.T + 0.6 * a + 1.4 * (a - prior),
+                                   rtol=1e-12)
+
+    def test_second_sweep_writes_same_bits(self, rng):
+        a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 3))
         tape = ad.Tape()
-        x = tape.var(rng.normal(size=(2, 2)), requires_grad=True)
-        loss = ad.frob_sq(x)
-        tape.backward(loss)
-        with pytest.raises(RuntimeError, match="build a new tape"):
-            tape.backward(loss)
+        av, bv = tape.var(a), tape.var(b)
+        loss = ad.add(ad.frob_sq(ad.relu(ad.matmul(av, bv))), ad.frob_sq(av))
+        first = grads_of(tape, loss, av, bv)
+        second = grads_of(tape, loss, av, bv)
+        assert all(f.tobytes() == s.tobytes() for f, s in zip(first, second))
 
     def test_non_scalar_loss_raises(self, rng):
         tape = ad.Tape()
-        x = tape.var(rng.normal(size=(2, 2)), requires_grad=True)
+        x = tape.var(rng.normal(size=(2, 2)))
         with pytest.raises(ValueError, match="scalar"):
-            tape.backward(ad.scale(x, 1.0))
+            grads_of(tape, ad.scale(x, 1.0), x)
 
     def test_fanout_accumulates(self, rng):
         # consuming x twice doubles the gradient
         x = rng.normal(size=(2, 3))
         tape = ad.Tape()
-        xv = tape.var(x, requires_grad=True)
-        tape.backward(ad.add(ad.frob_sq(xv), ad.frob_sq(xv)))
-        np.testing.assert_allclose(xv.grad, 4 * x, atol=1e-14)
+        xv = tape.var(x)
+        (gx,) = grads_of(tape, ad.add(ad.frob_sq(xv), ad.frob_sq(xv)), xv)
+        np.testing.assert_allclose(gx, 4 * x, atol=1e-14)
 
     def test_shared_gradient_summed_into_distinct_arrays(self, rng):
         # add hands one gradient array to both leaves; each leaf then gets
         # two more contributions, which must not write into the shared array
         a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
         tape = ad.Tape()
-        av = tape.var(a, requires_grad=True)
-        bv = tape.var(b, requires_grad=True)
+        av, bv = tape.var(a), tape.var(b)
         extra_a = ad.add(ad.frob_sq(av), ad.frob_sq(ad.scale(av, 3.0)))
         extra_b = ad.add(ad.frob_sq(bv), ad.frob_sq(ad.scale(bv, -2.0)))
         # recorded last, so the shared array reaches the leaves first
-        tape.backward(ad.add(ad.add(extra_a, extra_b), ad.frob_sq(ad.add(av, bv))))
-        np.testing.assert_allclose(av.grad, 2 * (a + b) + 2 * a + 18 * a, rtol=1e-13)
-        np.testing.assert_allclose(bv.grad, 2 * (a + b) + 2 * b + 8 * b, rtol=1e-13)
-        assert av.grad is not bv.grad
+        loss = ad.add(ad.add(extra_a, extra_b), ad.frob_sq(ad.add(av, bv)))
+        ga, gb = grads_of(tape, loss, av, bv)
+        np.testing.assert_allclose(ga, 2 * (a + b) + 2 * a + 18 * a, rtol=1e-13)
+        np.testing.assert_allclose(gb, 2 * (a + b) + 2 * b + 8 * b, rtol=1e-13)
+        assert ga is not gb
 
     @staticmethod
     def _spy_add(a, b, seen):
@@ -274,31 +305,47 @@ class TestBackwardContract:
         # both contributions are g itself, so neither may be written
         x = rng.normal(size=(3, 4))
         tape = ad.Tape()
-        xv = tape.var(x, requires_grad=True)
+        xv = tape.var(x)
         seen = []
-        tape.backward(ad.frob_sq(self._spy_add(xv, xv, seen)))
+        (gx,) = grads_of(tape, ad.frob_sq(self._spy_add(xv, xv, seen)), xv)
         g = 2.0 * (x + x)
-        assert np.array_equal(xv.grad, g + g)
+        assert np.array_equal(gx, g + g)
         assert all(np.array_equal(arr, snap) for arr, snap in seen)
-        assert xv.grad is not seen[0][0]
+        assert gx is not seen[0][0]
 
     def test_passed_through_g_never_written(self, rng):
-        # add hands one g to both leaves first; each leaf's later fresh
-        # contribution takes the sum in place, and g stays as it was
+        # add hands one g to both leaves first; each leaf's later contribution is
+        # added into its own array, and g stays as it was
         a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
         tape = ad.Tape()
-        av = tape.var(a, requires_grad=True)
-        bv = tape.var(b, requires_grad=True)
+        av, bv = tape.var(a), tape.var(b)
         extra_a, extra_b = ad.frob_sq(ad.scale(av, 3.0)), ad.frob_sq(ad.scale(bv, -2.0))
         seen = []
         shared = ad.frob_sq(self._spy_add(av, bv, seen))
-        tape.backward(ad.add(ad.add(extra_a, extra_b), shared))
+        ga, gb = grads_of(tape, ad.add(ad.add(extra_a, extra_b), shared), av, bv)
         g = 2.0 * (a + b)
-        assert np.array_equal(av.grad, g + 3.0 * (2.0 * (3.0 * a)))
-        assert np.array_equal(bv.grad, g + -2.0 * (2.0 * (-2.0 * b)))
+        assert np.array_equal(ga, g + 3.0 * (2.0 * (3.0 * a)))
+        assert np.array_equal(gb, g + -2.0 * (2.0 * (-2.0 * b)))
         for passed, snap in seen:
             assert np.array_equal(passed, snap) and np.array_equal(passed, g)
-            assert av.grad is not passed and bv.grad is not passed
+            assert ga is not passed and gb is not passed
+
+    def test_interior_nodes_never_write_a_passed_through_g(self, rng):
+        # as above, but the shared g reaches two interior nodes p = a w and
+        # q = a v, whose later contributions make new sums beside it
+        a, w, v = rng.normal(size=(2, 3)), rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        tape = ad.Tape()
+        av = tape.var(a)
+        p, q = ad.matmul(av, tape.var(w)), ad.matmul(av, tape.var(v))
+        extra = ad.add(ad.frob_sq(p), ad.frob_sq(ad.scale(q, -2.0)))
+        seen = []
+        shared = ad.frob_sq(self._spy_add(p, q, seen))
+        (ga,) = grads_of(tape, ad.add(extra, shared), av)
+        g = 2.0 * (p.value + q.value)
+        for passed, snap in seen:
+            assert np.array_equal(passed, snap) and np.array_equal(passed, g)
+        np.testing.assert_allclose(ga, (g + 2.0 * p.value) @ w.T + (g + 8.0 * q.value) @ v.T,
+                                   rtol=1e-13)
 
     def test_backward_deterministic_bitwise(self, rng):
         a = rng.normal(size=(3, 4))
@@ -306,10 +353,8 @@ class TestBackwardContract:
 
         def grads():
             tape = ad.Tape()
-            av = tape.var(a, requires_grad=True)
-            bv = tape.var(b, requires_grad=True)
-            tape.backward(ad.frob_sq(ad.relu(ad.matmul(av, bv))))
-            return av.grad.copy(), bv.grad.copy()
+            av, bv = tape.var(a), tape.var(b)
+            return grads_of(tape, ad.frob_sq(ad.relu(ad.matmul(av, bv))), av, bv)
 
         ga1, gb1 = grads()
         ga2, gb2 = grads()
@@ -318,42 +363,47 @@ class TestBackwardContract:
     @staticmethod
     def _into_graph(tape, a, b, c):
         """Leaves a, b, c of a loss in which a gets g itself first (through add),
-        b gets -g (through sub) and both get fresh contributions after."""
-        av, bv, cv = (tape.var(x, requires_grad=True) for x in (a, b, c))
+        b gets -g (through sub) and both get more contributions after."""
+        av, bv, cv = (tape.var(x) for x in (a, b, c))
         extra = ad.add(ad.frob_sq(ad.scale(av, 3.0)), ad.frob_sq(ad.matmul(bv, cv)))
         shared = ad.frob_sq(ad.sub(ad.add(av, cv), bv))
         return (av, bv, cv), ad.add(extra, shared)
 
-    def test_into_sums_bitwise_like_plain_backward(self, rng):
+    def test_listed_leaf_bits_do_not_depend_on_the_other_leaves(self, rng):
+        # each leaf alone, then all three at once, every array starting as NaN
         a, b, c = (rng.normal(size=(3, 3)).astype(np.float32) for _ in range(3))
         tape = ad.Tape()
         leaves, loss = self._into_graph(tape, a, b, c)
-        tape.backward(loss)
-        want = [leaf.grad for leaf in leaves]
-        tape = ad.Tape()
-        leaves, loss = self._into_graph(tape, a, b, c)
-        into = {leaf: np.full(leaf.shape, np.nan, dtype=np.float32) for leaf in leaves}
-        tape.backward(loss, into=into)
-        for leaf, w in zip(leaves, want):
-            assert leaf.grad is into[leaf]
-            assert leaf.grad.tobytes() == w.tobytes()
+        every = grads_of(tape, loss, *leaves)
+        for leaf, want in zip(leaves, every):
+            tape = ad.Tape()
+            alone, loss = self._into_graph(tape, a, b, c)
+            (got,) = grads_of(tape, loss, alone[leaves.index(leaf)])
+            assert not np.isnan(want).any()
+            assert got.tobytes() == want.tobytes()
 
     def test_into_leaf_without_contribution_is_zero(self, rng):
         tape = ad.Tape()
-        x = tape.var(rng.normal(size=(2, 2)), requires_grad=True)
-        unused = tape.var(rng.normal(size=(2, 3)), requires_grad=True)
-        buf = np.full((2, 3), np.nan)
-        tape.backward(ad.frob_sq(x), into={unused: buf})
-        assert unused.grad is buf
+        x = tape.var(rng.normal(size=(2, 2)))
+        unused = tape.var(rng.normal(size=(2, 3)))
+        gx, buf = grads_of(tape, ad.frob_sq(x), x, unused)
         assert np.array_equal(buf, np.zeros((2, 3)))
-        np.testing.assert_allclose(x.grad, 2 * x.value, atol=1e-14)
+        np.testing.assert_allclose(gx, 2 * x.value, atol=1e-14)
 
     @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.zeros((3, 2), dtype=np.float32)])
     def test_into_array_of_wrong_shape_or_dtype_raises(self, bad):
         tape = ad.Tape()
-        x = tape.var(np.ones((3, 2)), requires_grad=True)
+        x = tape.var(np.ones((3, 2)))
         with pytest.raises(ValueError, match="does not match"):
             tape.backward(ad.frob_sq(x), into={x: bad})
+
+    def test_into_key_that_is_no_leaf_of_this_tape_raises(self):
+        tape, other = ad.Tape(), ad.Tape()
+        x = tape.var(np.ones((3, 2)))
+        node = ad.scale(x, 2.0)
+        for key in (node, other.var(np.ones((3, 2)))):
+            with pytest.raises(ValueError, match="leaf of this tape"):
+                tape.backward(ad.frob_sq(node), into={key: np.zeros((3, 2))})
 
     def test_cross_tape_rejected(self, rng):
         t1, t2 = ad.Tape(), ad.Tape()
@@ -374,14 +424,19 @@ class TestBackwardContract:
     def test_float32_graph_keeps_float32_gradients(self, rng, build):
         # a numpy float64 scalar times a float32 array is float64 under NumPy 2,
         # so a VJP that scaled by g[0, 0] itself would widen the gradients; the
-        # 1x1 loss stays float64, so loss terms add up in float64
+        # 1x1 loss stays float64, so loss terms add up in float64.  A float32
+        # array in `into` would narrow a widened contribution silently, so every
+        # contribution to a 4 x 4 node is checked as the VJP returned it.
         a, b = (rng.normal(size=(4, 4)).astype(np.float32) for _ in range(2))
         tape = ad.Tape()
-        av, bv = tape.var(a, requires_grad=True), tape.var(b, requires_grad=True)
+        av, bv = tape.var(a), tape.var(b)
         loss = build(av, bv)
-        tape.backward(loss)
+        log = _spy_rules(tape)
+        ga, gb = grads_of(tape, loss, av, bv)
         assert loss.value.dtype == np.float64
-        assert av.grad.dtype == bv.grad.dtype == np.float32
+        assert ga.dtype == gb.dtype == np.float32
+        square = [contrib.dtype for _, contrib in log if contrib.shape == (4, 4)]
+        assert square and all(dtype == np.float32 for dtype in square)
 
 
 class TestAdam:

@@ -15,7 +15,6 @@ from allg.model import (
     propagate_vars,
     stack_vars,
     stage2_peak_bytes,
-    wrap_params,
 )
 from oracles import straight_line_forward
 
@@ -37,7 +36,7 @@ def _layers(params, x, cfg, a0=None):
     """Every intermediate of the forward pass, as value arrays, from the model's own
     graph builders on a tape of constant leaves; the prior a0 is the chain's "a0"."""
     tape = ad.Tape()
-    pv = wrap_params(tape, params, trainable=False)
+    pv = {k: tape.var(v) for k, v in params.items()}
     if a0 is not None:
         pv["a0"] = tape.var(a0)
     z = stack_vars(pv, "enc", tape.var(x), cfg)
@@ -265,6 +264,24 @@ class TestCheckpoint:
         members["__meta__"] = np.array(json.dumps(meta))
         np.savez(path, **members)
         with pytest.raises(ConfigError, match="'encoder_dims'"):
+            allg.load_checkpoint(path)
+
+    def test_meta_without_config_refused(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        np.savez(path, __meta__=np.array(json.dumps({"format_version": 3})), q=np.eye(2))
+        with pytest.raises(ConfigError, match="'config'"):
+            allg.load_checkpoint(path)
+
+    @pytest.mark.parametrize("member, shape", [("enc_w0", (3, 3)), ("dec_b0", (3, 2)),
+                                               ("adj0", (5, 5)), ("q", (6, 5))])
+    def test_member_of_wrong_shape_refused(self, tmp_path, rng, member, shape):
+        # encoder_dims (5, 4, 3) sets the autoencoder's shapes; every adj* and q is
+        # n x n for the one n that q's rows give
+        cfg, params, _, _ = _toy_model(rng)
+        params[member] = np.ones(shape)
+        path = tmp_path / "ckpt.npz"
+        allg.save_checkpoint(path, params, cfg)
+        with pytest.raises(ConfigError, match=re.escape(f"{member!r} has shape {shape}")):
             allg.load_checkpoint(path)
 
     def test_file_without_meta_refused(self, tmp_path, rng):

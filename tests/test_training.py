@@ -209,10 +209,10 @@ class TestTrain:
         trained, _ = allg.train(x, allg.knn_graph(x, 4).adjacency, cfg, allg.pretrain(x, cfg))
         assert len([k for k in trained if k.startswith("adj")]) == 1
         from allg import autodiff as ad
-        from allg.model import propagate_vars, stack_vars, wrap_params
+        from allg.model import propagate_vars, stack_vars
 
         tape = ad.Tape()
-        pv = wrap_params(tape, trained, trainable=False)
+        pv = {k: tape.var(v) for k, v in trained.items()}
         assert len(propagate_vars(pv, stack_vars(pv, "enc", tape.var(x), cfg), cfg)) == 2
 
     def test_large_beta_pins_adjacency_to_prior(self, blobs_std, rng):
@@ -368,21 +368,22 @@ class TestCompositeGradient:
         # the composite check for every variant's graph and every prior normalization,
         # on n = 9 candidates with N = 3 adjacency layers and the shortcut at layer 2
         from allg import autodiff as ad
-        from allg.model import build_loss_graph, forward, wrap_params
+        from allg.model import build_loss_graph, forward
 
         cfg = allg.ModelConfig(encoder_dims=(4, 3, 2), n_adjacency=3, shortcut_layer=2,
                                lam=0.6, alpha=0.5, beta=2.0, knn_k=2, seed=1,
                                prior_normalize=prior, variant=variant)
         params, x, a0 = _smooth_point(cfg, f"variant_gradcheck:{variant}:{prior}")
         tape = ad.Tape()
-        pv = wrap_params(tape, params)
+        pv = {k: tape.var(v) for k, v in params.items()}
         losses = build_loss_graph(tape, pv, tape.var(x), tape.var(a0), cfg)
-        tape.backward(losses["total"])
+        grads = {k: np.empty_like(v) for k, v in params.items()}
+        tape.backward(losses["total"], into={pv[k]: grads[k] for k in params})
         # every parameter: knn_only and no_graph store no adjacency, tied_two stores one
         assert len(params) == 8 + 1 + cfg.n_stored_matrices
         fd = finite_diff(lambda arrs: forward({**params, **arrs}, x, cfg, a0)["total"],
                          params)
-        worst = max(rel_err(pv[k].grad, fd[k]) for k in params)
+        worst = max(rel_err(grads[k], fd[k]) for k in params)
         assert worst < 1e-4
 
 
