@@ -25,7 +25,7 @@ from .gradcheck import run_all
 from .model import (NON_NEGATIVE, POSITIVE, VARIANTS, check_options, config_from_options,
                     distinct_list, rule, save_checkpoint)
 from .rng import substream
-from .training import run_selection
+from .training import run_selection, stage1_memo
 
 SCHEMA_VERSION = 1
 GRID_AXES = ("alpha", "beta", "lambda")
@@ -224,12 +224,13 @@ def cmd_grid(args) -> int:
         check_protocol(ds, [spec], protocol)
     out = _out_dir(cfg)
     rows = []
-    for (alpha, beta, lam), spec in zip(points, specs):
-        cells = run_protocol(ds, [spec], protocol, cfg["seed"])
-        averages = [means["average"] for means in summarize(cells)["allg"].values()]
-        mean = float(sum(averages) / len(averages))
-        rows.append((alpha, beta, lam, mean))
-        print(f"alpha={alpha} beta={beta} lambda={lam}: mean accuracy {mean:.4f}")
+    with stage1_memo():  # every point has the one run seed, so shares A_0 and the pretrain
+        for (alpha, beta, lam), spec in zip(points, specs):
+            cells = run_protocol(ds, [spec], protocol, cfg["seed"])
+            averages = [means["average"] for means in summarize(cells)["allg"].values()]
+            mean = float(sum(averages) / len(averages))
+            rows.append((alpha, beta, lam, mean))
+            print(f"alpha={alpha} beta={beta} lambda={lam}: mean accuracy {mean:.4f}")
     best = max(rows, key=lambda r: (r[3], (-r[0], -r[1], -r[2])))
     _write_csv(os.path.join(out, "grid.csv"), ("alpha", "beta", "lambda", "mean_accuracy"), rows)
     _write_json(os.path.join(out, "best.json"), {
@@ -247,7 +248,8 @@ def cmd_ablate(args) -> int:
     ds = _load_dataset(cfg)
     check_protocol(ds, specs, protocol)
     out = _out_dir(cfg)
-    cells = run_protocol(ds, specs, protocol, cfg["seed"])
+    with stage1_memo():  # a run's variants share A_0; their label-derived seeds differ
+        cells = run_protocol(ds, specs, protocol, cfg["seed"])
     summary = summarize(cells)
     _write_report(os.path.join(out, "ablation_report.csv"), cells)
     _write_csv(os.path.join(out, "ablation.csv"),

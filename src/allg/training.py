@@ -5,6 +5,7 @@ matrix are n x n parameters indexed by candidate position, so every
 forward pass must see all n candidates in a fixed order.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -21,6 +22,13 @@ from .model import (
     rank,
     stack_vars,
 )
+
+# The ModelConfig fields that pretrain reads: its result depends on these and the pool alone.
+STAGE1_FIELDS = ("encoder_dims", "encoder_final_activation", "decoder_final_activation",
+                 "lr", "pretrain_epochs", "seed")
+
+_memo = None  # the open stage1_memo block's {slot: (key, pool copy, value)}, else None
+
 
 def _fit(params: dict, loss_of, epochs: int, lr: float, stage: str):
     """The epoch loop of both stages: full-batch Adam in float32.
@@ -128,19 +136,57 @@ def train(x: np.ndarray, a0: np.ndarray | None, cfg: ModelConfig, params: dict):
     return _fit({k: start[k] for k in names}, loss_of, cfg.train_epochs, cfg.lr, "train")
 
 
+@contextlib.contextmanager
+def stage1_memo():
+    """Within the block, run_selection reuses its last kNN prior and its last pretrain.
+
+    Neither depends on alpha, beta, lam or any other stage-2 field, so runs
+    on one pool with one seed (the points of a grid) share both.  Each is
+    one entry, keyed by the pool's values and the fields it reads (knn_k and
+    prior_normalize; STAGE1_FIELDS), and handed out read-only.  The entries
+    go when the block ends; outside a block run_selection builds both on
+    every call.
+    """
+    global _memo
+    _memo = {}
+    try:
+        yield
+    finally:
+        _memo = None
+
+
+def _memoized(slot: str, x: np.ndarray, key: tuple, build):
+    """build() (a read-only array, or a dict of them), or the open memo's value of
+    `slot` when it was built for `key` on a pool equal to x."""
+    if _memo is None:
+        return build()
+    entry = _memo.pop(slot, None)
+    if entry is None or entry[0] != key or not np.array_equal(entry[1], x):
+        entry = None  # the old value goes before its successor is built
+        value = build()
+        for arr in value.values() if isinstance(value, dict) else [value]:
+            arr.flags.writeable = False
+        entry = (key, x.copy(), value)
+    _memo[slot] = entry
+    return entry[2]
+
+
 def run_selection(x: np.ndarray, cfg: ModelConfig):
     """Full pipeline on a standardized candidate matrix.
 
     Builds and normalizes the kNN prior A_0 once, pretrains the
-    autoencoder, trains the joint objective, and ranks candidates.  Returns
-    (SelectionResult, params, history); final float64 losses that are not
-    finite raise NumericalError.
+    autoencoder, trains the joint objective, and ranks candidates.  Inside
+    a stage1_memo block, A_0 and the pretrain may come from an earlier run.
+    Returns (SelectionResult, params, history); final float64 losses that
+    are not finite raise NumericalError.
     """
     x = np.asarray(x, dtype=np.float64)
     a0 = None
     if cfg.n_matrices:
-        a0 = normalize_adjacency(knn_graph(x, cfg.knn_k).adjacency, cfg.prior_normalize)
-    params = pretrain(x, cfg)
+        a0 = _memoized("prior", x, (cfg.knn_k, cfg.prior_normalize), lambda: normalize_adjacency(
+            knn_graph(x, cfg.knn_k).adjacency, cfg.prior_normalize))
+    params = _memoized("pretrain", x, tuple(getattr(cfg, f) for f in STAGE1_FIELDS),
+                       lambda: pretrain(x, cfg))
     params, history = train(x, a0, cfg, params)
     final = forward(params, x, cfg, a0=a0)
     if not all(map(math.isfinite, final.values())):

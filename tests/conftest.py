@@ -41,3 +41,17 @@ def grads_of(tape, loss, *leaves):
     into = {leaf: np.full(leaf.shape, np.nan, dtype=leaf.value.dtype) for leaf in leaves}
     tape.backward(loss, into=into)
     return [into[leaf] for leaf in leaves]
+
+
+@pytest.fixture
+def stage1_calls(monkeypatch):
+    """Calls of allg.training.knn_graph and allg.training.pretrain by name, counted by
+    spies on the module attributes that run_selection looks them up by."""
+    calls = {"knn_graph": 0, "pretrain": 0}
+    for name in calls:
+        def spy(*args, _name=name, _original=getattr(allg.training, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(allg.training, name, spy)
+    return calls

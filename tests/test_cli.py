@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import os
@@ -215,6 +216,46 @@ class TestGrid:
         combos = [tuple(float(v) for v in r.split(",")[:3]) for r in rows]
         assert combos == sorted(combos)  # deterministic ordering
 
+    def test_points_share_one_prior_and_one_pretrain(self, tmp_path, blobs_csv, stage1_calls):
+        cfg = _write_config(tmp_path, {
+            "model": _model_json(pretrain_epochs=3, train_epochs=3),
+            "grid": {"alpha": [0.1, 1.0], "beta": [1.0], "lambda": [0.1, 1.0]},
+            "protocol": {"budgets": [4], "classifiers": ["logistic_regression"],
+                         "logreg_max_iter": 50},
+        })
+        assert main(["grid", "--config", cfg, "--dataset", blobs_csv,
+                     "--label-column", "label", "--out", str(tmp_path / "g")]) == 0
+        assert stage1_calls == {"knn_graph": 1, "pretrain": 1}
+
+    def test_sharing_leaves_every_file_unchanged(self, tmp_path, blobs_csv, monkeypatch):
+        cfg = _write_config(tmp_path, {
+            "model": _model_json(pretrain_epochs=5, train_epochs=5, prior_normalize="col"),
+            "grid": {"alpha": [0.1, 1.0], "beta": [1.0, 10.0], "lambda": [1.0]},
+            "protocol": {"budgets": [4, 8], "logreg_max_iter": 50, "svm_sweeps": 20},
+        })
+        out = tmp_path / "g"
+        runs = []
+        for memo in (allg.cli.stage1_memo, contextlib.nullcontext):
+            monkeypatch.setattr(allg.cli, "stage1_memo", memo)
+            assert main(["grid", "--config", cfg, "--dataset", blobs_csv,
+                         "--label-column", "label", "--out", str(out)]) == 0
+            runs.append({f: (out / f).read_bytes() for f in sorted(os.listdir(out))})
+        assert len(runs[0]) == 3 and runs[0] == runs[1]
+
+    def test_each_command_builds_its_own_prior_and_pretrain(self, tmp_path, blobs_csv,
+                                                            stage1_calls):
+        cfg = _write_config(tmp_path, {
+            "model": _model_json(pretrain_epochs=3, train_epochs=3),
+            "grid": {"alpha": [0.1, 1.0], "beta": [1.0], "lambda": [1.0]},
+            "protocol": {"budgets": [4], "classifiers": ["logistic_regression"],
+                         "logreg_max_iter": 50},
+        })
+        for command in ("grid", "grid", "select"):
+            assert main([command, "--config", cfg, "--dataset", blobs_csv,
+                         "--label-column", "label", "--out", str(tmp_path / command)]) == 0
+            assert stage1_calls == {"knn_graph": 1, "pretrain": 1}, command
+            stage1_calls.update(knn_graph=0, pretrain=0)
+
 
 class TestAblate:
     def test_schema_and_coverage(self, tmp_path, blobs_csv):
@@ -237,6 +278,17 @@ class TestAblate:
         report = (out / "ablation_report.csv").read_text().splitlines()[1:]
         seen = {(r.split(",")[0], r.split(",")[3]) for r in report}
         assert seen == {(v, s) for v in variants for s in ("3", "4")}
+
+    def test_variants_of_a_run_share_one_prior(self, tmp_path, blobs_csv, stage1_calls):
+        # each variant's seed derives from its label, so each pretrains anew
+        cfg = _write_config(tmp_path, {
+            "model": _model_json(pretrain_epochs=3, train_epochs=3),
+            "protocol": {"budgets": [4], "runs": 2, "classifiers": ["logistic_regression"],
+                         "logreg_max_iter": 50},
+        })
+        assert main(["ablate", "--config", cfg, "--dataset", blobs_csv,
+                     "--label-column", "label", "--out", str(tmp_path / "a")]) == 0
+        assert stage1_calls == {"knn_graph": 2, "pretrain": 2 * len(allg.model.VARIANTS)}
 
     def test_full_variant_beats_no_graph_on_noisy_blobs(self):
         # property mirroring the ablation table's ordering on a fixture

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -337,6 +338,119 @@ class TestTrain:
         allg.train(x, allg.knn_graph(x, tiny_cfg.knn_k).adjacency, tiny_cfg, params)
         for key, arr in params.items():
             assert np.array_equal(arr, snapshot[key]), key
+
+
+# A different valid value for every ModelConfig field: stage 1 reads the first
+# table's fields (STAGE1_FIELDS) and none of the second's.
+STAGE1_CHANGES = {"encoder_dims": (4, 5, 3), "encoder_final_activation": "linear",
+                  "decoder_final_activation": "relu", "lr": 2e-3, "pretrain_epochs": 4,
+                  "seed": 4}
+STAGE2_CHANGES = {"alpha": 2.0, "beta": 2.0, "lam": 2.0, "train_epochs": 3,
+                  "alpha_prop": 3.0, "beta_prop": 3.0, "n_adjacency": 3, "shortcut_layer": 2,
+                  "shortcut_weight": 0.5, "knn_k": 3, "prior_normalize": "sym",
+                  "variant": "tied_two"}
+
+
+class TestStage1Memo:
+    @pytest.fixture
+    def cfg(self):
+        return allg.ModelConfig(encoder_dims=(4, 6, 3), pretrain_epochs=5, train_epochs=2,
+                                knn_k=4, seed=3, prior_normalize="col")
+
+    def test_stage1_fields_are_exactly_those_pretrain_reads(self, blobs_std, cfg):
+        fields = {f.name for f in dataclasses.fields(allg.ModelConfig)}
+        assert set(allg.training.STAGE1_FIELDS) == set(STAGE1_CHANGES)
+        assert set(STAGE1_CHANGES) | set(STAGE2_CHANGES) == fields
+        base = allg.pretrain(blobs_std.features, cfg)
+        for name, value in STAGE2_CHANGES.items():
+            other = allg.pretrain(blobs_std.features, dataclasses.replace(cfg, **{name: value}))
+            assert all(np.array_equal(base[k], other[k]) for k in base), name
+
+    def test_outside_a_block_every_run_builds_both(self, blobs_std, cfg, stage1_calls):
+        for _ in range(2):
+            allg.run_selection(blobs_std.features, cfg)
+        assert stage1_calls == {"knn_graph": 2, "pretrain": 2}
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "lam", "train_epochs"])
+    def test_a_stage2_field_hits_with_the_same_result(self, blobs_std, cfg, stage1_calls, name):
+        x = blobs_std.features
+        other = dataclasses.replace(cfg, **{name: STAGE2_CHANGES[name]})
+        expected = allg.run_selection(x, other)
+        with allg.training.stage1_memo():
+            allg.run_selection(x, cfg)
+            got = allg.run_selection(x, other)
+        assert stage1_calls == {"knn_graph": 2, "pretrain": 2}  # one outside, one inside
+        assert got[0] == expected[0]
+        assert all(np.array_equal(got[1][k], expected[1][k]) for k in expected[1])
+
+    @pytest.mark.parametrize("name", sorted(STAGE1_CHANGES))
+    def test_a_stage1_field_misses_the_pretrain(self, blobs_std, cfg, stage1_calls, name):
+        with allg.training.stage1_memo():
+            allg.run_selection(blobs_std.features, cfg)
+            allg.run_selection(blobs_std.features,
+                               dataclasses.replace(cfg, **{name: STAGE1_CHANGES[name]}))
+        assert stage1_calls == {"knn_graph": 1, "pretrain": 2}
+
+    @pytest.mark.parametrize("name", ["knn_k", "prior_normalize"])
+    def test_a_prior_field_misses_the_prior(self, blobs_std, cfg, stage1_calls, name):
+        with allg.training.stage1_memo():
+            allg.run_selection(blobs_std.features, cfg)
+            allg.run_selection(blobs_std.features,
+                               dataclasses.replace(cfg, **{name: STAGE2_CHANGES[name]}))
+        assert stage1_calls == {"knn_graph": 2, "pretrain": 1}
+
+    def test_one_pool_entry_changed_in_place_misses_both(self, blobs_std, cfg, stage1_calls):
+        # the pool is compared by value, so the caller's own array changing misses
+        x = blobs_std.features.copy()
+        with allg.training.stage1_memo():
+            allg.run_selection(x, cfg)
+            x[2, 7] = np.nextafter(x[2, 7], np.inf)
+            allg.run_selection(x, cfg)
+            allg.run_selection(x.copy(), cfg)
+        assert stage1_calls == {"knn_graph": 2, "pretrain": 2}
+
+    def test_handed_out_arrays_are_read_only(self, blobs_std, cfg, monkeypatch):
+        seen = []
+        train = allg.training.train
+
+        def spy(x, a0, cfg, params):
+            seen.append((a0, params))
+            return train(x, a0, cfg, params)
+
+        monkeypatch.setattr(allg.training, "train", spy)
+        with allg.training.stage1_memo():
+            for _ in range(2):
+                allg.run_selection(blobs_std.features, cfg)
+        for a0, params in seen:
+            for arr in [a0, *params.values()]:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0
+        assert seen[0][0] is seen[1][0] and seen[0][1] is seen[1][1]
+
+    def test_a_miss_drops_the_old_value_before_building(self, blobs_std, cfg, monkeypatch):
+        priors, alive = [], []
+        train, knn_graph = allg.training.train, allg.training.knn_graph
+
+        def train_spy(x, a0, cfg, params):
+            priors.append(weakref.ref(a0))
+            return train(x, a0, cfg, params)
+
+        def knn_spy(x, k):
+            alive.extend(ref() is not None for ref in priors)
+            return knn_graph(x, k)
+
+        monkeypatch.setattr(allg.training, "train", train_spy)
+        monkeypatch.setattr(allg.training, "knn_graph", knn_spy)
+        with allg.training.stage1_memo():
+            allg.run_selection(blobs_std.features, cfg)
+            allg.run_selection(blobs_std.features, dataclasses.replace(cfg, knn_k=3))
+        assert alive == [False]
+
+    def test_the_block_ends_its_entries(self, blobs_std, cfg, stage1_calls):
+        for _ in range(2):
+            with allg.training.stage1_memo():
+                allg.run_selection(blobs_std.features, cfg)
+        assert stage1_calls == {"knn_graph": 2, "pretrain": 2}
 
 
 class TestPermutationEquivariance:
