@@ -11,6 +11,13 @@ leaf gets one.  A tape that is never swept is the no-grad path.  The tape
 holds no Var, so reference counting frees it and its arrays when the last
 Var on it is dropped.
 
+Every backward rule (VJP) is called as vjp(g, out) and returns its
+contribution: when `out` is an array it writes the contribution there and
+returns `out`, and when `out` is None it returns an array it does not
+write again (a new one, or g itself).  backward passes `out` only for the
+first contribution to a listed leaf, so that one lands in the caller's
+array with no temporary and no copy.
+
 All values are 2-D float arrays; scalars are 1x1 matrices.  A float32
 leaf stays float32 and every other leaf becomes float64; an op computes
 at its inputs' dtype, except that the 1x1 losses of the reductions are
@@ -79,13 +86,15 @@ class Tape:
         Each array must have its leaf's shape and dtype; a leaf the loss does
         not reach gets zeros.  A first pass marks every node a listed leaf
         feeds, and the sweep runs no VJP into an unmarked node.  A listed
-        leaf's first contribution is copied into its array and each later one
+        leaf's first contribution is written into its array by the VJP itself
+        (vjp(g, out) with out the array) and each later one, vjp(g, None),
         added in place; any other node keeps its first contribution and makes
         a new sum for each later one, so no array a VJP returned is written
-        (add and sub hand g itself on).  Addition commutes, so the bits do not
-        depend on which leaves are listed, and a second sweep writes the same
-        bits.  A contribution is dropped once it is summed, and an interior
-        node's gradient once its parents have been served.
+        (add and sub hand g itself on) and no interior node's gradient is an
+        `into` array.  Addition commutes, so the bits do not depend on which
+        leaves are listed, and a second sweep writes the same bits.  A
+        contribution is dropped once it is summed, and an interior node's
+        gradient once its parents have been served.
         """
         if loss.tape is not self:
             raise ValueError("loss belongs to a different tape")
@@ -112,18 +121,14 @@ class Tape:
             for parent, vjp in self._parents[i]:
                 if not fed[parent]:
                     continue
-                contrib = vjp(g)
                 held = grads[parent]
                 if held is None:
-                    if parent in targets:
-                        np.copyto(targets[parent], contrib)
-                        contrib = targets[parent]
-                    grads[parent] = contrib
+                    grads[parent] = vjp(g, targets.get(parent))
                 elif parent in targets:
-                    held += contrib
+                    held += vjp(g, None)
                 else:
-                    grads[parent] = held + contrib
-                del contrib, held
+                    grads[parent] = held + vjp(g, None)
+                del held
             grads[i] = None
         for i, arr in targets.items():
             if grads[i] is not arr:  # no contribution, or the loss is the leaf itself
@@ -145,7 +150,8 @@ def matmul(a: Var, b: Var) -> Var:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     av, bv = a.value, b.value
     out = av @ bv
-    return tape._record(out, ((a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)))
+    return tape._record(out, ((a, lambda g, o: np.matmul(g, bv.T, out=o)),
+                              (b, lambda g, o: np.matmul(av.T, g, out=o))))
 
 
 def affine(w: Var, x: Var, b: Var) -> Var:
@@ -156,25 +162,32 @@ def affine(w: Var, x: Var, b: Var) -> Var:
     wv, xv = w.value, x.value
     out = wv @ xv + b.value
     parents = (
-        (w, lambda g: g @ xv.T),
-        (x, lambda g: wv.T @ g),
-        (b, lambda g: g.sum(axis=1, keepdims=True)),
+        (w, lambda g, o: np.matmul(g, xv.T, out=o)),
+        (x, lambda g, o: np.matmul(wv.T, g, out=o)),
+        (b, lambda g, o: np.sum(g, axis=1, keepdims=True, out=o)),
     )
     return tape._record(out, parents)
 
 
 def relu(x: Var) -> Var:
-    """Elementwise max(0, x); the subgradient at exactly 0 is 0."""
+    """Elementwise max(0, x); the subgradient at exactly 0 is 0.
+
+    The bits are those of np.where(x > 0, x, 0.0), NaN to 0 included, at
+    about a tenth of its cost: fmax gives -0.0 for -0.0 in some SIMD lanes,
+    and adding 0.0 turns that into +0.0.
+    """
     mask = x.value > 0
-    out = np.where(mask, x.value, 0.0)
-    return x.tape._record(out, ((x, lambda g: g * mask),))
+    out = np.fmax(x.value, 0.0)
+    out += 0.0
+    return x.tape._record(out, ((x, lambda g, o: np.multiply(g, mask, out=o)),))
 
 
 def frob_sq(x: Var) -> Var:
     """Sum of squared entries as a 1x1 Var."""
     xv = x.value
     out = np.array([[np.sum(xv * xv)]], dtype=np.float64)
-    return x.tape._record(out, ((x, lambda g: 2.0 * float(g[0, 0]) * xv),))
+    return x.tape._record(out, ((x, lambda g, o: np.multiply(xv, 2.0 * float(g[0, 0]),
+                                                            out=o)),))
 
 
 def sup_norm_rows(q: Var) -> Var:
@@ -189,10 +202,13 @@ def sup_norm_rows(q: Var) -> Var:
     peak = qv[rows, j_star]
     out = np.array([[np.sum(np.abs(peak))]], dtype=np.float64)
 
-    def vjp(g):
-        grad = np.zeros_like(qv)
-        grad[rows, j_star] = np.sign(peak) * float(g[0, 0])
-        return grad
+    def vjp(g, out):
+        if out is None:
+            out = np.zeros_like(qv)
+        else:
+            out[...] = 0
+        out[rows, j_star] = np.sign(peak) * float(g[0, 0])
+        return out
 
     return q.tape._record(out, ((q, vjp),))
 
@@ -215,33 +231,43 @@ def graph_penalty(a: Var, b: Var, alpha: float, beta: float) -> Var:
     diff = av - bv
     out = np.array([[alpha * np.vdot(av, av) + beta * np.vdot(diff, diff)]], dtype=np.float64)
 
-    def scaled_diff(c):
-        d = av - bv
+    def scaled_diff(c, out):
+        d = np.subtract(av, bv, out=out)
         d *= c
         return d
 
-    return tape._record(out, ((a, lambda g: (2.0 * alpha * float(g[0, 0])) * av),
-                              (a, lambda g: scaled_diff(2.0 * beta * float(g[0, 0]))),
-                              (b, lambda g: scaled_diff(-2.0 * beta * float(g[0, 0])))))
+    return tape._record(out, (
+        (a, lambda g, o: np.multiply(av, 2.0 * alpha * float(g[0, 0]), out=o)),
+        (a, lambda g, o: scaled_diff(2.0 * beta * float(g[0, 0]), o)),
+        (b, lambda g, o: scaled_diff(-2.0 * beta * float(g[0, 0]), o))))
+
+
+def _pass_on(g, out):
+    """The VJP of add, and of sub's first operand: g itself, or a copy in `out`."""
+    if out is None:
+        return g
+    np.copyto(out, g)
+    return out
 
 
 def add(a: Var, b: Var) -> Var:
     tape = _check_same_tape(a, b)
     if a.shape != b.shape:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    return tape._record(a.value + b.value, ((a, lambda g: g), (b, lambda g: g)))
+    return tape._record(a.value + b.value, ((a, _pass_on), (b, _pass_on)))
 
 
 def sub(a: Var, b: Var) -> Var:
     tape = _check_same_tape(a, b)
     if a.shape != b.shape:
         raise ValueError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-    return tape._record(a.value - b.value, ((a, lambda g: g), (b, lambda g: -g)))
+    return tape._record(a.value - b.value,
+                        ((a, _pass_on), (b, lambda g, o: np.negative(g, out=o))))
 
 
 def scale(x: Var, c: float) -> Var:
     c = float(c)
-    return x.tape._record(c * x.value, ((x, lambda g: c * g),))
+    return x.tape._record(c * x.value, ((x, lambda g, o: np.multiply(g, c, out=o)),))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,14 @@ def knn_graph(x: np.ndarray, k: int) -> PriorGraph:
     """Undirected binary kNN graph over the columns of x (Euclidean, self excluded).
 
     Column j first gets ones at the k nearest samples to j, distance ties
-    broken toward the lowest index; the result is A = max(A, A^T).
+    broken toward the lowest index; the result is A = max(A, A^T).  For
+    finite distances that is the first k rows of a stable argsort of each
+    column of pairwise_sq_dists(x), found without sorting: a column keeps
+    every distance below its k-th smallest, and fills its free slots with
+    the entries equal to it, lowest index first.  Past the O(d n^2) distances
+    the cost is an O(n^2) partition plus a few passes over n x n masks;
+    the running count that ranks ties runs only over the columns with
+    more ties than free slots.
     """
     x = np.asarray(x, dtype=np.float64)
     d, n = x.shape
@@ -35,10 +42,16 @@ def knn_graph(x: np.ndarray, k: int) -> PriorGraph:
         raise ConfigError(f"neighbor count k={k} must satisfy 1 <= k < n (n={n})")
     dist = pairwise_sq_dists(x)
     np.fill_diagonal(dist, np.inf)  # self excluded
-    neighbors = np.argsort(dist, axis=0, kind="stable")[:k]  # by distance, ties by index
-    adjacency = np.zeros((n, n), dtype=np.float64)
-    adjacency[neighbors, np.arange(n)] = 1.0
-    return PriorGraph(adjacency=np.maximum(adjacency, adjacency.T))
+    kth = np.partition(dist, k - 1, axis=0)[k - 1]
+    chosen = dist < kth
+    tied = dist == kth
+    free = k - np.count_nonzero(chosen, axis=0)  # >= 1: kth itself is not below kth
+    over = np.flatnonzero(np.count_nonzero(tied, axis=0) > free)
+    chosen |= tied
+    if over.size:  # keep only the first free[j] ties of column j
+        ties = tied[:, over]
+        chosen[:, over] &= ~ties | (np.cumsum(ties, axis=0) <= free[over])
+    return PriorGraph(adjacency=(chosen | chosen.T).astype(np.float64))
 
 
 def normalize_adjacency(a: np.ndarray, mode: str) -> np.ndarray:

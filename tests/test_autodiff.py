@@ -107,6 +107,29 @@ class TestRelu:
         summed = ad.matmul(ad.relu(x), ad.scale(tape.var(np.ones((3, 1))), 1.0))
         np.testing.assert_array_equal(grads_of(tape, summed, x)[0], [[0.0, 0.0, 1.0]])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_match_where(self, rng, dtype):
+        # each special value at every offset of every width from 1 to 40 and of
+        # a few large ones, read C-contiguous, strided and transposed; the SIMD
+        # lanes of the fast path treat offsets and widths differently
+        tiny = np.finfo(dtype).smallest_subnormal
+        specials = np.array([-0.0, np.nan, np.inf, -np.inf, tiny, -tiny], dtype=dtype)
+        for width in [*range(1, 41), 63, 64, 65, 257, 1000]:
+            base = rng.normal(size=width).astype(dtype)
+            for value in specials:
+                for offset in range(width):
+                    row = base.copy()
+                    row[offset] = value
+                    spread = np.zeros((1, 2 * width), dtype=dtype)
+                    spread[0, ::2] = row
+                    columns = np.zeros((width, 3), dtype=dtype)
+                    columns[:, 1] = row
+                    for x in (row[None, :], spread[:, ::2], columns.T):
+                        out = ad.relu(ad.Tape().var(x)).value
+                        want = np.where(x > 0, x, 0.0)
+                        assert out.dtype == want.dtype == dtype
+                        assert out.tobytes() == want.tobytes(), (width, value, offset)
+
     def test_finite_difference_away_from_kink(self, rng):
         x = rng.normal(size=(3, 4))
         x[np.abs(x) < 0.05] += 0.2
@@ -209,14 +232,21 @@ class TestElementwise:
 
 def _spy_rules(tape):
     """Wrap every backward rule recorded so far on `tape`, so that each call logs
-    (parent index, the contribution it returned) in the list this returns."""
+    (parent index, the contribution the rule makes, the `out` it was given) in
+    the list this returns.  A rule given an `out` is also run without one: what
+    it writes must be `out` itself and equal that fresh contribution bit for
+    bit, and the log holds the fresh one, so its dtype is the rule's own."""
     log = []
 
     def spy(parent, vjp):
-        def rule(g):
-            contrib = vjp(g)
-            log.append((parent, contrib))
-            return contrib
+        def rule(g, out):
+            contrib = vjp(g, None)
+            log.append((parent, contrib, out))
+            if out is None:
+                return contrib
+            written = vjp(g, out)
+            assert written is out and written.tobytes() == contrib.tobytes()
+            return written
         return rule
 
     tape._parents = [tuple((p, spy(p, vjp)) for p, vjp in rules) for rules in tape._parents]
@@ -238,7 +268,7 @@ class TestBackwardContract:
         av, cv, prior_v = tape.var(a), tape.var(c), tape.var(prior)
         calls = []
 
-        def vjp(g):
+        def vjp(g, out):
             calls.append(g)
             return g
 
@@ -248,7 +278,7 @@ class TestBackwardContract:
         log = _spy_rules(tape)
         (ga,) = grads_of(tape, loss, av)
         assert calls == []
-        served = [parent for parent, _ in log]
+        served = [parent for parent, _, _ in log]
         assert cv.index not in served and spied.index not in served
         assert prior_v.index not in served
         assert served.count(av.index) == 3  # matmul and graph_penalty's two a-terms
@@ -296,9 +326,9 @@ class TestBackwardContract:
     @staticmethod
     def _spy_add(a, b, seen):
         """add(a, b) whose VJP also records each g it hands on, with a copy."""
-        def vjp(g):
+        def vjp(g, out):
             seen.append((g, g.copy()))
-            return g
+            return ad._pass_on(g, out)
         return a.tape._record(a.value + b.value, ((a, vjp), (b, vjp)))
 
     def test_add_of_a_var_with_itself(self, rng):
@@ -390,6 +420,58 @@ class TestBackwardContract:
         assert np.array_equal(buf, np.zeros((2, 3)))
         np.testing.assert_allclose(gx, 2 * x.value, atol=1e-14)
 
+    def test_first_contribution_is_written_into_the_leafs_own_array(self, rng):
+        # each listed leaf's first rule gets the leaf's array as `out` and hands
+        # it back; its later rules get None
+        tape = ad.Tape()
+        av, bv, cv = (tape.var(rng.normal(size=shape)) for shape in ((6, 6), (6, 2), (6, 6)))
+        loss = ad.add(ad.frob_sq(ad.matmul(av, bv)), ad.graph_penalty(av, cv, 0.3, 0.7))
+        log = _spy_rules(tape)  # which also holds that a rule given `out` returns it
+        into = {leaf: np.empty(leaf.shape) for leaf in (av, bv, cv)}
+        tape.backward(loss, into=into)
+        for leaf, arr in into.items():
+            outs = [out for parent, _, out in log if parent == leaf.index]
+            assert outs[0] is arr and all(out is None for out in outs[1:])
+        assert sum(parent == av.index for parent, _, _ in log) == 3
+        a, b, c = av.value, bv.value, cv.value
+        np.testing.assert_allclose(into[av], 2.0 * (a @ b) @ b.T + 0.6 * a + 1.4 * (a - c),
+                                   rtol=1e-12)
+
+    def test_sweep_into_a_leaf_makes_no_temporary_of_its_size(self, rng):
+        # frob_sq(a b) with a 300 x 300 and b 300 x 2: a's one contribution,
+        # g b^T, is computed straight into a's array
+        tape = ad.Tape()
+        av, bv = tape.var(rng.normal(size=(300, 300))), tape.var(rng.normal(size=(300, 2)))
+        loss = ad.frob_sq(ad.matmul(av, bv))
+        into = {av: np.empty((300, 300)), bv: np.empty((300, 2))}
+        tracemalloc.start()
+        try:
+            tape.backward(loss, into=into)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < into[av].nbytes // 4
+        np.testing.assert_allclose(into[av], 2.0 * (av.value @ bv.value) @ bv.value.T,
+                                   rtol=1e-12)
+
+    def test_no_contribution_to_an_unlisted_node_aliases_an_into_array(self, rng):
+        # interior nodes and unlisted leaves get `out` None, and what their
+        # rules return shares no memory with any array being swept into
+        a, b, c = (rng.normal(size=(3, 3)) for _ in range(3))
+        for listed in ((0, 1, 2), (0,), (0, 2), (1,)):
+            tape = ad.Tape()
+            leaves, loss = self._into_graph(tape, a, b, c)
+            into = {leaves[i]: np.empty((3, 3)) for i in listed}
+            log = _spy_rules(tape)
+            tape.backward(loss, into=into)
+            indexes = {leaf.index for leaf in into}
+            assert any(parent not in indexes for parent, _, _ in log)
+            for parent, contrib, out in log:
+                if parent in indexes:
+                    continue
+                assert out is None
+                assert not any(np.shares_memory(contrib, arr) for arr in into.values())
+
     @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.zeros((3, 2), dtype=np.float32)])
     def test_into_array_of_wrong_shape_or_dtype_raises(self, bad):
         tape = ad.Tape()
@@ -426,7 +508,8 @@ class TestBackwardContract:
         # so a VJP that scaled by g[0, 0] itself would widen the gradients; the
         # 1x1 loss stays float64, so loss terms add up in float64.  A float32
         # array in `into` would narrow a widened contribution silently, so every
-        # contribution to a 4 x 4 node is checked as the VJP returned it.
+        # contribution to a 4 x 4 node is checked as the VJP makes it without
+        # `out`, and _spy_rules holds what it writes into `out` to those bits.
         a, b = (rng.normal(size=(4, 4)).astype(np.float32) for _ in range(2))
         tape = ad.Tape()
         av, bv = tape.var(a), tape.var(b)
@@ -435,7 +518,7 @@ class TestBackwardContract:
         ga, gb = grads_of(tape, loss, av, bv)
         assert loss.value.dtype == np.float64
         assert ga.dtype == gb.dtype == np.float32
-        square = [contrib.dtype for _, contrib in log if contrib.shape == (4, 4)]
+        square = [contrib.dtype for _, contrib, _ in log if contrib.shape == (4, 4)]
         assert square and all(dtype == np.float32 for dtype in square)
 
 

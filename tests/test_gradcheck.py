@@ -1,5 +1,7 @@
 import inspect
 
+import numpy as np
+
 import allg.autodiff as ad
 import allg.gradcheck as gc
 
@@ -17,8 +19,8 @@ def test_corrupted_matmul_backward_is_caught(monkeypatch):
     # harness sanity: a deliberately mis-scaled backward rule must fail
     def bad_matmul(x, y):
         xv, yv = x.value, y.value
-        return x.tape._record(xv @ yv, ((x, lambda g: 1.01 * (g @ yv.T)),
-                                        (y, lambda g: 0.99 * (xv.T @ g))))
+        return x.tape._record(xv @ yv, ((x, lambda g, o: np.multiply(g @ yv.T, 1.01, out=o)),
+                                        (y, lambda g, o: np.multiply(xv.T @ g, 0.99, out=o))))
 
     monkeypatch.setattr(ad, "matmul", bad_matmul)
     reports = gc.run_all()

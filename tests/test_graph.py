@@ -3,6 +3,7 @@ import pytest
 
 import allg
 from allg.errors import ConfigError
+from allg.graph import pairwise_sq_dists
 from oracles import brute_force_knn_adjacency
 
 
@@ -48,6 +49,32 @@ class TestKnnGraph:
         expect[0, 2] = expect[2, 0] = 1.0  # each point's nearest is its twin
         expect[1, 3] = expect[3, 1] = 1.0
         np.testing.assert_array_equal(g.adjacency, expect)
+
+    def test_ties_match_stable_argsort(self, rng):
+        # pools with many equal distances: integer grids, duplicated columns and
+        # a constant pool, at every k; the oracle keeps the first k rows of a
+        # stable argsort of each column, so ties go to the lowest index
+        pools = [rng.integers(0, 3, size=(2, 12)).astype(float),
+                 rng.integers(-2, 3, size=(3, 17)).astype(float),
+                 np.array([[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]),
+                 np.tile(rng.normal(size=(3, 4)), (1, 3)),
+                 rng.integers(0, 2, size=(2, 5)).astype(float)[:, rng.integers(0, 5, size=15)],
+                 np.full((2, 9), 1.5)]
+        overflowed = 0
+        for x in pools:
+            n = x.shape[1]
+            dist = pairwise_sq_dists(x)
+            np.fill_diagonal(dist, np.inf)
+            order = np.argsort(dist, axis=0, kind="stable")
+            for k in range(1, n):
+                want = np.zeros((n, n))
+                want[order[:k], np.arange(n)] = 1.0
+                got = allg.knn_graph(x, k).adjacency
+                np.testing.assert_array_equal(got, np.maximum(want, want.T), err_msg=f"k={k}")
+                kth = np.sort(dist, axis=0)[k - 1]
+                free = k - (dist < kth).sum(axis=0)
+                overflowed += int(((dist == kth).sum(axis=0) > free).any())
+        assert overflowed > 0  # some column had more ties than free slots
 
     def test_k_out_of_range(self, rng):
         x = rng.normal(size=(2, 5))
