@@ -195,35 +195,65 @@ def adam_reference(x0, grad_fn, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
     return trace
 
 
-def svm_weights_reference(xa, y_train, classes, C, max_sweeps, tol):
-    """The one-vs-rest dual coordinate ascent as first written, on numpy scalars.
+def svm_weights_reference(xa, y_train, classes, C, max_iter):
+    """The one-vs-rest primal finite Newton method with its exact line search
+    walked one breakpoint at a time.
 
-    Pins the bits of `allg.evaluate._svm_weights`: same arguments, same
-    weight matrix, element for element.
+    Pins the bits of `allg.evaluate._svm_weights`: same arguments, same weight
+    matrix, element for element.  Linear algebra (the margins, the Newton system
+    and the line search's opening dot products) uses the same numpy calls, so
+    their rounding matches; the active sets, the breakpoint order and the walk to
+    the slope's root are plain loops over the samples.
     """
-    m = xa.shape[1]
-    qii = np.sum(xa * xa, axis=0)  # >= 1 thanks to the bias feature
-    weights = np.zeros((classes.size, xa.shape[0]))
+    dim, m = xa.shape
+    weights = np.zeros((classes.size, dim))
     for ci, c in enumerate(classes):
         sign = np.where(y_train == c, 1.0, -1.0)
-        alpha = np.zeros(m)
-        w = np.zeros(xa.shape[0])
-        for _ in range(max_sweeps):
-            worst = 0.0
-            for i in range(m):
-                g = sign[i] * (w @ xa[:, i]) - 1.0
-                pg = g
-                if alpha[i] <= 0.0:
-                    pg = min(g, 0.0)
-                elif alpha[i] >= C:
-                    pg = max(g, 0.0)
-                if pg != 0.0:
-                    worst = max(worst, abs(pg))
-                    new = min(max(alpha[i] - g / qii[i], 0.0), C)
-                    if new != alpha[i]:
-                        w += (new - alpha[i]) * sign[i] * xa[:, i]
-                        alpha[i] = new
-            if worst < tol:
+        yx = xa * sign
+        w, margins = np.zeros(dim), np.zeros(m)
+        for _ in range(max_iter):
+            active = [i for i in range(m) if margins[i] < 1.0]
+            xs = xa[:, active]
+            w_bar = np.linalg.solve(np.eye(dim) + 2.0 * C * (xs @ xs.T),
+                                    2.0 * C * (xs @ sign[active]))
+            margins_bar = w_bar @ yx
+            if [i for i in range(m) if margins_bar[i] < 1.0] == active:
+                w = w_bar
                 break
+            step = w_bar - w
+            slack, dm = 1.0 - margins, margins_bar - margins
+            # The slope along w + t * step is a + b t over the samples with positive
+            # slack; walk the breakpoints where a slack changes sign, in t order.
+            on = [i for i in range(m) if slack[i] > 0.0 or (slack[i] == 0.0 and dm[i] < 0.0)]
+            a = w @ step - 2.0 * C * (dm[on] @ slack[on])
+            b = step @ step + 2.0 * C * (dm[on] @ dm[on])
+            for i in sorted((i for i in range(m) if slack[i] * dm[i] > 0.0),
+                            key=lambda i: (slack[i] / dm[i], i)):
+                if a + b * (slack[i] / dm[i]) >= 0.0:
+                    break
+                enter = 2.0 * C if dm[i] < 0.0 else -2.0 * C
+                a += -enter * dm[i] * slack[i]
+                b += enter * dm[i] * dm[i]
+            w = w + (-a / b) * step
+            margins = w @ yx
         weights[ci] = w
     return weights
+
+
+def squared_hinge(w, xa, sign, C):
+    """(1/2)||w||^2 + C * sum max(0, 1 - sign_i w.x_i)^2 and its gradient, plus the
+    norm of each of the gradient's two terms (the scale of its rounding error)."""
+    slack = np.maximum(0.0, 1.0 - sign * (w @ xa))
+    loss_grad = -2.0 * C * (xa @ (sign * slack))
+    terms = (float(np.linalg.norm(w)), float(np.linalg.norm(loss_grad)))
+    return 0.5 * (w @ w) + C * (slack @ slack), w + loss_grad, terms
+
+
+def squared_hinge_minimum(xa, sign, C):
+    """The squared-hinge objective's minimum as scipy's L-BFGS-B finds it from w = 0."""
+    from scipy.optimize import minimize
+
+    res = minimize(lambda w: squared_hinge(w, xa, sign, C)[:2], np.zeros(xa.shape[0]),
+                   jac=True, method="L-BFGS-B",
+                   options={"maxiter": 10000, "ftol": 1e-15, "gtol": 1e-12})
+    return float(res.fun)

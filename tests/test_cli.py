@@ -183,6 +183,16 @@ class TestEvaluate:
                 acc = float(row.split(",")[-1])
                 assert 0.0 <= acc <= 1.0
 
+    def test_nonfinite_svm_exits_4(self, tmp_path, blobs_csv, capsys):
+        # At this C the SVM's Newton matrix is singular in float64; argmax would
+        # turn NaN weights into class 0 without a word.
+        out = tmp_path / "eval"
+        cfg = _write_config(tmp_path, {"protocol": {"svm_c": 1e300, "budgets": [4, 8]}})
+        assert main(["evaluate", "--config", cfg, "--dataset", blobs_csv,
+                     "--label-column", "label", "--out", str(out)]) == 4
+        assert "linear SVM fit at svm_c 1e+300 is not finite" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
 
 class TestGrid:
     def test_single_point_grid(self, tmp_path, blobs_csv):

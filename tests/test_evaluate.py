@@ -6,9 +6,10 @@ import pytest
 import allg
 from allg.cli import main
 from allg.errors import ConfigError, DataError
-from allg.evaluate import EvalCell, Protocol, _augment, _svm_weights, run_protocol, summarize
+from allg.evaluate import (EvalCell, Protocol, _augment, _line_search, _svm_weights, run_protocol,
+                           summarize)
 
-from oracles import svm_weights_reference
+from oracles import squared_hinge, squared_hinge_minimum, svm_weights_reference
 from pools import make_blobs, save_csv
 
 
@@ -85,7 +86,7 @@ class TestLinearSvm:
             w = np.array([w1, w2])
             sign = np.where(y == 1, 1.0, -1.0)
             margins = sign * (w @ x + b)
-            return 0.5 * (w @ w) + C * np.maximum(0.0, 1.0 - margins).sum()
+            return 0.5 * (w @ w) + C * (np.maximum(0.0, 1.0 - margins) ** 2).sum()
 
         grid = np.arange(-2.0, 2.01, 0.25)
         best, best_obj = None, np.inf
@@ -103,9 +104,9 @@ class TestLinearSvm:
 
 def _svm_problem(seed):
     """Seeded one-vs-rest problem: 2-5 classes, every 7th with a one-sample class,
-    every 5th with duplicated columns; C and the sweep cap cycle through
-    (1e-3, 1, 100) and (1, 5, 300), so alphas reach both box bounds and both the
-    tol break and the cap end a fit."""
+    every 5th with duplicated columns; C and the iteration cap cycle through
+    (1e-3, 1, 100) and (1, 5, 300), so both the finite-termination stop and the
+    cap end fits."""
     rng = np.random.default_rng(seed)
     n_classes = 2 + seed % 4
     d, m = int(rng.integers(1, 9)), int(rng.integers(n_classes + 2, 41))
@@ -126,16 +127,65 @@ class TestSvmWeightsBitwise:
     def test_matches_numpy_scalar_loop(self, seed):
         xa, y, classes, C, cap = _svm_problem(seed)
         ours = _svm_weights(xa, y, classes, C, cap)
-        assert np.array_equal(ours, svm_weights_reference(xa, y, classes, C, cap, 1e-8))
+        assert np.array_equal(ours, svm_weights_reference(xa, y, classes, C, cap))
 
     def test_problem_set_ends_fits_both_ways(self):
-        # A fit that its cap ended moves on with one sweep more; one that tol ended does not.
+        # A fit that its cap ended moves on with one iteration more; a converged one does not.
         stops = set()
         for seed in range(60):
             xa, y, classes, C, cap = _svm_problem(seed)
-            stops.add(np.array_equal(svm_weights_reference(xa, y, classes, C, cap, 1e-8),
-                                     svm_weights_reference(xa, y, classes, C, cap + 1, 1e-8)))
+            stops.add(np.array_equal(svm_weights_reference(xa, y, classes, C, cap),
+                                     svm_weights_reference(xa, y, classes, C, cap + 1)))
         assert stops == {True, False}
+
+
+class TestSvmWeightsOptimal:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_converged_fits_optimal_capped_fits_descend(self, seed):
+        # A class whose weights one iteration more leaves alone has converged: its
+        # gradient vanishes to rounding and scipy finds no lower objective.  One
+        # iteration more lowers the objective of a class that its cap ended.
+        xa, y, classes, C, cap = _svm_problem(seed)
+        ours = _svm_weights(xa, y, classes, C, cap)
+        more = _svm_weights(xa, y, classes, C, cap + 1)
+        for w, w_more, c in zip(ours, more, classes):
+            sign = np.where(y == c, 1.0, -1.0)
+            objective, grad, terms = squared_hinge(w, xa, sign, C)
+            if np.array_equal(w, w_more):
+                assert np.linalg.norm(grad) <= 1e-9 * max(terms)
+                minimum = squared_hinge_minimum(xa, sign, C)
+                assert objective <= minimum * (1.0 + 1e-12)
+            else:
+                assert squared_hinge(w_more, xa, sign, C)[0] < objective
+
+    def test_line_search_is_exact(self):
+        # Along a descent direction the returned step length zeroes the objective's slope.
+        for seed in range(60):
+            xa, y, classes, C, _ = _svm_problem(seed)
+            sign = np.where(y == classes[0], 1.0, -1.0)
+            w, step = np.random.default_rng(seed).normal(size=(2, xa.shape[0]))
+            step *= -np.sign(squared_hinge(w, xa, sign, C)[1] @ step)
+            t = _line_search(w, step, sign * (w @ xa), sign * (step @ xa), C)
+            _, grad, terms = squared_hinge(w + t * step, xa, sign, C)
+            assert t > 0.0
+            assert abs(grad @ step) <= 1e-9 * max(terms) * np.linalg.norm(step)
+
+    def test_cap_does_not_shape_benchmark_sized_fits(self):
+        # The evaluate-baselines shape (d = 20, 3 overlapping classes, m = 25-225):
+        # every fit converges within 40 iterations, so a 1000 cap changes nothing.
+        ds = make_blobs(100, 3, d=20, spread=6.0, seed=0)
+        std, _, _ = allg.standardize(ds)
+        x, y = std.features, ds.labels
+        order = np.random.default_rng(0).permutation(300)
+        test = order[225:]
+        for m in range(25, 226, 25):
+            train = order[:m]
+            xa, classes = _augment(x[:, train]), np.unique(y[train])
+            assert np.array_equal(_svm_weights(xa, y[train], classes, 100.0, 40),
+                                  _svm_weights(xa, y[train], classes, 100.0, 1000))
+            accs = {allg.train_linear_svm(x[:, train], y[train], x[:, test], y[test],
+                                          max_sweeps=cap) for cap in (40, 1000)}
+            assert len(accs) == 1
 
 
 class TestProtocolConfig:
