@@ -23,6 +23,8 @@ from .training import run_selection
 CLASSIFIERS = ("linear_svm", "logistic_regression")
 KMEANS_K = 5  # a kmeans selector's cluster count when its params give no "K"
 _LOGREG_TOL = 1e-6
+_ARMIJO = 1e-4  # sufficient decrease of the logistic-regression line search
+_MAX_HALVINGS = 60  # a step of 2**-60 no longer moves float64 weights
 
 
 # ---------------------------------------------------------------------------
@@ -33,38 +35,107 @@ def _augment(x: np.ndarray) -> np.ndarray:
     return np.vstack([x, np.ones((1, x.shape[1]))])
 
 
-def _softmax_cols(scores: np.ndarray) -> np.ndarray:
-    z = scores - scores.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=0, keepdims=True)
+def _logreg_loss(w, xa, onehot, reg: float):
+    """Objective of `train_logreg` at w by log-sum-exp, and the class probabilities."""
+    scores = w @ xa
+    top = scores.max(axis=0)
+    lse = top + np.log(np.exp(scores - top).sum(axis=0))
+    loss = (lse.sum() - np.vdot(onehot, scores)) / xa.shape[1] + 0.5 * reg * np.vdot(w, w)
+    return loss, np.exp(scores - lse)
+
+
+def _newton_cg(p, xa, g, reg: float, tol: float) -> np.ndarray:
+    """Conjugate gradients from 0 on H d = -g, to a residual of at most `tol`.
+
+    H is the Hessian at the probabilities p, applied without forming it: with
+    Z = V X, H V = (P * (Z - sum_a P_a Z_a)) X^T / m + reg V.  Every iterate lies
+    in the Krylov space of g, so at reg 0 the directions H cannot see (adding one
+    vector to every class's weights, or a vector orthogonal to the data) are never
+    entered.  Stops at a direction without positive curvature, a safeguard only,
+    since in exact arithmetic every direction lies in H's range; it returns -g
+    if that is the first direction.
+    """
+    m = xa.shape[1]
+    d = np.zeros_like(g)
+    r = -g
+    q = r
+    rr = np.vdot(r, r)
+    for _ in range(g.size):
+        z = q @ xa
+        hq = (p * (z - (p * z).sum(axis=0))) @ xa.T / m + reg * q
+        curv = np.vdot(q, hq)
+        if not curv > 0.0:
+            break
+        step = rr / curv
+        d = d + step * q
+        r = r - step * hq
+        rr_next = np.vdot(r, r)
+        if np.sqrt(rr_next) <= tol:
+            break
+        q = r + (rr_next / rr) * q
+        rr = rr_next
+    return d if d.any() else -g
+
+
+def _logreg_weights(xa, y_train, classes, reg: float, max_iter: int) -> np.ndarray:
+    """One weight row per class: truncated Newton on the objective of `train_logreg`.
+
+    Each iteration stops the fit if ||g|| < _LOGREG_TOL, solves H d = -g by
+    `_newton_cg` to a residual of min(0.5, sqrt(||g||)) * ||g|| (Lin, Weng and
+    Keerthi 2008), then halves a unit step along d until the objective falls by
+    at least _ARMIJO times the step's first-order decrease.  At most `max_iter`
+    iterations run; a fit also stops when no halving lowers the objective, where
+    rounding has the last word.  Raises FloatingPointError on a gradient that is
+    not finite.
+    """
+    m = xa.shape[1]
+    onehot = (y_train[None, :] == classes[:, None]).astype(np.float64)
+    w = np.zeros((classes.size, xa.shape[0]))
+    loss, p = _logreg_loss(w, xa, onehot, reg)
+    for _ in range(max_iter):
+        g = (p - onehot) @ xa.T / m + reg * w
+        gnorm = np.linalg.norm(g)
+        if not np.isfinite(gnorm):
+            raise FloatingPointError("logistic-regression gradient is not finite")
+        if gnorm < _LOGREG_TOL:
+            break
+        d = _newton_cg(p, xa, g, reg, min(0.5, np.sqrt(gnorm)) * gnorm)
+        slope = np.vdot(g, d)
+        for halvings in range(_MAX_HALVINGS):
+            t = 0.5 ** halvings
+            w_next = w + t * d
+            loss_next, p_next = _logreg_loss(w_next, xa, onehot, reg)
+            if loss_next <= loss + _ARMIJO * t * slope:
+                break
+        else:
+            break
+        w, loss, p = w_next, loss_next, p_next
+    return w
 
 
 def train_logreg(x_train, y_train, x_test, y_test, reg: float = 1e-4,
                  max_iter: int = 5000) -> float:
-    """Multinomial softmax regression by full-batch gradient descent.
+    """Multinomial softmax regression by truncated Newton (Newton-CG).
 
-    Runs until the gradient norm drops below _LOGREG_TOL or `max_iter` sweeps,
-    with a fixed 1/L step from the spectral norm of the design matrix.
-    Returns test accuracy.
+    Minimizes the mean softmax cross-entropy over the training samples plus
+    (reg/2)||W||^2, where W holds one weight row per class and the bias rides
+    along as an appended constant feature, so it is penalized too.  A fit stops
+    when the gradient norm drops below _LOGREG_TOL or after `max_iter` Newton
+    iterations (see `_logreg_weights`).  Raises NumericalError where the fit
+    is not finite.  Returns test accuracy.
     """
     x_train = np.asarray(x_train, dtype=np.float64)
     y_train = np.asarray(y_train)
     classes = np.unique(y_train)
     if classes.size == 1:
         return float(np.mean(np.asarray(y_test) == classes[0]))
-    xa = _augment(x_train)
-    m = xa.shape[1]
-    onehot = (y_train[None, :] == classes[:, None]).astype(np.float64)
-    lips = 0.5 * np.linalg.norm(xa, 2) ** 2 / m + reg
-    step = 1.0 / lips
-    w = np.zeros((classes.size, xa.shape[0]))
-    for _ in range(max_iter):
-        p = _softmax_cols(w @ xa)
-        grad = (p - onehot) @ xa.T / m + reg * w
-        if np.linalg.norm(grad) < _LOGREG_TOL:
-            break
-        w -= step * grad
-    pred = classes[np.argmax(w @ _augment(np.asarray(x_test, dtype=np.float64)), axis=0)]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            weights = _logreg_weights(_augment(x_train), y_train, classes, float(reg), max_iter)
+    except FloatingPointError as exc:
+        raise NumericalError(f"logistic-regression fit at logreg_reg {reg!r} is not finite: "
+                             f"{exc}") from exc
+    pred = classes[np.argmax(weights @ _augment(np.asarray(x_test, dtype=np.float64)), axis=0)]
     return float(np.mean(pred == np.asarray(y_test)))
 
 
@@ -161,8 +232,9 @@ def train_linear_svm(x_train, y_train, x_test, y_test, C: float = 100.0,
 class Protocol:
     """Evaluation protocol: budgets, repeated runs, classifiers.
 
-    `svm_c` is the SVM's C; `svm_sweeps` caps its Newton iterations per binary
-    problem and `logreg_max_iter` the logistic regression's gradient steps.
+    `svm_c` is the SVM's C and `logreg_reg` the logistic regression's L2
+    weight; `svm_sweeps` caps the SVM's Newton iterations per binary problem
+    and `logreg_max_iter` the logistic regression's Newton iterations per fit.
     """
 
     budgets: rule(tuple[AT_LEAST_1, ...], "(non-empty, strictly ascending)",

@@ -257,3 +257,29 @@ def squared_hinge_minimum(xa, sign, C):
                    jac=True, method="L-BFGS-B",
                    options={"maxiter": 10000, "ftol": 1e-15, "gtol": 1e-12})
     return float(res.fun)
+
+
+def softmax_cross_entropy(w, xa, onehot, reg):
+    """Mean softmax cross-entropy of the columns of xa plus (reg/2)||w||^2, and its
+    gradient; w holds one row per class and onehot one column per sample."""
+    scores = w @ xa
+    scores = scores - scores.max(axis=0, keepdims=True)
+    logp = scores - np.log(np.exp(scores).sum(axis=0, keepdims=True))
+    m = xa.shape[1]
+    objective = -(onehot * logp).sum() / m + 0.5 * reg * (w * w).sum()
+    return objective, (np.exp(logp) - onehot) @ xa.T / m + reg * w
+
+
+def softmax_cross_entropy_minimum(xa, onehot, reg):
+    """The objective's minimum as scipy's L-BFGS-B finds it from w = 0."""
+    from scipy.optimize import minimize
+
+    shape = (onehot.shape[0], xa.shape[0])
+
+    def fun(wflat):
+        objective, grad = softmax_cross_entropy(wflat.reshape(shape), xa, onehot, reg)
+        return objective, grad.ravel()
+
+    res = minimize(fun, np.zeros(shape[0] * shape[1]), jac=True, method="L-BFGS-B",
+                   options={"maxiter": 10000, "ftol": 1e-15, "gtol": 1e-12})
+    return float(res.fun)

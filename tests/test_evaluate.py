@@ -5,11 +5,13 @@ import pytest
 
 import allg
 from allg.cli import main
-from allg.errors import ConfigError, DataError
-from allg.evaluate import (EvalCell, Protocol, _augment, _line_search, _svm_weights, run_protocol,
-                           summarize)
+from allg import evaluate
+from allg.errors import ConfigError, DataError, NumericalError
+from allg.evaluate import (EvalCell, Protocol, _augment, _line_search, _logreg_weights,
+                           _svm_weights, run_protocol, summarize)
 
-from oracles import squared_hinge, squared_hinge_minimum, svm_weights_reference
+from oracles import (softmax_cross_entropy, softmax_cross_entropy_minimum, squared_hinge,
+                     squared_hinge_minimum, svm_weights_reference)
 from pools import make_blobs, save_csv
 
 
@@ -61,6 +63,22 @@ class TestLogreg:
         oracle_acc = float(np.mean(classes[np.argmax(w @ xt, axis=0)] == y_test))
         ours = allg.train_logreg(x, y, x_test, y_test, reg=reg)
         assert ours == pytest.approx(oracle_acc)
+
+    def test_separable_pool_at_reg_0(self):
+        # Without the penalty the Hessian is singular along the softmax shift (one
+        # vector added to every class's weights); the fit never leaves g's subspace,
+        # so the class weights keep summing to zero.
+        x, y = _separable_blobs()
+        assert allg.train_logreg(x, y, x, y, reg=0.0) == 1.0
+        w = _logreg_weights(_augment(x), y, np.unique(y), 0.0, 5000)
+        assert np.abs(w.sum(axis=0)).max() <= 1e-9 * np.abs(w).max()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_design_matrix_raises(self, bad):
+        x, y = _separable_blobs()
+        x[0, 3] = bad
+        with pytest.raises(NumericalError, match="logistic-regression fit .* is not finite"):
+            allg.train_logreg(x, y, x, y)
 
 
 class TestLinearSvm:
@@ -185,6 +203,59 @@ class TestSvmWeightsOptimal:
                                   _svm_weights(xa, y[train], classes, 100.0, 1000))
             accs = {allg.train_linear_svm(x[:, train], y[train], x[:, test], y[test],
                                           max_sweeps=cap) for cap in (40, 1000)}
+            assert len(accs) == 1
+
+
+def _logreg_problem(seed):
+    """`_svm_problem`'s data with reg cycling through (1e-4, 1e-2, 1)."""
+    xa, y, classes, _, _ = _svm_problem(seed)
+    return xa, y, classes, (1e-4, 1e-2, 1.0)[seed % 3]
+
+
+class TestLogregOptimal:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_gradient_vanishes_and_scipy_finds_no_lower_objective(self, seed, monkeypatch):
+        # A fit stops at ||g|| < 1e-6, where strong convexity (modulus >= reg) bounds its
+        # objective's excess over the minimum by ||g||^2 / (2 reg).  Run on with the
+        # tolerance at 0, to where rounding ends it, it reaches scipy's minimum.
+        xa, y, classes, reg = _logreg_problem(seed)
+        onehot = (y[None, :] == classes[:, None]).astype(np.float64)
+        objective, grad = softmax_cross_entropy(_logreg_weights(xa, y, classes, reg, 5000),
+                                                xa, onehot, reg)
+        gnorm = np.linalg.norm(grad)
+        assert gnorm < 1e-6
+        minimum = softmax_cross_entropy_minimum(xa, onehot, reg)
+        assert objective <= minimum * (1.0 + 1e-12) + gnorm ** 2 / (2.0 * reg)
+        monkeypatch.setattr(evaluate, "_LOGREG_TOL", 0.0)
+        w = _logreg_weights(xa, y, classes, reg, 30)
+        assert softmax_cross_entropy(w, xa, onehot, reg)[0] <= minimum * (1.0 + 1e-12)
+
+    def test_every_iteration_lowers_the_objective(self):
+        # The backtracking step keeps the objective falling.  With the features scaled
+        # by 10, a full Newton step would raise it on _logreg_problem(9) at iteration 7.
+        for seed in range(60):
+            xa, y, classes, reg = _logreg_problem(seed)
+            xa = np.vstack([10.0 * xa[:-1], xa[-1:]])
+            onehot = (y[None, :] == classes[:, None]).astype(np.float64)
+            objectives = [softmax_cross_entropy(_logreg_weights(xa, y, classes, reg, cap),
+                                                xa, onehot, reg)[0] for cap in range(1, 25)]
+            assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+
+    def test_cap_does_not_shape_benchmark_sized_fits(self):
+        # The evaluate-baselines shape (d = 20, 3 overlapping classes, m = 25-225):
+        # every fit converges within 10 Newton iterations, so caps of 50 and 300 agree.
+        ds = make_blobs(100, 3, d=20, spread=6.0, seed=0)
+        std, _, _ = allg.standardize(ds)
+        x, y = std.features, ds.labels
+        order = np.random.default_rng(0).permutation(300)
+        test = order[225:]
+        for m in range(25, 226, 25):
+            train = order[:m]
+            xa, classes = _augment(x[:, train]), np.unique(y[train])
+            assert np.array_equal(_logreg_weights(xa, y[train], classes, 1e-4, 50),
+                                  _logreg_weights(xa, y[train], classes, 1e-4, 300))
+            accs = {allg.train_logreg(x[:, train], y[train], x[:, test], y[test],
+                                      max_iter=cap) for cap in (50, 300)}
             assert len(accs) == 1
 
 
