@@ -70,17 +70,9 @@ def select_kmeans(x: np.ndarray, k: int, seed: int) -> list:
     x = np.asarray(x, dtype=np.float64)
     centroids, assign = kmeans_fit(x, k, seed)
     dist = np.sqrt(np.sum((x - centroids[:, assign]) ** 2, axis=0))
-    queues = []
-    for c in range(k):
-        members = np.where(assign == c)[0]
-        order = np.lexsort((members, dist[members]))
-        queues.append(list(members[order]))
-    ranking = []
-    while any(queues):
-        for c in range(k):
-            if queues[c]:
-                ranking.append(int(queues[c].pop(0)))
-    return ranking
+    order = np.lexsort((dist, assign))  # by cluster, then distance, then index
+    turn = np.arange(order.size) - np.searchsorted(assign[order], assign[order])
+    return [int(i) for i in order[np.lexsort((assign[order], turn))]]
 
 
 def select_dcs(x: np.ndarray, rank: int) -> list:

@@ -35,6 +35,29 @@ def _augment(x: np.ndarray) -> np.ndarray:
     return np.vstack([x, np.ones((1, x.shape[1]))])
 
 
+def _accuracy(weights_of, fit: str, x_train, y_train, x_test, y_test) -> float:
+    """Test accuracy of the classifier whose weight rows, one per class of y_train, are
+    weights_of(x_train plus a row of ones, y_train, classes); one class predicts itself.
+
+    Raises NumericalError, prefixed by `fit`, where the features hold inf or NaN
+    or where the fit overflows, turns invalid or meets a singular matrix.
+    """
+    x_train, x_test = (np.asarray(x, dtype=np.float64) for x in (x_train, x_test))
+    y_train, y_test = np.asarray(y_train), np.asarray(y_test)
+    if not (np.isfinite(x_train).all() and np.isfinite(x_test).all()):
+        raise NumericalError(f"{fit} is not finite: features hold inf or NaN")
+    classes = np.unique(y_train)
+    if classes.size == 1:
+        return float(np.mean(y_test == classes[0]))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            weights = weights_of(_augment(x_train), y_train, classes)
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise NumericalError(f"{fit} is not finite: {exc}") from exc
+    pred = classes[np.argmax(weights @ _augment(x_test), axis=0)]
+    return float(np.mean(pred == y_test))
+
+
 def _logreg_loss(w, xa, onehot, reg: float):
     """Objective of `train_logreg` at w by log-sum-exp, and the class probabilities."""
     scores = w @ xa
@@ -121,22 +144,12 @@ def train_logreg(x_train, y_train, x_test, y_test, reg: float = 1e-4,
     (reg/2)||W||^2, where W holds one weight row per class and the bias rides
     along as an appended constant feature, so it is penalized too.  A fit stops
     when the gradient norm drops below _LOGREG_TOL or after `max_iter` Newton
-    iterations (see `_logreg_weights`).  Raises NumericalError where the fit
-    is not finite.  Returns test accuracy.
+    iterations (see `_logreg_weights`).  Raises NumericalError where the features
+    or the fit are not finite.  Returns test accuracy.
     """
-    x_train = np.asarray(x_train, dtype=np.float64)
-    y_train = np.asarray(y_train)
-    classes = np.unique(y_train)
-    if classes.size == 1:
-        return float(np.mean(np.asarray(y_test) == classes[0]))
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            weights = _logreg_weights(_augment(x_train), y_train, classes, float(reg), max_iter)
-    except FloatingPointError as exc:
-        raise NumericalError(f"logistic-regression fit at logreg_reg {reg!r} is not finite: "
-                             f"{exc}") from exc
-    pred = classes[np.argmax(weights @ _augment(np.asarray(x_test, dtype=np.float64)), axis=0)]
-    return float(np.mean(pred == np.asarray(y_test)))
+    return _accuracy(lambda xa, y, classes: _logreg_weights(xa, y, classes, float(reg), max_iter),
+                     f"logistic-regression fit at logreg_reg {reg!r}",
+                     x_train, y_train, x_test, y_test)
 
 
 def _line_search(w, step, margins, dmargins, C: float) -> float:
@@ -205,23 +218,11 @@ def train_linear_svm(x_train, y_train, x_test, y_test, C: float = 100.0,
     the loss of LIBLINEAR's default solver, with the bias riding along as an
     appended constant feature.  `max_sweeps` caps the Newton iterations (see
     `_svm_weights`); fits usually stop well before it, when the active set
-    repeats.  Raises NumericalError where the fit overflows or its Newton
-    matrix is singular in float64, so the weights would not be finite.
-    Returns test accuracy.
+    repeats.  Raises NumericalError where the features or the fit are not finite,
+    a Newton matrix singular in float64 included.  Returns test accuracy.
     """
-    x_train = np.asarray(x_train, dtype=np.float64)
-    y_train = np.asarray(y_train)
-    classes = np.unique(y_train)
-    if classes.size == 1:
-        return float(np.mean(np.asarray(y_test) == classes[0]))
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            weights = _svm_weights(_augment(x_train), y_train, classes, float(C), max_sweeps)
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
-        raise NumericalError(f"linear SVM fit at svm_c {C!r} is not finite: {exc}") from exc
-    scores = weights @ _augment(np.asarray(x_test, dtype=np.float64))
-    pred = classes[np.argmax(scores, axis=0)]
-    return float(np.mean(pred == np.asarray(y_test)))
+    return _accuracy(lambda xa, y, classes: _svm_weights(xa, y, classes, float(C), max_sweeps),
+                     f"linear SVM fit at svm_c {C!r}", x_train, y_train, x_test, y_test)
 
 
 # ---------------------------------------------------------------------------

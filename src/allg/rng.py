@@ -26,5 +26,4 @@ def derive_seed(root_seed: int, name: str) -> int:
     """Stable non-negative integer seed for the substream `name`."""
     if root_seed < 0:
         raise ValueError(f"root seed must be non-negative, got {root_seed}")
-    mixed = hashlib.sha256(f"{root_seed}:{name}".encode("utf-8")).digest()
-    return int.from_bytes(mixed[:8], "little") >> 1
+    return _name_key(f"{root_seed}:{name}") >> 1

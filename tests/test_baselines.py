@@ -59,6 +59,15 @@ class TestSelectKmeans:
             np.testing.assert_allclose(centroids[:, c], x[:, assign == c].mean(axis=1),
                                        rtol=0, atol=1e-12)
 
+    def test_more_clusters_than_distinct_points(self):
+        # Three distinct points, each three times: farthest-point init repeats a
+        # centroid, and ties go to the lowest cluster, so only the empty-cluster
+        # reseed can put a point in the last cluster.
+        x = np.repeat(np.array([[0.0, 1.0, 5.0], [0.0, 3.0, 1.0]]), 3, axis=1)
+        _, assign = kmeans_fit(x, 5, seed=0)
+        assert assign.max() == 4
+        assert sorted(allg.select_kmeans(x, k=5, seed=0)) == list(range(9))
+
     def test_k_exceeds_n(self, rng):
         with pytest.raises(ConfigError):
             allg.select_kmeans(rng.normal(size=(2, 3)), k=4, seed=0)

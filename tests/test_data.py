@@ -68,6 +68,27 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="not found"):
             allg.load_csv(p, label_column="cls")
 
+    def test_auto_header_sees_an_all_numeric_first_row_as_data(self, tmp_path):
+        p = _write(tmp_path / "t.csv", "1,2\n3,4\n5,6\n")
+        ds = allg.load_csv(p)
+        np.testing.assert_array_equal(ds.features, [[1, 3, 5], [2, 4, 6]])
+
+    @pytest.mark.parametrize("index", [2, -1])
+    def test_label_column_index_out_of_range(self, tmp_path, index):
+        p = _write(tmp_path / "t.csv", "1,2\n3,4\n")
+        with pytest.raises(DataError, match=f"label column index {index} out of range"):
+            allg.load_csv(p, label_column=index)
+
+    def test_label_column_by_name_needs_a_header(self, tmp_path):
+        p = _write(tmp_path / "t.csv", "1,2,7\n3,4,9\n")
+        with pytest.raises(DataError, match="given by name but file has no header"):
+            allg.load_csv(p, label_column="cls")
+
+    def test_label_as_the_only_column(self, tmp_path):
+        p = _write(tmp_path / "t.csv", "cls\na\nb\n")
+        with pytest.raises(DataError, match="no feature columns left"):
+            allg.load_csv(p, label_column="cls")
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             allg.load_csv(str(tmp_path / "missing.csv"))

@@ -75,10 +75,18 @@ class TestLogreg:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_nonfinite_design_matrix_raises(self, bad):
+        # Either classifier, the bad entry on the train or the test side, with one
+        # training class or several: no accuracy comes from inf or NaN features.
         x, y = _separable_blobs()
-        x[0, 3] = bad
-        with pytest.raises(NumericalError, match="logistic-regression fit .* is not finite"):
-            allg.train_logreg(x, y, x, y)
+        fits = {"logistic-regression fit": allg.train_logreg,
+                "linear SVM fit": allg.train_linear_svm}
+        for side in (0, 1):
+            xs = [x.copy(), x.copy()]
+            xs[side][0, 3] = bad
+            for labels in (y, np.zeros_like(y)):
+                for prefix, fit in fits.items():
+                    with pytest.raises(NumericalError, match=f"{prefix} .* is not finite"):
+                        fit(xs[0], labels, xs[1], y)
 
 
 class TestLinearSvm:

@@ -69,6 +69,7 @@ class TestModelConfig:
         {"prior_normalize": "rows"},
         {"train_epochs": 0},
         {"knn_k": 2.5},
+        {"n_adjacency": 0},                # the default full variant learns no matrix
     ])
     def test_invalid_configs_raise(self, bad):
         kwargs = {"encoder_dims": (5, 4, 3)}
