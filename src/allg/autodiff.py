@@ -11,12 +11,17 @@ leaf gets one.  A tape that is never swept is the no-grad path.  The tape
 holds no Var, so reference counting frees it and its arrays when the last
 Var on it is dropped.
 
-Every backward rule (VJP) is called as vjp(g, out) and returns its
-contribution: when `out` is an array it writes the contribution there and
-returns `out`, and when `out` is None it returns an array it does not
-write again (a new one, or g itself).  backward passes `out` only for the
-first contribution to a listed leaf, so that one lands in the caller's
-array with no temporary and no copy.
+Every backward rule (VJP) is called as vjp(g, out, add), with g the
+gradient of its node, and returns its contribution.  With `out` None it
+returns an array that is not written again (a new one, or g itself).
+With `out` an array, the gradient array of a listed leaf, the rule puts
+its contribution there and returns `out`: it writes it when `add` is
+False, the leaf's first contribution, and adds it in place when `add` is
+True.  A rule that can make its contribution only as a new array (the
+matmuls: numpy's matmul cannot accumulate) adds that array.  So a leaf
+whose first contribution comes from a matmul and whose later ones come
+from blocked rules (graph_penalty, sup_norm_rows) gets its gradient with
+no temporary of its size.
 
 All values are 2-D float arrays; scalars are 1x1 matrices.  A float32
 leaf stays float32 and every other leaf becomes float64; an op computes
@@ -26,6 +31,8 @@ which would promote a float32 gradient to float64.  Reductions use
 numpy's fixed summation order, so identical inputs give bitwise identical
 gradients.
 """
+
+import math
 
 import numpy as np
 
@@ -85,16 +92,16 @@ class Tape:
 
         Each array must have its leaf's shape and dtype; a leaf the loss does
         not reach gets zeros.  A first pass marks every node a listed leaf
-        feeds, and the sweep runs no VJP into an unmarked node.  A listed
-        leaf's first contribution is written into its array by the VJP itself
-        (vjp(g, out) with out the array) and each later one, vjp(g, None),
-        added in place; any other node keeps its first contribution and makes
-        a new sum for each later one, so no array a VJP returned is written
-        (add and sub hand g itself on) and no interior node's gradient is an
-        `into` array.  Addition commutes, so the bits do not depend on which
-        leaves are listed, and a second sweep writes the same bits.  A
-        contribution is dropped once it is summed, and an interior node's
-        gradient once its parents have been served.
+        feeds, and the sweep runs no VJP into an unmarked node.  Every VJP
+        into a listed leaf gets the leaf's array, and a flag that says whether
+        it already holds a contribution (see the module docstring).  Any other
+        node keeps its first contribution and makes a new sum for each later
+        one, so no array a VJP returned is written (add and sub hand g itself
+        on) and no interior node's gradient is an `into` array.  A leaf's
+        contributions arrive in the same order whichever leaves are listed, so
+        its bits do not depend on them, and a second sweep writes the same
+        bits.  A contribution is dropped once it is summed, and an interior
+        node's gradient once its parents have been served.
         """
         if loss.tape is not self:
             raise ValueError("loss belongs to a different tape")
@@ -122,12 +129,12 @@ class Tape:
                 if not fed[parent]:
                     continue
                 held = grads[parent]
-                if held is None:
-                    grads[parent] = vjp(g, targets.get(parent))
-                elif parent in targets:
-                    held += vjp(g, None)
+                if parent in targets:
+                    grads[parent] = vjp(g, targets[parent], held is not None)
+                elif held is None:
+                    grads[parent] = vjp(g, None, False)
                 else:
-                    grads[parent] = held + vjp(g, None)
+                    grads[parent] = held + vjp(g, None, False)
                 del held
             grads[i] = None
         for i, arr in targets.items():
@@ -143,6 +150,32 @@ def _check_same_tape(*vars_):
     return tape
 
 
+def _deliver(out, add, f, *args, **kwargs):
+    """The contribution f(*args, **kwargs, out=...) of a VJP under the contract:
+    a new array when `out` is None, written into `out`, or made anew and added
+    into `out` when `add`."""
+    if add:
+        out += f(*args, **kwargs)
+        return out
+    return f(*args, **kwargs, out=out)
+
+
+# Elements per block of the blocked passes: Adam's update, and graph_penalty's
+# and sup_norm_rows' passes over an n x n array.
+_ADAM_BLOCK = 65536
+
+
+def _row_blocks(x: np.ndarray, dtype):
+    """(row slice, scratch) for each block of at most _ADAM_BLOCK elements (one
+    row at least) of the 2-D x, in order.  The scratch is a view, of the
+    block's shape and `dtype`, into one array allocated per call."""
+    rows, cols = x.shape
+    step = max(1, _ADAM_BLOCK // max(1, cols))
+    scratch = np.empty((min(step, rows), cols), dtype=dtype)
+    for r in range(0, rows, step):
+        yield slice(r, r + step), scratch[:min(step, rows - r)]
+
+
 def matmul(a: Var, b: Var) -> Var:
     """Matrix product a @ b."""
     tape = _check_same_tape(a, b)
@@ -150,8 +183,8 @@ def matmul(a: Var, b: Var) -> Var:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     av, bv = a.value, b.value
     out = av @ bv
-    return tape._record(out, ((a, lambda g, o: np.matmul(g, bv.T, out=o)),
-                              (b, lambda g, o: np.matmul(av.T, g, out=o))))
+    return tape._record(out, ((a, lambda g, o, add: _deliver(o, add, np.matmul, g, bv.T)),
+                              (b, lambda g, o, add: _deliver(o, add, np.matmul, av.T, g))))
 
 
 def affine(w: Var, x: Var, b: Var) -> Var:
@@ -162,9 +195,9 @@ def affine(w: Var, x: Var, b: Var) -> Var:
     wv, xv = w.value, x.value
     out = wv @ xv + b.value
     parents = (
-        (w, lambda g, o: np.matmul(g, xv.T, out=o)),
-        (x, lambda g, o: np.matmul(wv.T, g, out=o)),
-        (b, lambda g, o: np.sum(g, axis=1, keepdims=True, out=o)),
+        (w, lambda g, o, add: _deliver(o, add, np.matmul, g, xv.T)),
+        (x, lambda g, o, add: _deliver(o, add, np.matmul, wv.T, g)),
+        (b, lambda g, o, add: _deliver(o, add, np.sum, g, axis=1, keepdims=True)),
     )
     return tape._record(out, parents)
 
@@ -179,35 +212,40 @@ def relu(x: Var) -> Var:
     mask = x.value > 0
     out = np.fmax(x.value, 0.0)
     out += 0.0
-    return x.tape._record(out, ((x, lambda g, o: np.multiply(g, mask, out=o)),))
+    return x.tape._record(out, ((x, lambda g, o, add: _deliver(o, add, np.multiply, g, mask)),))
 
 
 def frob_sq(x: Var) -> Var:
     """Sum of squared entries as a 1x1 Var."""
     xv = x.value
     out = np.array([[np.sum(xv * xv)]], dtype=np.float64)
-    return x.tape._record(out, ((x, lambda g, o: np.multiply(xv, 2.0 * float(g[0, 0]),
-                                                            out=o)),))
+    return x.tape._record(out, ((x, lambda g, o, add: _deliver(
+        o, add, np.multiply, xv, 2.0 * float(g[0, 0]))),))
 
 
 def sup_norm_rows(q: Var) -> Var:
     """Sum over rows of the row sup-norm: sum_i max_j |q_ij|.
 
     The subgradient places sign(q[i, j*]) at each row's first maximal
-    column j* (lowest index on ties) and zero elsewhere.
+    column j* (lowest index on ties) and zero elsewhere.  The forward finds
+    j* in row blocks (see _row_blocks), and the VJP touches only the n
+    entries (i, j*) of an array that already holds a contribution.
     """
     qv = q.value
     rows = np.arange(qv.shape[0])
-    j_star = np.argmax(np.abs(qv), axis=1)  # first occurrence = lowest index
+    j_star = np.empty(qv.shape[0], dtype=np.intp)
+    for rs, block in _row_blocks(qv, qv.dtype):
+        j_star[rs] = np.argmax(np.abs(qv[rs], out=block), axis=1)  # first occurrence
     peak = qv[rows, j_star]
     out = np.array([[np.sum(np.abs(peak))]], dtype=np.float64)
+    sign = np.sign(peak)
 
-    def vjp(g, out):
+    def vjp(g, out, add):
         if out is None:
-            out = np.zeros_like(qv)
-        else:
+            out, add = np.zeros_like(qv), True
+        elif not add:
             out[...] = 0
-        out[rows, j_star] = np.sign(peak) * float(g[0, 0])
+        out[rows, j_star] += sign * float(g[0, 0])
         return out
 
     return q.tape._record(out, ((q, vjp),))
@@ -216,37 +254,55 @@ def sup_norm_rows(q: Var) -> Var:
 def graph_penalty(a: Var, b: Var, alpha: float, beta: float) -> Var:
     """alpha ||a||_F^2 + beta ||a - b||_F^2 as a 1x1 Var, in one node.
 
-    Each squared norm is a single-pass dot product; the VJPs are
-    2 alpha a + 2 beta (a - b) for a and -2 beta (a - b) for b.  The node
-    keeps only its inputs: each VJP recomputes a - b, the same subtraction
-    as the forward pass, so no n x n difference lives until backward.  a's
-    two terms are two parent entries, so backward adds each into a's
-    gradient in turn and never holds both beside it.
+    The VJPs are g ((2 alpha + 2 beta) a - 2 beta b) for a and
+    g 2 beta (b - a) for b.  The forward (two dot products per block) and
+    both VJPs work in row blocks through a block of scratch allocated per
+    call (see _row_blocks), so the node keeps only its inputs and makes no
+    n x n temporary.
     """
     tape = _check_same_tape(a, b)
     if a.shape != b.shape:
         raise ValueError(f"graph_penalty shape mismatch: {a.shape} vs {b.shape}")
     alpha, beta = float(alpha), float(beta)
     av, bv = a.value, b.value
-    diff = av - bv
-    out = np.array([[alpha * np.vdot(av, av) + beta * np.vdot(diff, diff)]], dtype=np.float64)
+    dtype = np.result_type(av, bv)
+    sq_a = sq_diff = 0.0
+    for rs, diff in _row_blocks(av, dtype):
+        np.subtract(av[rs], bv[rs], out=diff)
+        sq_a += float(np.vdot(av[rs], av[rs]))
+        sq_diff += float(np.vdot(diff, diff))
+    out = np.array([[alpha * sq_a + beta * sq_diff]], dtype=np.float64)
 
-    def scaled_diff(c, out):
-        d = np.subtract(av, bv, out=out)
-        d *= c
-        return d
+    def blend(x, cx, y, cy):
+        """The VJP g (cx x - cy y)."""
+        def vjp(g, out, add):
+            scale = float(g[0, 0])
+            if out is None:
+                out, add = np.empty(x.shape, dtype), False
+            for rs, t in _row_blocks(x, out.dtype):
+                np.multiply(y[rs], cy * scale, out=t)
+                if add:
+                    out[rs] -= t
+                    np.multiply(x[rs], cx * scale, out=t)
+                    out[rs] += t
+                else:
+                    np.multiply(x[rs], cx * scale, out=out[rs])
+                    out[rs] -= t
+            return out
+        return vjp
 
-    return tape._record(out, (
-        (a, lambda g, o: np.multiply(av, 2.0 * alpha * float(g[0, 0]), out=o)),
-        (a, lambda g, o: scaled_diff(2.0 * beta * float(g[0, 0]), o)),
-        (b, lambda g, o: scaled_diff(-2.0 * beta * float(g[0, 0]), o))))
+    return tape._record(out, ((a, blend(av, 2.0 * (alpha + beta), bv, 2.0 * beta)),
+                              (b, blend(bv, 2.0 * beta, av, 2.0 * beta))))
 
 
-def _pass_on(g, out):
-    """The VJP of add, and of sub's first operand: g itself, or a copy in `out`."""
+def _pass_on(g, out, add):
+    """The VJP of add, and of sub's first operand: g itself, or g put into `out`."""
     if out is None:
         return g
-    np.copyto(out, g)
+    if add:
+        out += g
+    else:
+        np.copyto(out, g)
     return out
 
 
@@ -262,12 +318,13 @@ def sub(a: Var, b: Var) -> Var:
     if a.shape != b.shape:
         raise ValueError(f"sub shape mismatch: {a.shape} vs {b.shape}")
     return tape._record(a.value - b.value,
-                        ((a, _pass_on), (b, lambda g, o: np.negative(g, out=o))))
+                        ((a, _pass_on), (b, lambda g, o, add: _deliver(o, add, np.negative, g))))
 
 
 def scale(x: Var, c: float) -> Var:
     c = float(c)
-    return x.tape._record(c * x.value, ((x, lambda g, o: np.multiply(g, c, out=o)),))
+    return x.tape._record(c * x.value,
+                          ((x, lambda g, o, add: _deliver(o, add, np.multiply, g, c)),))
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +333,6 @@ def scale(x: Var, c: float) -> Var:
 
 # Adam's moment decay rates and the guard added to its denominator.
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
-# Elements per block of the in-place Adam update.
-_ADAM_BLOCK = 65536
 
 
 class AdamState:
@@ -297,10 +352,13 @@ def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, *, lr: float, t: i
     """One bias-corrected Adam update of the 1-D vector `p`, in place.
 
     `g` is the gradient, of p's shape.  The decay rates are _BETA1 and
-    _BETA2, the guard _EPS.  The vector is updated one block of
-    _ADAM_BLOCK elements at a time through the two blocks of
-    `state.scratch`, so no array is allocated; every element sees the same
-    operations in the same order.
+    _BETA2, the guard _EPS.  The moments m and v are the textbook ones; the
+    bias corrections c1 = 1 - _BETA1^t and c2 = 1 - _BETA2^t are folded into
+    two scalars, p -= (lr sqrt(c2) / c1) m / (sqrt(v) + _EPS sqrt(c2)),
+    which are Python floats, so a float32 step computes in float32.  The
+    vector is updated one block of _ADAM_BLOCK elements at a time through
+    the two blocks of `state.scratch`, so no array is allocated; every
+    element sees the same operations in the same order.
     """
     if t < 1:
         raise ValueError(f"Adam step count must be >= 1, got {t}")
@@ -309,6 +367,7 @@ def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, *, lr: float, t: i
     if g.shape != p.shape:
         raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
     c1, c2 = 1.0 - _BETA1**t, 1.0 - _BETA2**t
+    step, eps = float(lr) * math.sqrt(c2) / c1, _EPS * math.sqrt(c2)
     for r in range(0, p.size, _ADAM_BLOCK):
         rs = slice(r, r + _ADAM_BLOCK)
         gb, mb, vb, pb = g[rs], state.m[rs], state.v[rs], p[rs]
@@ -320,10 +379,8 @@ def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, *, lr: float, t: i
         np.multiply(gb, gb, out=a)
         a *= 1.0 - _BETA2
         vb += a
-        np.divide(mb, c1, out=a)  # m_hat
-        a *= lr
-        np.divide(vb, c2, out=b)  # v_hat
-        np.sqrt(b, out=b)
-        b += _EPS
+        np.sqrt(vb, out=b)
+        b += eps
+        np.multiply(mb, step, out=a)
         a /= b
         pb -= a

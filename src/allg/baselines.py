@@ -38,8 +38,10 @@ def kmeans_fit(x: np.ndarray, k: int, seed: int):
     """Lloyd's algorithm with seeded farthest-point init.
 
     Stops once the assignments repeat, or after _KMEANS_MAX_ITER rounds.
-    Returns (centroids d x k, assignments).  Empty clusters are re-seeded
-    to the point farthest from its centroid.
+    Returns (centroids d x k, assignments).  Each cluster a round leaves
+    empty, in index order, takes its own point: the next of the points
+    farthest from their centroids (in decreasing distance, ties to the
+    lowest index) whose cluster keeps a member without it.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[1]
@@ -51,14 +53,15 @@ def kmeans_fit(x: np.ndarray, k: int, seed: int):
     for _ in range(_KMEANS_MAX_ITER):
         d2 = pairwise_sq_dists(x, centroids)
         new_assign = np.argmin(d2, axis=1)  # ties -> lowest cluster index
+        counts = np.bincount(new_assign, minlength=k)
+        farthest = iter(np.argsort(-d2[np.arange(n), new_assign], kind="stable"))
+        for c in np.flatnonzero(counts == 0):
+            i = next(i for i in farthest if counts[new_assign[i]] > 1)  # k <= n: one exists
+            counts[new_assign[i]] -= 1
+            counts[c] += 1
+            new_assign[i] = c
         for c in range(k):
-            members = new_assign == c
-            if not members.any():
-                worst = int(np.argmax(d2[np.arange(n), new_assign]))
-                centroids[:, c] = x[:, worst]
-                new_assign[worst] = c
-                members = new_assign == c
-            centroids[:, c] = x[:, members].mean(axis=1)
+            centroids[:, c] = x[:, new_assign == c].mean(axis=1)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign

@@ -222,14 +222,19 @@ def stage2_peak_bytes(cfg: ModelConfig, n: int) -> int:
     Stage 2 computes in float32, so an array here is a float32 n x n array.
     Each parameter (Q and every adjacency matrix the variant learns) holds
     itself, two Adam moments and a gradient; the prior A_0 holds three, a float64
-    copy for the final forward pass and train's float32 one; the VJP
-    temporary of one backward pass, Adam's scratch and the d x n
-    activations add three.  That is 18 arrays (72 n^2 bytes) for the
-    default full variant; every variant's traced peak at n = 400 lies at
-    most 1.5 arrays below its estimate.  train frees its Adam state before
-    it makes the float64 copies it returns, so they stay below that peak.
+    copy for the final forward pass and train's float32 one.  A backward pass
+    makes one temporary for each chain position whose matrix an earlier
+    position already learns (tied_two's second A_1), because a matmul VJP
+    can only write a gradient, not add to one; the other VJPs add in place
+    (see build_loss_graph).  Adam's scratch, the block scratch of the VJPs
+    and the d x n activations add two.  That is 17 arrays (68 n^2 bytes)
+    for the default full variant; every variant's traced peak at n = 400
+    lies at most 1.5 arrays below its estimate.  train frees its Adam state
+    before it makes the float64 copies it returns, so they stay below that
+    peak.
     """
-    arrays = 4 * (1 + cfg.n_stored_matrices) + (3 if cfg.n_matrices else 0) + 3
+    repeats = sum(name != "a0" for name in cfg.chain) - cfg.n_stored_matrices
+    arrays = 4 * (1 + cfg.n_stored_matrices) + (3 if cfg.n_matrices else 0) + repeats + 2
     return _BASE_BYTES + arrays * 4 * n * n
 
 
@@ -312,19 +317,18 @@ def mix_shortcut(s_layers: list, z: ad.Var, cfg: ModelConfig) -> ad.Var:
 
 def build_loss_graph(tape: ad.Tape, pv: dict, x: ad.Var, a0: ad.Var | None,
                      cfg: ModelConfig) -> dict:
-    """Full stage-2 graph.  Returns the loss Vars by term, "total" included."""
+    """Full stage-2 graph.  Returns the loss Vars by term, "total" included.
+
+    The terms of the parameters alone are recorded first: the graph
+    penalties and lambda * sum_i max_j |Q_ij|.  The backward sweep runs in
+    reverse, so each n x n parameter's matmul VJP, which can only write,
+    comes before the VJPs of those terms, which add in place (see autodiff).
+    """
     if cfg.chain and a0 is None:
         raise ValueError("prior graph A_0 required when adjacency layers exist")
     pv = {**pv, "a0": a0}
-    z = stack_vars(pv, "enc", x, cfg)
-    s_layers = propagate_vars(pv, z, cfg)
-    s_out = mix_shortcut(s_layers, z, cfg)
     q = pv["q"]
-    decoder_in = ad.matmul(s_out, q)
-    x_hat = stack_vars(pv, "dec", decoder_in, cfg)
-
     zero = tape.var(np.zeros((1, 1)))
-    l_r = ad.frob_sq(ad.sub(x, x_hat))
     # A_0, A_1, ...: A_1 against the prior, each later matrix against the one before
     mats = [a0] + [pv[name] for name in cfg.chain]
     l_a = ad.graph_penalty(mats[1], a0, cfg.alpha, cfg.beta) if cfg.chain else zero
@@ -332,8 +336,15 @@ def build_loss_graph(tape: ad.Tape, pv: dict, x: ad.Var, a0: ad.Var | None,
     for prev, cur in zip(mats[1:], mats[2:]):
         term = ad.graph_penalty(cur, prev, cfg.alpha_p, cfg.beta_p)
         l_p = term if l_p is zero else ad.add(l_p, term)
-    l_s = ad.add(ad.frob_sq(ad.sub(s_out, decoder_in)),
-                 ad.scale(ad.sup_norm_rows(q), cfg.lam))
+    sparsity = ad.scale(ad.sup_norm_rows(q), cfg.lam)
+
+    z = stack_vars(pv, "enc", x, cfg)
+    s_layers = propagate_vars(pv, z, cfg)
+    s_out = mix_shortcut(s_layers, z, cfg)
+    decoder_in = ad.matmul(s_out, q)
+    x_hat = stack_vars(pv, "dec", decoder_in, cfg)
+    l_r = ad.frob_sq(ad.sub(x, x_hat))
+    l_s = ad.add(ad.frob_sq(ad.sub(s_out, decoder_in)), sparsity)
     total = ad.add(ad.add(l_r, l_a), ad.add(l_p, l_s))
     return {"recon": l_r, "adjacency": l_a, "propagation": l_p,
             "selection": l_s, "total": total}

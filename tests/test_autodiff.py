@@ -1,9 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import allg.autodiff as ad
+from allg.gradcheck import OPS
 from conftest import grads_of
 from oracles import (
     adam_reference,
@@ -230,22 +232,35 @@ class TestElementwise:
             ad.add(tape.var(np.ones((2, 2))), tape.var(np.ones((2, 3))))
 
 
+def _assert_added(before, contrib, after):
+    """`after` is `before` plus `contrib`, to the rounding of their dtype."""
+    tol = 8 * np.finfo(after.dtype).eps
+    scale = np.max(np.abs(before) + np.abs(contrib), initial=1.0)
+    np.testing.assert_allclose(after, before + contrib, rtol=0, atol=tol * scale)
+
+
 def _spy_rules(tape):
     """Wrap every backward rule recorded so far on `tape`, so that each call logs
-    (parent index, the contribution the rule makes, the `out` it was given) in
-    the list this returns.  A rule given an `out` is also run without one: what
-    it writes must be `out` itself and equal that fresh contribution bit for
-    bit, and the log holds the fresh one, so its dtype is the rule's own."""
+    (parent index, the contribution the rule makes, the `out` it was given, the
+    `add` flag) in the list this returns.  A rule given an `out` is also run
+    without one: it must hand back `out` itself, holding that fresh contribution
+    bit for bit when it writes and added to what `out` held when it adds, and the
+    log holds the fresh one, so its dtype is the rule's own."""
     log = []
 
     def spy(parent, vjp):
-        def rule(g, out):
-            contrib = vjp(g, None)
-            log.append((parent, contrib, out))
+        def rule(g, out, add):
+            contrib = vjp(g, None, False)
+            log.append((parent, contrib, out, add))
             if out is None:
                 return contrib
-            written = vjp(g, out)
-            assert written is out and written.tobytes() == contrib.tobytes()
+            before = out.copy()
+            written = vjp(g, out, add)
+            assert written is out
+            if add:
+                _assert_added(before, contrib, written)
+            else:
+                assert written.tobytes() == contrib.tobytes()
             return written
         return rule
 
@@ -268,7 +283,7 @@ class TestBackwardContract:
         av, cv, prior_v = tape.var(a), tape.var(c), tape.var(prior)
         calls = []
 
-        def vjp(g, out):
+        def vjp(g, out, add):
             calls.append(g)
             return g
 
@@ -278,10 +293,10 @@ class TestBackwardContract:
         log = _spy_rules(tape)
         (ga,) = grads_of(tape, loss, av)
         assert calls == []
-        served = [parent for parent, _, _ in log]
+        served = [parent for parent, *_ in log]
         assert cv.index not in served and spied.index not in served
         assert prior_v.index not in served
-        assert served.count(av.index) == 3  # matmul and graph_penalty's two a-terms
+        assert served.count(av.index) == 2  # matmul's rule and graph_penalty's rule for a
         np.testing.assert_allclose(ga, 2 * (a @ c) @ c.T + 0.6 * a + 1.4 * (a - prior),
                                    rtol=1e-12)
 
@@ -326,9 +341,9 @@ class TestBackwardContract:
     @staticmethod
     def _spy_add(a, b, seen):
         """add(a, b) whose VJP also records each g it hands on, with a copy."""
-        def vjp(g, out):
+        def vjp(g, out, add):
             seen.append((g, g.copy()))
-            return ad._pass_on(g, out)
+            return ad._pass_on(g, out, add)
         return a.tape._record(a.value + b.value, ((a, vjp), (b, vjp)))
 
     def test_add_of_a_var_with_itself(self, rng):
@@ -421,8 +436,8 @@ class TestBackwardContract:
         np.testing.assert_allclose(gx, 2 * x.value, atol=1e-14)
 
     def test_first_contribution_is_written_into_the_leafs_own_array(self, rng):
-        # each listed leaf's first rule gets the leaf's array as `out` and hands
-        # it back; its later rules get None
+        # every rule into a listed leaf gets the leaf's array as `out` and hands
+        # it back; the first is told to write there, each later one to add
         tape = ad.Tape()
         av, bv, cv = (tape.var(rng.normal(size=shape)) for shape in ((6, 6), (6, 2), (6, 6)))
         loss = ad.add(ad.frob_sq(ad.matmul(av, bv)), ad.graph_penalty(av, cv, 0.3, 0.7))
@@ -430,12 +445,41 @@ class TestBackwardContract:
         into = {leaf: np.empty(leaf.shape) for leaf in (av, bv, cv)}
         tape.backward(loss, into=into)
         for leaf, arr in into.items():
-            outs = [out for parent, _, out in log if parent == leaf.index]
-            assert outs[0] is arr and all(out is None for out in outs[1:])
-        assert sum(parent == av.index for parent, _, _ in log) == 3
+            calls = [(out, add) for parent, _, out, add in log if parent == leaf.index]
+            assert all(out is arr for out, _ in calls)
+            assert [add for _, add in calls] == [False] + [True] * (len(calls) - 1)
+        assert sum(parent == av.index for parent, *_ in log) == 2
         a, b, c = av.value, bv.value, cv.value
         np.testing.assert_allclose(into[av], 2.0 * (a @ b) @ b.T + 0.6 * a + 1.4 * (a - c),
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("name", list(OPS))
+    def test_every_rule_adds_what_it_writes(self, rng, name, dtype):
+        # each rule of each op, given one g: the contribution it returns without
+        # `out`, the one it writes into `out` and the one it adds onto a nonzero
+        # `out` are one contribution
+        shapes, _, op, fix = OPS[name]
+        arrays = [rng.normal(size=shape) for shape in shapes]
+        if fix is not None:
+            fix(arrays[0])
+        tape = ad.Tape()
+        leaves = [tape.var(a.astype(dtype)) for a in arrays]
+        node = op(*leaves)
+        g = rng.normal(size=node.shape).astype(node.value.dtype)
+        values = {leaf.index: leaf.value for leaf in leaves}
+        rules = tape._parents[node.index]
+        assert {parent for parent, _ in rules} == set(values)
+        for parent, vjp in rules:
+            value = values[parent]
+            fresh = vjp(g, None, False)
+            written = np.full_like(value, np.nan)
+            assert vjp(g, written, False) is written
+            assert written.tobytes() == fresh.tobytes()
+            base = rng.normal(size=value.shape).astype(dtype)
+            added = base.copy()
+            assert vjp(g, added, True) is added
+            _assert_added(base, fresh, added)
 
     def test_sweep_into_a_leaf_makes_no_temporary_of_its_size(self, rng):
         # frob_sq(a b) with a 300 x 300 and b 300 x 2: a's one contribution,
@@ -465,8 +509,8 @@ class TestBackwardContract:
             log = _spy_rules(tape)
             tape.backward(loss, into=into)
             indexes = {leaf.index for leaf in into}
-            assert any(parent not in indexes for parent, _, _ in log)
-            for parent, contrib, out in log:
+            assert any(parent not in indexes for parent, *_ in log)
+            for parent, contrib, out, _ in log:
                 if parent in indexes:
                     continue
                 assert out is None
@@ -518,7 +562,7 @@ class TestBackwardContract:
         ga, gb = grads_of(tape, loss, av, bv)
         assert loss.value.dtype == np.float64
         assert ga.dtype == gb.dtype == np.float32
-        square = [contrib.dtype for _, contrib, _ in log if contrib.shape == (4, 4)]
+        square = [contrib.dtype for _, contrib, *_ in log if contrib.shape == (4, 4)]
         assert square and all(dtype == np.float32 for dtype in square)
 
 
@@ -561,9 +605,10 @@ class TestAdam:
                 ad.adam_step(p, g, state, lr=lr, t=t)
                 m = beta1 * m + (1.0 - beta1) * g
                 v = beta2 * v + (1.0 - beta2) * (g * g)
-                m_hat = m / (1.0 - beta1**t)
-                v_hat = v / (1.0 - beta2**t)
-                want = want - lr * m_hat / (np.sqrt(v_hat) + eps)
+                # the bias corrections folded into two Python-float scalars
+                c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
+                step, eps_t = lr * math.sqrt(c2) / c1, eps * math.sqrt(c2)
+                want = want - step * m / (np.sqrt(v) + eps_t)
             assert want.dtype == dtype
             assert np.array_equal(p, want), dtype
             assert np.array_equal(state.m, m) and np.array_equal(state.v, v), dtype

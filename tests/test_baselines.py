@@ -68,6 +68,15 @@ class TestSelectKmeans:
         assert assign.max() == 4
         assert sorted(allg.select_kmeans(x, k=5, seed=0)) == list(range(9))
 
+    def test_two_clusters_empty_in_one_round_each_take_their_own_point(self):
+        # The first round leaves clusters 3 and 4 empty.  Every point sits on its
+        # centroid, so the farthest points tie and go in index order: point 0 to
+        # cluster 3 and point 1 to cluster 4, and no cluster stays empty.
+        x = np.repeat(np.array([[0.0, 1.0, 5.0], [0.0, 3.0, 1.0]]), 3, axis=1)
+        _, assign = kmeans_fit(x, 5, seed=0)
+        assert np.bincount(assign, minlength=5).min() == 1
+        np.testing.assert_array_equal(assign, [3, 4, 2, 0, 0, 0, 1, 1, 1])
+
     def test_k_exceeds_n(self, rng):
         with pytest.raises(ConfigError):
             allg.select_kmeans(rng.normal(size=(2, 3)), k=4, seed=0)

@@ -19,8 +19,9 @@ def test_corrupted_matmul_backward_is_caught(monkeypatch):
     # harness sanity: a deliberately mis-scaled backward rule must fail
     def bad_matmul(x, y):
         xv, yv = x.value, y.value
-        return x.tape._record(xv @ yv, ((x, lambda g, o: np.multiply(g @ yv.T, 1.01, out=o)),
-                                        (y, lambda g, o: np.multiply(xv.T @ g, 0.99, out=o))))
+        return x.tape._record(xv @ yv, (
+            (x, lambda g, o, add: ad._deliver(o, add, np.multiply, g @ yv.T, 1.01)),
+            (y, lambda g, o, add: ad._deliver(o, add, np.multiply, xv.T @ g, 0.99))))
 
     monkeypatch.setattr(ad, "matmul", bad_matmul)
     reports = gc.run_all()

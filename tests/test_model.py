@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import allg
 from allg import autodiff as ad
 from allg.errors import ConfigError
 from allg.model import (
+    build_loss_graph,
     config_from_dict,
     config_from_options,
     mix_shortcut,
@@ -100,10 +102,10 @@ class TestModelConfig:
 
 
 class TestMemoryPreflight:
-    def test_default_variant_counts_18_float32_arrays(self):
+    def test_default_variant_counts_17_float32_arrays(self):
         cfg = allg.ModelConfig(encoder_dims=(5, 4, 3))
         base = stage2_peak_bytes(cfg, 0)
-        assert stage2_peak_bytes(cfg, 1000) == base + 18 * 4 * 1000 * 1000
+        assert stage2_peak_bytes(cfg, 1000) == base + 17 * 4 * 1000 * 1000
 
     def test_variants_without_learned_graphs_need_less(self):
         base = allg.ModelConfig(encoder_dims=(5, 4, 3))
@@ -200,6 +202,33 @@ class TestLossTerms:
         parts = (losses["recon"] + losses["adjacency"]
                  + losses["propagation"] + losses["selection"])
         assert losses["total"] == pytest.approx(parts, rel=1e-12)
+
+
+class TestStage2Backward:
+    def test_full_variant_sweep_makes_no_n_by_n_temporary(self):
+        # as training sweeps it, in float32: each n x n parameter's matmul VJP
+        # writes its gradient array and the penalty and sup-norm VJPs add into
+        # it in row blocks, so the sweep allocates less than one n x n array
+        n, d = 300, 12
+        rng = np.random.default_rng(3)
+        cfg = allg.ModelConfig(encoder_dims=(d, 10, 6), knn_k=4, seed=2)
+        x = rng.normal(size=(d, n))
+        a0 = allg.knn_graph(x, cfg.knn_k).adjacency
+        params = allg.init_encoder_decoder(cfg)
+        params.update(adj0=a0 + 0.1 * rng.normal(size=(n, n)),
+                      adj1=a0 + 0.1 * rng.normal(size=(n, n)), q=0.1 * rng.normal(size=(n, n)))
+        tape = ad.Tape()
+        pv = {k: tape.var(v.astype(np.float32)) for k, v in params.items()}
+        loss = build_loss_graph(tape, pv, tape.var(x.astype(np.float32)),
+                                tape.var(a0.astype(np.float32)), cfg)["total"]
+        into = {leaf: np.empty_like(leaf.value) for leaf in pv.values()}
+        tracemalloc.start()
+        try:
+            tape.backward(loss, into=into)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n, f"{peak / (4 * n * n):.2f} n x n arrays"
 
 
 class TestRank:
