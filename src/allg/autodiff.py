@@ -13,15 +13,16 @@ Var on it is dropped.
 
 Every backward rule (VJP) is called as vjp(g, out, add), with g the
 gradient of its node, and returns its contribution.  With `out` None it
-returns an array that is not written again (a new one, or g itself).
-With `out` an array, the gradient array of a listed leaf, the rule puts
-its contribution there and returns `out`: it writes it when `add` is
-False, the leaf's first contribution, and adds it in place when `add` is
-True.  A rule that can make its contribution only as a new array (the
-matmuls: numpy's matmul cannot accumulate) adds that array.  So a leaf
-whose first contribution comes from a matmul and whose later ones come
-from blocked rules (graph_penalty, sup_norm_rows) gets its gradient with
-no temporary of its size.
+returns a new array.  With `out` an array, the gradient array of its
+parent, the rule puts its contribution there and returns `out`: it writes
+it when `add` is False, the parent's first contribution, and adds it in
+place when `add` is True.  A rule returns a new array or `out`, never g
+or any other array it did not make, so every gradient array on the tape
+belongs to one node.  A rule that can make its contribution only as a
+new array (the matmuls: numpy's matmul cannot accumulate) adds that
+array.  So a leaf whose first contribution comes from a matmul and whose
+later ones come from blocked rules (graph_penalty, sup_norm_rows) gets
+its gradient with no temporary of its size.
 
 All values are 2-D float arrays; scalars are 1x1 matrices.  A float32
 leaf stays float32 and every other leaf becomes float64; an op computes
@@ -92,16 +93,14 @@ class Tape:
 
         Each array must have its leaf's shape and dtype; a leaf the loss does
         not reach gets zeros.  A first pass marks every node a listed leaf
-        feeds, and the sweep runs no VJP into an unmarked node.  Every VJP
-        into a listed leaf gets the leaf's array, and a flag that says whether
-        it already holds a contribution (see the module docstring).  Any other
-        node keeps its first contribution and makes a new sum for each later
-        one, so no array a VJP returned is written (add and sub hand g itself
-        on) and no interior node's gradient is an `into` array.  A leaf's
-        contributions arrive in the same order whichever leaves are listed, so
-        its bits do not depend on them, and a second sweep writes the same
-        bits.  A contribution is dropped once it is summed, and an interior
-        node's gradient once its parents have been served.
+        feeds, and the sweep runs no VJP into an unmarked node.  Every node
+        has one rule: its first contribution is written into its `into` array
+        if it is a listed leaf, or made as a new array otherwise, and each
+        later one is added in place into that array, the VJP being told which
+        by a flag (see the module docstring).  A leaf's contributions arrive
+        in the same order whichever leaves are listed, so its bits do not
+        depend on them, and a second sweep writes the same bits.  An interior
+        node's gradient is dropped once its parents have been served.
         """
         if loss.tape is not self:
             raise ValueError("loss belongs to a different tape")
@@ -126,16 +125,10 @@ class Tape:
             if g is None or not self._parents[i]:
                 continue
             for parent, vjp in self._parents[i]:
-                if not fed[parent]:
-                    continue
-                held = grads[parent]
-                if parent in targets:
-                    grads[parent] = vjp(g, targets[parent], held is not None)
-                elif held is None:
-                    grads[parent] = vjp(g, None, False)
-                else:
-                    grads[parent] = held + vjp(g, None, False)
-                del held
+                if fed[parent]:
+                    held = grads[parent]
+                    grads[parent] = vjp(g, targets.get(parent) if held is None else held,
+                                        held is not None)
             grads[i] = None
         for i, arr in targets.items():
             if grads[i] is not arr:  # no contribution, or the loss is the leaf itself
@@ -295,22 +288,12 @@ def graph_penalty(a: Var, b: Var, alpha: float, beta: float) -> Var:
                               (b, blend(bv, 2.0 * beta, av, 2.0 * beta))))
 
 
-def _pass_on(g, out, add):
-    """The VJP of add, and of sub's first operand: g itself, or g put into `out`."""
-    if out is None:
-        return g
-    if add:
-        out += g
-    else:
-        np.copyto(out, g)
-    return out
-
-
 def add(a: Var, b: Var) -> Var:
     tape = _check_same_tape(a, b)
     if a.shape != b.shape:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    return tape._record(a.value + b.value, ((a, _pass_on), (b, _pass_on)))
+    copy = lambda g, o, add: _deliver(o, add, np.positive, g)
+    return tape._record(a.value + b.value, ((a, copy), (b, copy)))
 
 
 def sub(a: Var, b: Var) -> Var:
@@ -318,7 +301,8 @@ def sub(a: Var, b: Var) -> Var:
     if a.shape != b.shape:
         raise ValueError(f"sub shape mismatch: {a.shape} vs {b.shape}")
     return tape._record(a.value - b.value,
-                        ((a, _pass_on), (b, lambda g, o, add: _deliver(o, add, np.negative, g))))
+                        ((a, lambda g, o, add: _deliver(o, add, np.positive, g)),
+                         (b, lambda g, o, add: _deliver(o, add, np.negative, g))))
 
 
 def scale(x: Var, c: float) -> Var:

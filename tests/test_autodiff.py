@@ -231,6 +231,11 @@ class TestElementwise:
         with pytest.raises(ValueError):
             ad.add(tape.var(np.ones((2, 2))), tape.var(np.ones((2, 3))))
 
+    def test_sub_shape_mismatch(self):
+        tape = ad.Tape()
+        with pytest.raises(ValueError, match="sub shape mismatch"):
+            ad.sub(tape.var(np.ones((2, 2))), tape.var(np.ones((2, 3))))
+
 
 def _assert_added(before, contrib, after):
     """`after` is `before` plus `contrib`, to the rounding of their dtype."""
@@ -315,6 +320,22 @@ class TestBackwardContract:
         with pytest.raises(ValueError, match="scalar"):
             grads_of(tape, ad.scale(x, 1.0), x)
 
+    def test_loss_from_another_tape_raises(self, rng):
+        tape, other = ad.Tape(), ad.Tape()
+        x = tape.var(rng.normal(size=(2, 2)))
+        with pytest.raises(ValueError, match="different tape"):
+            tape.backward(ad.frob_sq(other.var(rng.normal(size=(2, 2)))),
+                          into={x: np.zeros((2, 2))})
+
+    def test_item_of_a_non_scalar_raises(self, rng):
+        tape = ad.Tape()
+        with pytest.raises(ValueError, match=r"item\(\) needs a scalar"):
+            tape.var(rng.normal(size=(2, 2))).item()
+
+    def test_leaf_of_three_dimensions_raises(self):
+        with pytest.raises(ValueError, match="must be matrices, got ndim=3"):
+            ad.Tape().var(np.ones((2, 2, 2)))
+
     def test_fanout_accumulates(self, rng):
         # consuming x twice doubles the gradient
         x = rng.normal(size=(2, 3))
@@ -324,8 +345,8 @@ class TestBackwardContract:
         np.testing.assert_allclose(gx, 4 * x, atol=1e-14)
 
     def test_shared_gradient_summed_into_distinct_arrays(self, rng):
-        # add hands one gradient array to both leaves; each leaf then gets
-        # two more contributions, which must not write into the shared array
+        # add's rules copy one g to both leaves; each leaf then gets two more
+        # contributions, added into its own array
         a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
         tape = ad.Tape()
         av, bv = tape.var(a), tape.var(b)
@@ -343,11 +364,11 @@ class TestBackwardContract:
         """add(a, b) whose VJP also records each g it hands on, with a copy."""
         def vjp(g, out, add):
             seen.append((g, g.copy()))
-            return ad._pass_on(g, out, add)
+            return ad._deliver(out, add, np.positive, g)
         return a.tape._record(a.value + b.value, ((a, vjp), (b, vjp)))
 
     def test_add_of_a_var_with_itself(self, rng):
-        # both contributions are g itself, so neither may be written
+        # both rules get the same g, which neither may write
         x = rng.normal(size=(3, 4))
         tape = ad.Tape()
         xv = tape.var(x)
@@ -359,8 +380,8 @@ class TestBackwardContract:
         assert gx is not seen[0][0]
 
     def test_passed_through_g_never_written(self, rng):
-        # add hands one g to both leaves first; each leaf's later contribution is
-        # added into its own array, and g stays as it was
+        # add's rules get one g for both leaves first; each leaf's later
+        # contribution is added into its own array, and g stays as it was
         a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
         tape = ad.Tape()
         av, bv = tape.var(a), tape.var(b)
@@ -377,7 +398,8 @@ class TestBackwardContract:
 
     def test_interior_nodes_never_write_a_passed_through_g(self, rng):
         # as above, but the shared g reaches two interior nodes p = a w and
-        # q = a v, whose later contributions make new sums beside it
+        # q = a v, whose later contributions are added in place into the
+        # arrays their first ones made
         a, w, v = rng.normal(size=(2, 3)), rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
         tape = ad.Tape()
         av = tape.var(a)
@@ -407,8 +429,8 @@ class TestBackwardContract:
 
     @staticmethod
     def _into_graph(tape, a, b, c):
-        """Leaves a, b, c of a loss in which a gets g itself first (through add),
-        b gets -g (through sub) and both get more contributions after."""
+        """Leaves a, b, c of a loss in which a gets a copy of g first (through
+        add), b gets -g (through sub) and both get more contributions after."""
         av, bv, cv = (tape.var(x) for x in (a, b, c))
         extra = ad.add(ad.frob_sq(ad.scale(av, 3.0)), ad.frob_sq(ad.matmul(bv, cv)))
         shared = ad.frob_sq(ad.sub(ad.add(av, cv), bv))
@@ -481,6 +503,21 @@ class TestBackwardContract:
             assert vjp(g, added, True) is added
             _assert_added(base, fresh, added)
 
+    @pytest.mark.parametrize("name", list(OPS))
+    def test_every_rule_returns_an_array_of_its_own(self, rng, name):
+        # each rule of each op on interior inputs, called without `out`, returns
+        # an array that shares no memory with g: the sweep adds later
+        # contributions into it in place
+        shapes, _, op, fix = OPS[name]
+        arrays = [rng.normal(size=shape) for shape in shapes]
+        if fix is not None:
+            fix(arrays[0])
+        tape = ad.Tape()
+        node = op(*(ad.scale(tape.var(a), 1.0) for a in arrays))
+        g = rng.normal(size=node.shape)
+        for _, vjp in tape._parents[node.index]:
+            assert not np.shares_memory(vjp(g, None, False), g)
+
     def test_sweep_into_a_leaf_makes_no_temporary_of_its_size(self, rng):
         # frob_sq(a b) with a 300 x 300 and b 300 x 2: a's one contribution,
         # g b^T, is computed straight into a's array
@@ -499,8 +536,9 @@ class TestBackwardContract:
                                    rtol=1e-12)
 
     def test_no_contribution_to_an_unlisted_node_aliases_an_into_array(self, rng):
-        # interior nodes and unlisted leaves get `out` None, and what their
-        # rules return shares no memory with any array being swept into
+        # every unlisted node here has one consumer, so its rule gets `out`
+        # None, and what it returns shares no memory with any array being
+        # swept into
         a, b, c = (rng.normal(size=(3, 3)) for _ in range(3))
         for listed in ((0, 1, 2), (0,), (0, 2), (1,)):
             tape = ad.Tape()

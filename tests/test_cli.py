@@ -366,6 +366,14 @@ class TestExitCodes:
         assert main(["select", "--dataset", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("text, message", [("", "is empty"), ("a,b,label\n", "no data rows")],
+                             ids=["empty", "header_only"])
+    def test_csv_without_data_rows_is_data_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["select", "--dataset", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert message in capsys.readouterr().err
+
     def test_no_dataset_is_config_error(self, tmp_path):
         assert main(["select", "--out", str(tmp_path / "o")]) == 2
 
@@ -373,6 +381,15 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
         assert main(["select", "--config", str(bad)]) == 2
+
+    def test_unreadable_config_file(self, tmp_path, capsys):
+        assert main(["select", "--config", str(tmp_path / "missing.json")]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    def test_non_integer_budget(self, tmp_path, blobs_csv, capsys):
+        assert main(["evaluate", "--dataset", blobs_csv, "--label-column", "label",
+                     "--out", str(tmp_path / "o"), "--budgets", "5,x"]) == 2
+        assert "expected a comma-separated integer list, got '5,x'" in capsys.readouterr().err
 
     def test_unsupported_schema_version(self, tmp_path, blobs_csv):
         cfg = _write_config(tmp_path, {"schema_version": 99})

@@ -194,6 +194,17 @@ class TestForward:
         with pytest.raises(ValueError, match="transductive"):
             allg.forward(params, x[:, :4], cfg, a0)
 
+    def test_graph_variant_without_prior_raises(self, rng):
+        cfg, params, x, _ = _toy_model(rng)
+        with pytest.raises(ValueError, match="prior graph A_0 required"):
+            allg.forward(params, x, cfg)
+
+    def test_without_q_raises(self, rng):
+        cfg, params, x, a0 = _toy_model(rng)
+        del params["q"]
+        with pytest.raises(ValueError, match="Q not initialized"):
+            allg.forward(params, x, cfg, a0)
+
 
 class TestLossTerms:
     def test_total_additivity(self, rng):

@@ -54,6 +54,11 @@ class TestPretrain:
             allg.pretrain(x, tiny_cfg)
 
 
+    def test_input_of_wrong_row_count_refused(self, blobs_std, tiny_cfg):
+        with pytest.raises(ValueError, match="rows but encoder expects 4"):
+            allg.pretrain(blobs_std.features[:3], tiny_cfg)
+
+
 class TestPrecision:
     """Stages 1 and 2 compute in float32 and hand back float64 arrays."""
 
@@ -244,6 +249,11 @@ class TestTrain:
         params = allg.pretrain(blobs_std.features, tiny_cfg)
         with pytest.raises(ValueError, match="candidate"):
             allg.train(blobs_std.features, np.eye(7), tiny_cfg, params)
+
+    def test_graph_variant_without_prior_refused(self, blobs_std, tiny_cfg):
+        params = allg.init_encoder_decoder(tiny_cfg)
+        with pytest.raises(ValueError, match="variant 'full' needs a prior graph A_0"):
+            allg.train(blobs_std.features, None, tiny_cfg, params)
 
     def test_tapes_freed_without_cyclic_gc(self, blobs_std, tiny_cfg):
         # Each epoch's tape and its n x n arrays must go by reference
